@@ -7,19 +7,23 @@
 // lines.
 //
 // Tag-array layout: each level keeps its ways in ONE contiguous, set-major
-// slice of 16-byte way records (tag, LRU stamp, MESI state together). Every
-// simulated memory reference of every application flows through lookup, so
-// this layout is the simulator's hottest data structure: the earlier
-// slices-per-set representation (three separately allocated slices per set)
-// cost three dependent pointer loads into scattered 2-4 element arrays per
-// probe and dominated the CPU profile of `figures -all`. The flat layout is
-// one predictable indexed load per way, and building a hierarchy is two
-// allocations instead of tens of thousands. The replacement decisions (way
-// scan order, LRU victim choice) are bit-for-bit those of the old layout, so
-// simulated timing is unchanged.
+// slice of 8-byte way records. A record packs the tag (the line-address bits
+// above the set index) and the MESI state into one uint32 key, next to a
+// uint32 LRU stamp. Every simulated memory reference of every application
+// flows through lookup, so this layout is the simulator's hottest data
+// structure: a probe is one predictable indexed load per way, eight records
+// share one host cache line, and building a hierarchy is two allocations. The
+// replacement decisions (way scan order, LRU victim choice) are bit-for-bit
+// those of the earlier slices-per-set and 16-byte-record layouts, so
+// simulated timing is unchanged. A line address whose tag does not fit the
+// key is rejected with a panic carrying an error, never truncated into an
+// alias of another line.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MESI line states. Platforms that do not track coherence in the cache (the
 // SVM platform, which is coherent at page granularity) use only Invalid and
@@ -65,23 +69,38 @@ const (
 	Miss // must go to memory / coherence protocol
 )
 
-// way is one tag-array entry. The three fields of a way live in one 16-byte
-// record so a lookup touches a single cache line of the HOST machine for the
-// whole set (at the simulated associativities of 1-4).
+// way is one 8-byte tag-array entry. key is the tag (the line address with
+// its set-index bits shifted out) shifted left stateBits, OR'd with the MESI
+// state. An Invalid way (state 0) keeps its stale tag but never matches, as
+// the earlier layouts' valid-flag-plus-tag compare did.
 type way struct {
-	tag   uint64 // line address (addr / line); only meaningful when st != Invalid
-	lru   uint32
-	st    State
-	_pad1 uint8
-	_pad2 uint16
+	key uint32
+	lru uint32
+}
+
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+	// tagBits is the width of the packed tag: a level with 2^s sets holds
+	// line addresses below 2^(s+tagBits).
+	tagBits = 32 - stateBits
+)
+
+func (w *way) state() State { return State(w.key & stateMask) }
+
+// holds reports whether w is valid and carries tag key tk (state bits 0):
+// key^tk is then the state, 1..3, so one unsigned compare decides both.
+func (w *way) holds(tk uint32) bool {
+	return (w.key^tk)-1 < stateMask
 }
 
 // level is one cache level: nSets*assoc ways, set-major — set si occupies
 // ways[si*assoc : (si+1)*assoc].
 type level struct {
-	ways    []way
-	setMask uint64
-	assoc   int
+	ways     []way
+	setMask  uint64
+	setShift uint // log2(nSets) < 64: the tag is lineAddr >> setShift
+	assoc    int
 }
 
 func newLevel(size, assoc, line int) *level {
@@ -91,10 +110,23 @@ func newLevel(size, assoc, line int) *level {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two", nSets))
 	}
 	return &level{
-		ways:    make([]way, nSets*assoc),
-		assoc:   assoc,
-		setMask: uint64(nSets - 1),
+		ways:     make([]way, nSets*assoc),
+		assoc:    assoc,
+		setMask:  uint64(nSets - 1),
+		setShift: uint(bits.TrailingZeros(uint(nSets))),
 	}
+}
+
+// tagKey returns lineAddr's packed key with the state bits clear. The caller
+// has checked lineAddr against the hierarchy's lineLimit, so no tag bit is
+// lost.
+func (l *level) tagKey(lineAddr uint64) uint32 {
+	return uint32(lineAddr>>(l.setShift&63)) << stateBits
+}
+
+// lineAt reconstructs the line address held by way i from its tag and set.
+func (l *level) lineAt(i int) uint64 {
+	return uint64(l.ways[i].key>>stateBits)<<(l.setShift&63) | uint64(i/l.assoc)
 }
 
 // lookup returns the base index of lineAddr's set and the way index holding
@@ -103,9 +135,10 @@ func newLevel(size, assoc, line int) *level {
 // decides LRU ties.
 func (l *level) lookup(lineAddr uint64) (base, wi int, ok bool) {
 	base = int(lineAddr&l.setMask) * l.assoc
+	tk := l.tagKey(lineAddr)
 	ws := l.ways[base : base+l.assoc]
 	for w := range ws {
-		if ws[w].st != Invalid && ws[w].tag == lineAddr {
+		if ws[w].holds(tk) {
 			return base, w, true
 		}
 	}
@@ -113,17 +146,16 @@ func (l *level) lookup(lineAddr uint64) (base, wi int, ok bool) {
 }
 
 // insert places lineAddr in its set with the given state, evicting LRU if
-// needed. Returns the evicted line address and its state; evState is Invalid
-// when nothing was evicted. Victim selection (first invalid way, else lowest
-// LRU stamp, ties to the lowest way index) matches the previous layout
-// exactly.
-func (l *level) insert(lineAddr uint64, st State, clock uint32) (evicted uint64, evState State) {
+// needed. Victim selection (first invalid way, else lowest LRU stamp, ties
+// to the lowest way index) matches the previous layout exactly. It is used
+// only for L1 fills, whose evictions nobody observes.
+func (l *level) insert(lineAddr uint64, st State, clock uint32) {
 	base := int(lineAddr&l.setMask) * l.assoc
 	ws := l.ways[base : base+l.assoc]
 	victim := 0
 	best := ^uint32(0)
 	for w := range ws {
-		if ws[w].st == Invalid {
+		if ws[w].state() == Invalid {
 			victim = w
 			break
 		}
@@ -132,14 +164,7 @@ func (l *level) insert(lineAddr uint64, st State, clock uint32) (evicted uint64,
 			victim = w
 		}
 	}
-	v := &ws[victim]
-	if v.st != Invalid {
-		evicted, evState = v.tag, v.st
-	}
-	v.tag = lineAddr
-	v.st = st
-	v.lru = clock
-	return evicted, evState
+	ws[victim] = way{key: l.tagKey(lineAddr) | uint32(st), lru: clock}
 }
 
 // Hierarchy is one processor's L1+L2.
@@ -147,15 +172,20 @@ type Hierarchy struct {
 	cfg       Config
 	l1, l2    *level
 	lineShift uint
+	// lineLimit bounds the line addresses both levels' packed tags can
+	// represent; see checkLine.
+	lineLimit uint64
 	clock     uint32
 	// fast12 selects the unrolled Access path for the direct-mapped-L1,
 	// 2-way-L2 shape (the SVM node hierarchy, the hottest in figure runs).
-	// w1arr/w2arr/m1/m2 mirror the levels' fields so that path loads them
-	// without chasing the level pointers; the backing arrays are allocated
-	// once in New and never reallocated, so the aliases stay valid.
+	// w1arr/w2arr/m1/m2/s1/s2 mirror the levels' fields so that path loads
+	// them without chasing the level pointers; the backing arrays are
+	// allocated once in New and never reallocated, so the aliases stay
+	// valid.
 	fast12       bool
 	w1arr, w2arr []way
 	m1, m2       uint64
+	s1, s2       uint
 
 	// OnL2Evict, when set, is called with the line address and state of
 	// every line evicted from L2 by capacity/conflict replacement. The
@@ -172,19 +202,30 @@ func New(cfg Config) *Hierarchy {
 	if cfg.Line == 0 || cfg.Line&(cfg.Line-1) != 0 {
 		panic("cache: line size must be a power of two")
 	}
-	h := &Hierarchy{cfg: cfg}
+	h := &Hierarchy{cfg: cfg, lineShift: uint(bits.TrailingZeros(uint(cfg.Line)))}
 	h.l1 = newLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line)
 	h.l2 = newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line)
+	h.lineLimit = uint64(1) << (min(h.l1.setShift, h.l2.setShift) + tagBits)
 	h.fast12 = cfg.L1Assoc == 1 && cfg.L2Assoc == 2
-	h.w1arr, h.m1 = h.l1.ways, h.l1.setMask
-	h.w2arr, h.m2 = h.l2.ways, h.l2.setMask
-	for sh := uint(0); ; sh++ {
-		if 1<<sh == cfg.Line {
-			h.lineShift = sh
-			break
-		}
-	}
+	h.w1arr, h.m1, h.s1 = h.l1.ways, h.l1.setMask, h.l1.setShift
+	h.w2arr, h.m2, h.s2 = h.l2.ways, h.l2.setMask, h.l2.setShift
 	return h
+}
+
+// checkLine rejects a line address beyond the packed tags' range: its tag
+// would be truncated into another line's, silently corrupting simulated
+// state. The panic value is an error naming the address; inside a run the
+// kernel returns it as a *sim.ProcPanicError.
+func (h *Hierarchy) checkLine(la uint64) {
+	if la >= h.lineLimit {
+		h.outOfRange(la)
+	}
+}
+
+//go:noinline
+func (h *Hierarchy) outOfRange(la uint64) {
+	panic(fmt.Errorf("cache: address %#x is beyond the tag arrays' range (addresses must be below %#x)",
+		la<<h.lineShift, h.lineLimit<<h.lineShift))
 }
 
 // Line returns the configured line size.
@@ -197,32 +238,34 @@ func (h *Hierarchy) LineOf(addr uint64) uint64 { return addr >> h.lineShift }
 // resides and its L2 state, without modifying the cache.
 func (h *Hierarchy) Probe(addr uint64) (Level, State) {
 	la := addr >> h.lineShift
+	h.checkLine(la)
 	if _, _, ok := h.l1.lookup(la); ok {
 		if b2, w2, ok2 := h.l2.lookup(la); ok2 {
-			return L1Hit, h.l2.ways[b2+w2].st
+			return L1Hit, h.l2.ways[b2+w2].state()
 		}
 		return L1Hit, Exclusive
 	}
 	if b2, w2, ok := h.l2.lookup(la); ok {
-		return L2Hit, h.l2.ways[b2+w2].st
+		return L2Hit, h.l2.ways[b2+w2].state()
 	}
 	return Miss, Invalid
 }
 
-// scan walks lineAddr's set once, returning the set's way slice, the way
+// scan walks lineAddr's set once, returning the set's base index, the way
 // holding lineAddr (hit == -1 when absent) and, for the miss case, the
 // insertion victim chosen exactly as insert does: first invalid way, else
 // lowest LRU stamp, ties to the lowest way index. The scan stops at a hit,
 // like lookup, so LRU observation order is unchanged; victim is only
 // meaningful when hit == -1 (the full set was scanned).
-func (l *level) scan(lineAddr uint64) (ws []way, hit, victim int) {
-	base := int(lineAddr&l.setMask) * l.assoc
-	ws = l.ways[base : base+l.assoc]
+func (l *level) scan(lineAddr uint64) (base, hit, victim int) {
+	base = int(lineAddr&l.setMask) * l.assoc
+	tk := l.tagKey(lineAddr)
+	ws := l.ways[base : base+l.assoc]
 	victim = -1
 	haveInvalid := false
 	best := ^uint32(0)
 	for w := range ws {
-		if ws[w].st == Invalid {
+		if ws[w].state() == Invalid {
 			if !haveInvalid {
 				// First invalid way wins outright, as insert's break does.
 				haveInvalid = true
@@ -230,8 +273,8 @@ func (l *level) scan(lineAddr uint64) (ws []way, hit, victim int) {
 			}
 			continue
 		}
-		if ws[w].tag == lineAddr {
-			return ws, w, -1
+		if ws[w].key&^stateMask == tk {
+			return base, w, -1
 		}
 		if !haveInvalid && ws[w].lru < best {
 			best = ws[w].lru
@@ -241,7 +284,7 @@ func (l *level) scan(lineAddr uint64) (ws []way, hit, victim int) {
 	if victim < 0 {
 		victim = 0 // all valid at the maximum stamp: insert's default
 	}
-	return ws, -1, victim
+	return base, -1, victim
 }
 
 // Access performs a load or store of the line containing addr, updating tag
@@ -266,72 +309,82 @@ func (h *Hierarchy) Access(addr uint64, write bool, fillState State) (Level, Sta
 	return h.accessGeneric(addr, write, fillState)
 }
 
+// writeFill is the state a missing line is installed in: a write fills
+// Modified whatever the Exclusive or Shared fill state offered.
+func writeFill(st State, write bool) State {
+	if write && (st == Exclusive || st == Shared) {
+		return Modified
+	}
+	return st
+}
+
 // access12 is Access unrolled for a direct-mapped L1 over a 2-way L2 — the
 // SVM node hierarchy, which every simulated SVM reference walks. Probe,
 // victim choice and back-invalidation are the literal expansions of the
 // generic path at assoc 1 and 2, so the two produce identical state.
 func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, State) {
+	la := addr >> h.lineShift
+	h.checkLine(la)
 	h.clock++
 	h.Accesses++
-	la := addr >> h.lineShift
+	// Shift counts are masked (they are < 64) so no over-shift check is
+	// compiled into the hottest path.
+	sh1, sh2 := h.s1&63, h.s2&63
+	t1 := uint32(la>>sh1) << stateBits
+	t2 := uint32(la>>sh2) << stateBits
 	w1 := &h.w1arr[la&h.m1]
 	s2 := h.w2arr[int(la&h.m2)*2:]
 	wa := &s2[0]
 	wb := &s2[1]
-	if w1.st != Invalid && w1.tag == la {
+	if w1.holds(t1) {
 		// L1 hit; L1 is write-through, so line state lives in L2.
 		w1.lru = h.clock
-		if wa.st != Invalid && wa.tag == la {
+		if wa.holds(t2) {
 			wa.lru = h.clock
-			if write && wa.st == Exclusive {
-				wa.st = Modified
+			if write && wa.state() == Exclusive {
+				wa.key = t2 | uint32(Modified)
 			}
-			return L1Hit, wa.st
+			return L1Hit, wa.state()
 		}
-		if wb.st != Invalid && wb.tag == la {
+		if wb.holds(t2) {
 			wb.lru = h.clock
-			if write && wb.st == Exclusive {
-				wb.st = Modified
+			if write && wb.state() == Exclusive {
+				wb.key = t2 | uint32(Modified)
 			}
-			return L1Hit, wb.st
+			return L1Hit, wb.state()
 		}
 		return L1Hit, Exclusive
 	}
 	h.L1Misses++
 	hit := (*way)(nil)
-	if wa.st != Invalid && wa.tag == la {
+	if wa.holds(t2) {
 		hit = wa
-	} else if wb.st != Invalid && wb.tag == la {
+	} else if wb.holds(t2) {
 		hit = wb
 	}
 	if hit != nil {
 		hit.lru = h.clock
-		if write && hit.st == Exclusive {
-			hit.st = Modified
+		if write && hit.state() == Exclusive {
+			hit.key = t2 | uint32(Modified)
 		}
-		st := hit.st
-		*w1 = way{tag: la, lru: h.clock, st: st}
+		st := hit.state()
+		*w1 = way{key: t1 | uint32(st), lru: h.clock}
 		return L2Hit, st
 	}
 	h.L2Misses++
-	st := fillState
-	if write {
-		if st == Exclusive || st == Shared {
-			st = Modified
-		}
-	}
+	st := writeFill(fillState, write)
 	// Victim: first invalid way, else lower LRU stamp, ties to way 0.
 	v := wa
-	if wa.st != Invalid && (wb.st == Invalid || wb.lru < wa.lru) {
+	if wa.state() != Invalid && (wb.state() == Invalid || wb.lru < wa.lru) {
 		v = wb
 	}
-	ev, evSt := v.tag, v.st
-	*v = way{tag: la, lru: h.clock, st: st}
+	ev, evSt := uint64(v.key>>stateBits)<<sh2|la&h.m2, v.state()
+	*v = way{key: t2 | uint32(st), lru: h.clock}
 	if evSt != Invalid {
 		// Inclusion: a line leaving L2 must also leave L1.
 		we := &h.w1arr[ev&h.m1]
-		if we.st != Invalid && we.tag == ev {
-			we.st = Invalid
+		if we.holds(uint32(ev>>sh1) << stateBits) {
+			we.key &^= stateMask
 		}
 		if h.OnL2Evict != nil {
 			h.OnL2Evict(ev, evSt)
@@ -339,56 +392,41 @@ func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, S
 	}
 	// Direct-mapped L1: la's slot is the victim no matter what the eviction
 	// callback touched.
-	*w1 = way{tag: la, lru: h.clock, st: st}
+	*w1 = way{key: t1 | uint32(st), lru: h.clock}
 	return Miss, st
 }
 
 func (h *Hierarchy) accessGeneric(addr uint64, write bool, fillState State) (Level, State) {
+	la := addr >> h.lineShift
+	h.checkLine(la)
 	h.clock++
 	h.Accesses++
-	la := addr >> h.lineShift
-	w1s, hit1, vic1 := h.l1.scan(la)
+	b1, hit1, vic1 := h.l1.scan(la)
 	if hit1 >= 0 {
-		w1s[hit1].lru = h.clock
+		h.l1.ways[b1+hit1].lru = h.clock
 		// L1 is write-through: line state lives in L2.
 		if b2, w2, ok2 := h.l2.lookup(la); ok2 {
-			w := &h.l2.ways[b2+w2]
-			w.lru = h.clock
-			if write && w.st == Exclusive {
-				w.st = Modified
-			}
-			return L1Hit, w.st
+			return L1Hit, h.l2.touch(b2+w2, write, h.clock)
 		}
 		return L1Hit, Exclusive
 	}
 	h.L1Misses++
-	w2s, hit2, vic2 := h.l2.scan(la)
+	b2, hit2, vic2 := h.l2.scan(la)
 	if hit2 >= 0 {
-		w := &w2s[hit2]
-		w.lru = h.clock
-		if write && w.st == Exclusive {
-			w.st = Modified
-		}
-		st := w.st
-		w1s[vic1] = way{tag: la, lru: h.clock, st: st}
+		st := h.l2.touch(b2+hit2, write, h.clock)
+		h.l1.ways[b1+vic1] = way{key: h.l1.tagKey(la) | uint32(st), lru: h.clock}
 		return L2Hit, st
 	}
 	h.L2Misses++
-	st := fillState
-	if write {
-		if st == Exclusive || st == Shared {
-			st = Modified
-		}
-	}
-	v := &w2s[vic2]
-	ev, evSt := v.tag, v.st
-	*v = way{tag: la, lru: h.clock, st: st}
+	st := writeFill(fillState, write)
+	ev, evSt := h.l2.lineAt(b2+vic2), h.l2.ways[b2+vic2].state()
+	h.l2.ways[b2+vic2] = way{key: h.l2.tagKey(la) | uint32(st), lru: h.clock}
 	if evSt != Invalid {
 		// Inclusion: a line leaving L2 must also leave L1. This can free a
 		// way in la's own L1 set, so the L1 victim must be re-chosen below
 		// rather than taken from the pre-eviction scan.
 		if b1, w1, ok := h.l1.lookup(ev); ok {
-			h.l1.ways[b1+w1].st = Invalid
+			h.l1.ways[b1+w1].key &^= stateMask
 		}
 		if h.OnL2Evict != nil {
 			h.OnL2Evict(ev, evSt)
@@ -396,6 +434,17 @@ func (h *Hierarchy) accessGeneric(addr uint64, write bool, fillState State) (Lev
 	}
 	h.l1.insert(la, st, h.clock)
 	return Miss, st
+}
+
+// touch stamps the L2 way at index i with clock, applies the silent
+// Exclusive->Modified upgrade of a write hit, and returns the way's state.
+func (l *level) touch(i int, write bool, clock uint32) State {
+	w := &l.ways[i]
+	w.lru = clock
+	if write && w.state() == Exclusive {
+		w.key = w.key&^stateMask | uint32(Modified)
+	}
+	return w.state()
 }
 
 // HitAccess is Probe followed by Access, fused into one tag-array walk, for
@@ -409,12 +458,13 @@ func (h *Hierarchy) accessGeneric(addr uint64, write bool, fillState State) (Lev
 // Access's, so fused and unfused runs are cycle-identical.
 func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 	la := addr >> h.lineShift
+	h.checkLine(la)
 	if b1, w1, ok := h.l1.lookup(la); ok {
 		// L1 hit; authoritative state lives in L2 (write-through L1).
 		b2, w2, ok2 := h.l2.lookup(la)
 		st := Exclusive
 		if ok2 {
-			st = h.l2.ways[b2+w2].st
+			st = h.l2.ways[b2+w2].state()
 		}
 		if write && st != Modified && st != Exclusive {
 			return L1Hit, st, false
@@ -423,12 +473,7 @@ func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 		h.Accesses++
 		h.l1.ways[b1+w1].lru = h.clock
 		if ok2 {
-			w := &h.l2.ways[b2+w2]
-			w.lru = h.clock
-			if write && w.st == Exclusive {
-				w.st = Modified
-			}
-			return L1Hit, w.st, true
+			return L1Hit, h.l2.touch(b2+w2, write, h.clock), true
 		}
 		return L1Hit, Exclusive, true
 	}
@@ -436,19 +481,14 @@ func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 	if !ok {
 		return Miss, Invalid, false
 	}
-	st := h.l2.ways[b2+w2].st
+	st := h.l2.ways[b2+w2].state()
 	if write && st != Modified && st != Exclusive {
 		return L2Hit, st, false
 	}
 	h.clock++
 	h.Accesses++
 	h.L1Misses++
-	w := &h.l2.ways[b2+w2]
-	w.lru = h.clock
-	if write && w.st == Exclusive {
-		w.st = Modified
-	}
-	st = w.st
+	st = h.l2.touch(b2+w2, write, h.clock)
 	h.l1.insert(la, st, h.clock)
 	return L2Hit, st, true
 }
@@ -458,12 +498,14 @@ func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 // transition to Invalid removes the line from both levels.
 func (h *Hierarchy) SetState(addr uint64, st State) {
 	la := addr >> h.lineShift
+	h.checkLine(la)
 	if b2, w2, ok := h.l2.lookup(la); ok {
-		h.l2.ways[b2+w2].st = st
+		w := &h.l2.ways[b2+w2]
+		w.key = w.key&^stateMask | uint32(st)
 	}
-	if b1, w1, ok := h.l1.lookup(la); ok {
-		if st == Invalid {
-			h.l1.ways[b1+w1].st = Invalid
+	if st == Invalid {
+		if b1, w1, ok := h.l1.lookup(la); ok {
+			h.l1.ways[b1+w1].key &^= stateMask
 		}
 	}
 }
@@ -490,8 +532,8 @@ func (h *Hierarchy) InvalidateRange(addr uint64, n int) {
 // contents against directory or bus sharer state.
 func (h *Hierarchy) LinesL2(f func(lineAddr uint64, st State)) {
 	for i := range h.l2.ways {
-		if w := &h.l2.ways[i]; w.st != Invalid {
-			f(w.tag, w.st)
+		if st := h.l2.ways[i].state(); st != Invalid {
+			f(h.l2.lineAt(i), st)
 		}
 	}
 }
@@ -502,13 +544,13 @@ func (h *Hierarchy) LinesL2(f func(lineAddr uint64, st State)) {
 // without the other.
 func (h *Hierarchy) CheckInclusion() error {
 	for i := range h.l1.ways {
-		w := &h.l1.ways[i]
-		if w.st == Invalid {
+		st := h.l1.ways[i].state()
+		if st == Invalid {
 			continue
 		}
-		if _, _, ok := h.l2.lookup(w.tag); !ok {
-			return fmt.Errorf("cache: L1 line %#x (state %s) not present in L2 (inclusion violated)",
-				w.tag, w.st)
+		la := h.l1.lineAt(i)
+		if _, _, ok := h.l2.lookup(la); !ok {
+			return fmt.Errorf("cache: L1 line %#x (state %s) not present in L2 (inclusion violated)", la, st)
 		}
 	}
 	return nil
@@ -518,7 +560,7 @@ func (h *Hierarchy) CheckInclusion() error {
 func (h *Hierarchy) Flush() {
 	for _, l := range []*level{h.l1, h.l2} {
 		for i := range l.ways {
-			l.ways[i].st = Invalid
+			l.ways[i].key &^= stateMask
 		}
 	}
 }

@@ -1,0 +1,319 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// refHierarchy is the tag-array layout that preceded the packed 8-byte ways:
+// 16-byte records holding the full line address, the LRU stamp and the
+// state, driven by the plain lookup-then-insert path. It is kept here only
+// as the reference the packed layout must match operation for operation.
+type refWay struct {
+	tag uint64
+	lru uint32
+	st  State
+}
+
+type refLevel struct {
+	ways    []refWay
+	setMask uint64
+	assoc   int
+}
+
+func newRefLevel(size, assoc, line int) *refLevel {
+	nSets := size / line / assoc
+	return &refLevel{ways: make([]refWay, nSets*assoc), setMask: uint64(nSets - 1), assoc: assoc}
+}
+
+func (l *refLevel) lookup(la uint64) (*refWay, bool) {
+	base := int(la&l.setMask) * l.assoc
+	for w := base; w < base+l.assoc; w++ {
+		if l.ways[w].st != Invalid && l.ways[w].tag == la {
+			return &l.ways[w], true
+		}
+	}
+	return nil, false
+}
+
+func (l *refLevel) insert(la uint64, st State, clock uint32) (evicted uint64, evState State) {
+	base := int(la&l.setMask) * l.assoc
+	victim := base
+	best := ^uint32(0)
+	for w := base; w < base+l.assoc; w++ {
+		if l.ways[w].st == Invalid {
+			victim = w
+			break
+		}
+		if l.ways[w].lru < best {
+			best = l.ways[w].lru
+			victim = w
+		}
+	}
+	v := &l.ways[victim]
+	if v.st != Invalid {
+		evicted, evState = v.tag, v.st
+	}
+	*v = refWay{tag: la, lru: clock, st: st}
+	return evicted, evState
+}
+
+type refHierarchy struct {
+	l1, l2    *refLevel
+	lineShift uint
+	line      uint64
+	clock     uint32
+	onEvict   func(la uint64, st State)
+
+	accesses, l1Misses, l2Misses uint64
+}
+
+func newRef(cfg Config) *refHierarchy {
+	h := &refHierarchy{
+		l1:   newRefLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line),
+		l2:   newRefLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line),
+		line: uint64(cfg.Line),
+	}
+	for 1<<h.lineShift != cfg.Line {
+		h.lineShift++
+	}
+	return h
+}
+
+func (h *refHierarchy) probe(addr uint64) (Level, State) {
+	la := addr >> h.lineShift
+	if _, ok := h.l1.lookup(la); ok {
+		if w, ok2 := h.l2.lookup(la); ok2 {
+			return L1Hit, w.st
+		}
+		return L1Hit, Exclusive
+	}
+	if w, ok := h.l2.lookup(la); ok {
+		return L2Hit, w.st
+	}
+	return Miss, Invalid
+}
+
+func (h *refHierarchy) access(addr uint64, write bool, fill State) (Level, State) {
+	h.clock++
+	h.accesses++
+	la := addr >> h.lineShift
+	if w1, ok := h.l1.lookup(la); ok {
+		w1.lru = h.clock
+		if w, ok2 := h.l2.lookup(la); ok2 {
+			w.lru = h.clock
+			if write && w.st == Exclusive {
+				w.st = Modified
+			}
+			return L1Hit, w.st
+		}
+		return L1Hit, Exclusive
+	}
+	h.l1Misses++
+	if w, ok := h.l2.lookup(la); ok {
+		w.lru = h.clock
+		if write && w.st == Exclusive {
+			w.st = Modified
+		}
+		h.l1.insert(la, w.st, h.clock)
+		return L2Hit, w.st
+	}
+	h.l2Misses++
+	st := fill
+	if write && (st == Exclusive || st == Shared) {
+		st = Modified
+	}
+	if ev, evSt := h.l2.insert(la, st, h.clock); evSt != Invalid {
+		if w1, ok := h.l1.lookup(ev); ok {
+			w1.st = Invalid
+		}
+		if h.onEvict != nil {
+			h.onEvict(ev, evSt)
+		}
+	}
+	h.l1.insert(la, st, h.clock)
+	return Miss, st
+}
+
+// hitAccess is the unfused Probe-then-Access the fused HitAccess replaced.
+func (h *refHierarchy) hitAccess(addr uint64, write bool) (Level, State, bool) {
+	lvl, st := h.probe(addr)
+	if lvl == Miss {
+		return Miss, Invalid, false
+	}
+	if write && st != Modified && st != Exclusive {
+		return lvl, st, false
+	}
+	lvl, st = h.access(addr, write, st)
+	return lvl, st, true
+}
+
+func (h *refHierarchy) setState(addr uint64, st State) {
+	la := addr >> h.lineShift
+	if w, ok := h.l2.lookup(la); ok {
+		w.st = st
+	}
+	if w1, ok := h.l1.lookup(la); ok && st == Invalid {
+		w1.st = Invalid
+	}
+}
+
+func (h *refHierarchy) invalidateRange(addr uint64, n int) {
+	for a := addr &^ (h.line - 1); a < addr+uint64(n); a += h.line {
+		h.setState(a, Invalid)
+	}
+}
+
+func (h *refHierarchy) linesL2() []string {
+	var out []string
+	for _, w := range h.l2.ways {
+		if w.st != Invalid {
+			out = append(out, fmt.Sprintf("%#x:%s", w.tag, w.st))
+		}
+	}
+	return out
+}
+
+func linesL2(h *Hierarchy) []string {
+	var out []string
+	h.LinesL2(func(la uint64, st State) { out = append(out, fmt.Sprintf("%#x:%s", la, st)) })
+	return out
+}
+
+// The three platform shapes (restated here: the platform packages import
+// this one). svm's 1-way/2-way shape takes the unrolled access12 path; the
+// others take the generic path.
+var platformShapes = []struct {
+	name string
+	cfg  Config
+}{
+	{"svm", Config{L1Size: 8 << 10, L1Assoc: 1, L2Size: 512 << 10, L2Assoc: 2, Line: 32}},
+	{"dsm", Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 4, Line: 64}},
+	{"smp", Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 1, Line: 128}},
+}
+
+// TestPackedLayoutMatchesReference drives the packed tag arrays and the
+// 16-byte reference layout with one randomized stream of Access, HitAccess,
+// SetState and InvalidateRange calls and requires identical results,
+// counters, eviction callbacks and L2 contents throughout. Addresses mix a
+// hot set, a region twice the L2 size, same-set conflict strides and a
+// region just below the packed tags' range, so the top tag bits are
+// exercised too.
+func TestPackedLayoutMatchesReference(t *testing.T) {
+	for _, sh := range platformShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			h, ref := New(sh.cfg), newRef(sh.cfg)
+			if got, want := h.fast12, sh.name == "svm"; got != want {
+				t.Fatalf("fast12 = %v, want %v", got, want)
+			}
+			var evGot, evWant []string
+			h.OnL2Evict = func(la uint64, st State) { evGot = append(evGot, fmt.Sprintf("%#x:%s", la, st)) }
+			ref.onEvict = func(la uint64, st State) { evWant = append(evWant, fmt.Sprintf("%#x:%s", la, st)) }
+
+			line := uint64(sh.cfg.Line)
+			top := h.lineLimit << h.lineShift
+			setSpan := uint64(sh.cfg.L2Size / sh.cfg.L2Assoc)
+			rng := rand.New(rand.NewSource(1))
+			addr := func() uint64 {
+				switch rng.Intn(4) {
+				case 0:
+					return 4096 + uint64(rng.Intn(16<<10))
+				case 1:
+					return 4096 + uint64(rng.Intn(2*sh.cfg.L2Size))
+				case 2:
+					return 4096 + uint64(rng.Intn(8))*setSpan + uint64(rng.Intn(4))*line
+				}
+				return top - uint64(1+rng.Intn(2*sh.cfg.L2Size))
+			}
+			states := []State{Invalid, Shared, Exclusive, Modified}
+			for i := 0; i < 200000; i++ {
+				a, write := addr(), rng.Intn(3) == 0
+				var got, want string
+				switch op := rng.Intn(10); {
+				case op < 6:
+					fill := states[1+rng.Intn(3)]
+					l1, s1 := h.Access(a, write, fill)
+					l2, s2 := ref.access(a, write, fill)
+					got, want = fmt.Sprint("access ", l1, s1), fmt.Sprint("access ", l2, s2)
+				case op < 8:
+					l1, s1, ok1 := h.HitAccess(a, write)
+					l2, s2, ok2 := ref.hitAccess(a, write)
+					got, want = fmt.Sprint("hit ", l1, s1, ok1), fmt.Sprint("hit ", l2, s2, ok2)
+				case op < 9:
+					st := states[rng.Intn(4)]
+					h.SetState(a, st)
+					ref.setState(a, st)
+				default:
+					h.InvalidateRange(a&^4095, 4096)
+					ref.invalidateRange(a&^4095, 4096)
+				}
+				if got != want {
+					t.Fatalf("op %d at %#x: packed %q, reference %q", i, a, got, want)
+				}
+				pl, ps := h.Probe(a)
+				if rl, rs := ref.probe(a); pl != rl || ps != rs {
+					t.Fatalf("op %d: Probe(%#x) = %v %v, reference %v %v", i, a, pl, ps, rl, rs)
+				}
+				if h.Accesses != ref.accesses || h.L1Misses != ref.l1Misses || h.L2Misses != ref.l2Misses {
+					t.Fatalf("op %d: counters %d/%d/%d, reference %d/%d/%d", i,
+						h.Accesses, h.L1Misses, h.L2Misses, ref.accesses, ref.l1Misses, ref.l2Misses)
+				}
+				if len(evGot) != len(evWant) || len(evGot) > 0 && evGot[len(evGot)-1] != evWant[len(evWant)-1] {
+					t.Fatalf("op %d: evictions %v, reference %v", i, evGot, evWant)
+				}
+				if i%20000 == 0 {
+					if err := h.CheckInclusion(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got, want := strings.Join(linesL2(h), " "), strings.Join(ref.linesL2(), " "); got != want {
+				t.Fatalf("LinesL2 differs from the reference")
+			}
+			if len(evGot) == 0 {
+				t.Fatal("the stream caused no L2 evictions")
+			}
+		})
+	}
+}
+
+// An address whose tag does not fit the packed key must never alias
+// another line: every entry point rejects it with an error naming it.
+func TestAddressBeyondTagRange(t *testing.T) {
+	for _, sh := range platformShapes {
+		h := New(sh.cfg)
+		bad := h.lineLimit << h.lineShift
+		// Truncating bad's tag would alias line 0; make that line resident.
+		h.Access(0, false, Exclusive)
+		for name, op := range map[string]func(){
+			"Access":    func() { h.Access(bad, false, Exclusive) },
+			"HitAccess": func() { h.HitAccess(bad, true) },
+			"Probe":     func() { h.Probe(bad) },
+			"SetState":  func() { h.SetState(bad, Invalid) },
+		} {
+			err := recoverError(op)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", bad)) {
+				t.Errorf("%s: %s(%#x) = %v, want an error naming the address", sh.name, name, bad, err)
+			}
+		}
+		last := bad - uint64(sh.cfg.Line)
+		if err := recoverError(func() { h.Access(last, true, Exclusive) }); err != nil {
+			t.Errorf("%s: last in-range address %#x rejected: %v", sh.name, last, err)
+		}
+	}
+}
+
+func recoverError(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = r.(error); !ok {
+				err = fmt.Errorf("non-error panic: %v", r)
+			}
+		}
+	}()
+	f()
+	return nil
+}

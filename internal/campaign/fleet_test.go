@@ -160,7 +160,13 @@ func TestFleetCancelResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := &Runner{Name: "runtest", Cells: cells, Journal: j1, Exec: fleetExec(f), StopAfter: 4}
+	// One batch in flight at a time: StopAfter cancels from inside the
+	// emit of the batch that settles the 4th cell, before the next batch is
+	// posted. With concurrent batches the stub memos can settle all cells
+	// before the cancel lands, and nothing is left to resume.
+	ex1 := fleetExec(f)
+	ex1.Workers = 1
+	r1 := &Runner{Name: "runtest", Cells: cells, Journal: j1, Exec: ex1, StopAfter: 4}
 	rep1, err := r1.Run(context.Background())
 	j1.Close()
 	if err == nil || !rep1.Interrupted {

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cache"
 )
@@ -30,9 +29,20 @@ type LineEngine struct {
 	Sts    StateKind
 	NP     int // members of this coherence domain
 	Caches []*cache.Hierarchy
-	Lines  map[uint64]*LineEntry
+	// lines is the line table, page-chunked: a directory indexed by
+	// la>>chunkShift, grown on demand, whose slots point to chunks of
+	// chunkLen entries allocated ownerless on first touch. Entry pointers
+	// stay valid for the engine's life because chunks never move.
+	lines  []*lineChunk
 	lineSz uint64
 }
+
+const (
+	chunkShift = 6
+	chunkLen   = 1 << chunkShift
+)
+
+type lineChunk [chunkLen]LineEntry
 
 // NewLineEngine builds an engine of np member caches with the given
 // hierarchy configuration, wiring L2 evictions back into the line table
@@ -41,12 +51,11 @@ type LineEngine struct {
 func NewLineEngine(sts StateKind, cfg cache.Config, np int) *LineEngine {
 	e := &LineEngine{Sts: sts, NP: np, lineSz: uint64(cfg.Line)}
 	e.Caches = make([]*cache.Hierarchy, np)
-	e.Lines = make(map[uint64]*LineEntry, 1<<16)
 	for i := 0; i < np; i++ {
 		h := cache.New(cfg)
 		m := i
 		h.OnL2Evict = func(la uint64, st cache.State) {
-			if le, ok := e.Lines[la]; ok {
+			if le := e.Lookup(la); le != nil {
 				le.Sharers &^= 1 << uint(m)
 				if le.Owner == int8(m) {
 					le.Owner = -1
@@ -61,15 +70,44 @@ func NewLineEngine(sts StateKind, cfg cache.Config, np int) *LineEngine {
 // LineSize returns the coherence granularity in bytes.
 func (e *LineEngine) LineSize() int { return int(e.lineSz) }
 
+// Lookup returns the line entry for la without creating one: nil when no
+// line of la's chunk was ever touched. A line never touched in an allocated
+// chunk reads as ownerless with no sharers, exactly like a fresh Entry.
+func (e *LineEngine) Lookup(la uint64) *LineEntry {
+	if ci := la >> chunkShift; ci < uint64(len(e.lines)) {
+		if c := e.lines[ci]; c != nil {
+			return &c[la&(chunkLen-1)]
+		}
+	}
+	return nil
+}
+
 // Entry returns the line entry for la, creating an ownerless one on first
 // touch.
 func (e *LineEngine) Entry(la uint64) *LineEntry {
-	le, ok := e.Lines[la]
-	if !ok {
-		le = &LineEntry{Owner: -1}
-		e.Lines[la] = le
+	if le := e.Lookup(la); le != nil {
+		return le
 	}
-	return le
+	ci := la >> chunkShift
+	if ci >= uint64(len(e.lines)) {
+		e.lines = append(e.lines, make([]*lineChunk, ci+1-uint64(len(e.lines)))...)
+	}
+	c := new(lineChunk)
+	for i := range c {
+		c[i].Owner = -1
+	}
+	e.lines[ci] = c
+	return &c[la&(chunkLen-1)]
+}
+
+// DropLines resets the entries of lines [lo, hi) to ownerless with no
+// sharers, as if never touched.
+func (e *LineEngine) DropLines(lo, hi uint64) {
+	for la := lo; la < hi; la++ {
+		if le := e.Lookup(la); le != nil {
+			*le = LineEntry{Owner: -1}
+		}
+	}
 }
 
 // HasLine reports whether member m's cache currently holds the line of addr.
@@ -139,44 +177,21 @@ func (e *LineEngine) ReadFill(m int, addr uint64, le *LineEntry) {
 //     (OnL2Evict keeps the reverse direction, invalidations the forward);
 //   - each hierarchy preserves multilevel inclusion.
 func (e *LineEngine) CheckInvariants(scope string) error {
-	las := make([]uint64, 0, len(e.Lines))
-	for la := range e.Lines {
-		las = append(las, la)
-	}
-	// Sorted so a violating run reports the same line every time.
-	sort.Slice(las, func(i, j int) bool { return las[i] < las[j] })
-	for _, la := range las {
-		le := e.Lines[la]
-		if e.NP < 64 && le.Sharers>>uint(e.NP) != 0 {
-			return fmt.Errorf("%s: line %#x has sharer bits %#x beyond its %d members", scope, la, le.Sharers, e.NP)
+	// Walked in address order so a violating run reports the same (lowest)
+	// line every time. A never-touched or dropped entry — no sharers, no
+	// owner — satisfies every per-line invariant and is skipped.
+	for ci, c := range e.lines {
+		if c == nil {
+			continue
 		}
-		if le.Owner >= 0 {
-			if int(le.Owner) >= e.NP {
-				return fmt.Errorf("%s: line %#x owned by out-of-range member %d", scope, la, le.Owner)
-			}
-			if le.Sharers != 1<<uint(le.Owner) {
-				return fmt.Errorf("%s: line %#x has owner %d but sharers %#x (owner must be sole sharer)", scope, la, le.Owner, le.Sharers)
-			}
-		}
-		for q := 0; q < e.NP; q++ {
-			bit := le.Sharers&(1<<uint(q)) != 0
-			holds := e.HasLine(q, la*e.lineSz)
-			if bit && !holds {
-				return fmt.Errorf("%s: line %#x lists member %d as sharer but its cache lost the line", scope, la, q)
-			}
-			if !holds {
+		for j := range c {
+			le := &c[j]
+			if le.Sharers == 0 && le.Owner < 0 {
 				continue
 			}
-			_, st := e.Caches[q].Probe(la * e.lineSz)
-			if int(le.Owner) == q {
-				if st != cache.Modified && st != cache.Exclusive {
-					return fmt.Errorf("%s: line %#x owner %d holds it in state %s, want M or E", scope, la, q, st)
-				}
-				if e.Sts == MSI && st == cache.Exclusive {
-					return fmt.Errorf("%s: line %#x held Exclusive by member %d under MSI (no E state)", scope, la, q)
-				}
-			} else if bit && st != cache.Shared {
-				return fmt.Errorf("%s: line %#x non-owner sharer %d holds it in state %s, want S", scope, la, q, st)
+			la := uint64(ci)<<chunkShift | uint64(j)
+			if err := e.checkLine(scope, la, le); err != nil {
+				return err
 			}
 		}
 	}
@@ -189,13 +204,49 @@ func (e *LineEngine) CheckInvariants(scope string) error {
 			if lerr != nil {
 				return
 			}
-			le, ok := e.Lines[la]
-			if !ok || le.Sharers&(1<<uint(q)) == 0 {
+			if le := e.Lookup(la); le == nil || le.Sharers&(1<<uint(q)) == 0 {
 				lerr = fmt.Errorf("%s: member %d caches line %#x (state %s) unknown to the line table", scope, q, la, st)
 			}
 		})
 		if lerr != nil {
 			return lerr
+		}
+	}
+	return nil
+}
+
+// checkLine audits one line entry against the member caches.
+func (e *LineEngine) checkLine(scope string, la uint64, le *LineEntry) error {
+	if e.NP < 64 && le.Sharers>>uint(e.NP) != 0 {
+		return fmt.Errorf("%s: line %#x has sharer bits %#x beyond its %d members", scope, la, le.Sharers, e.NP)
+	}
+	if le.Owner >= 0 {
+		if int(le.Owner) >= e.NP {
+			return fmt.Errorf("%s: line %#x owned by out-of-range member %d", scope, la, le.Owner)
+		}
+		if le.Sharers != 1<<uint(le.Owner) {
+			return fmt.Errorf("%s: line %#x has owner %d but sharers %#x (owner must be sole sharer)", scope, la, le.Owner, le.Sharers)
+		}
+	}
+	for q := 0; q < e.NP; q++ {
+		bit := le.Sharers&(1<<uint(q)) != 0
+		holds := e.HasLine(q, la*e.lineSz)
+		if bit && !holds {
+			return fmt.Errorf("%s: line %#x lists member %d as sharer but its cache lost the line", scope, la, q)
+		}
+		if !holds {
+			continue
+		}
+		_, st := e.Caches[q].Probe(la * e.lineSz)
+		if int(le.Owner) == q {
+			if st != cache.Modified && st != cache.Exclusive {
+				return fmt.Errorf("%s: line %#x owner %d holds it in state %s, want M or E", scope, la, q, st)
+			}
+			if e.Sts == MSI && st == cache.Exclusive {
+				return fmt.Errorf("%s: line %#x held Exclusive by member %d under MSI (no E state)", scope, la, q)
+			}
+		} else if bit && st != cache.Shared {
+			return fmt.Errorf("%s: line %#x non-owner sharer %d holds it in state %s, want S", scope, la, q, st)
 		}
 	}
 	return nil

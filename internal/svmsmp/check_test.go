@@ -54,7 +54,8 @@ func TestDiffApplyDropsHomeClusterLines(t *testing.T) {
 	as.SetHome(a, 4096, 0)
 	_, err := k.RunErr("diffapply", func(p *sim.Proc) {
 		if p.ID() == 0 {
-			p.Read(a) // home cluster caches the line
+			p.Read(a) // home cluster caches the page's first and last lines
+			p.Read(a + 4095)
 		}
 		p.Barrier()
 		if p.ID() == 4 { // different cluster
@@ -69,8 +70,9 @@ func TestDiffApplyDropsHomeClusterLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	la := a / uint64(pl.LineSize())
-	if e, ok := pl.lineEng[0].Lines[la]; ok && e.Sharers != 0 {
-		t.Errorf("home cluster line table still lists sharers %#x after diff apply", e.Sharers)
+	for la := a / uint64(pl.LineSize()); la <= (a+4095)/uint64(pl.LineSize()); la++ {
+		if e := pl.lineEng[0].Lookup(la); e != nil && e.Sharers != 0 {
+			t.Errorf("home cluster line table still lists sharers %#x for line %#x after diff apply", e.Sharers, la)
+		}
 	}
 }

@@ -120,9 +120,7 @@ func (s *Platform) dropPageLines(cid int, pg uint64) {
 		h.InvalidateRange(base, int(s.P.SVM.PageSize))
 	}
 	lineSz := uint64(s.LineSize())
-	for la := base / lineSz; la <= (base+s.P.SVM.PageSize-1)/lineSz; la++ {
-		delete(s.lineEng[cid].Lines, la)
-	}
+	s.lineEng[cid].DropLines(base/lineSz, (base+s.P.SVM.PageSize-1)/lineSz+1)
 }
 
 // PageArrived implements protocol.PageHost.
