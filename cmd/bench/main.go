@@ -25,12 +25,6 @@
 //	bench -quick -out BENCH_kernel.json     # micro only, seconds
 //	bench -out BENCH_kernel.json            # full pipeline, minutes
 //	bench -quick -compare BENCH_kernel.json -tolerance 0.5
-//
-// A second, standalone gate covers the sharded serve fleet: with
-// -compare-serve BENCH_serve.json -serve-report warm.json the command diffs
-// a fresh warm-cluster `loadgen -json` report against the committed fleet
-// baseline (one-sided on req/s, p99 reported but not gated) and exits
-// without running the kernel pipeline.
 package main
 
 import (
@@ -275,42 +269,6 @@ func runColdServing() (reqPerSec float64, n int, err error) {
 	return float64(len(reqs)) / wall, len(reqs), nil
 }
 
-// ServeRun is the slice of a `loadgen -json` report the serve gate reads;
-// ServeBench is the shape of BENCH_serve.json (a cold pass that measures
-// fleet-wide exactly-once simulation, then a warm pass that measures
-// steady-state throughput).
-type ServeRun struct {
-	ReqPerSec        float64 `json:"req_per_sec"`
-	SimsPerUniqCell  float64 `json:"sims_per_unique_cell"`
-	ClusterFallbacks float64 `json:"cluster_fallbacks"`
-	Latency          struct {
-		P50 float64 `json:"p50_ms"`
-		P99 float64 `json:"p99_ms"`
-	} `json:"latency_ms"`
-}
-
-type ServeBench struct {
-	Cold ServeRun `json:"cold"`
-	Warm ServeRun `json:"warm"`
-}
-
-// compareServe gates a fresh warm-cluster loadgen report against the
-// committed BENCH_serve.json. One-sided like the kernel gate: only a warm
-// throughput drop beyond tol fails; faster runs and p99 movement never do
-// (latency is reported for the log, not gated — it is too host-noisy).
-func compareServe(ref ServeBench, cur ServeRun, tol float64) (lines []string, failed bool) {
-	delta := (cur.ReqPerSec - ref.Warm.ReqPerSec) / ref.Warm.ReqPerSec
-	status := "ok  "
-	if delta < -tol {
-		status = "FAIL"
-		failed = true
-	}
-	lines = append(lines,
-		fmt.Sprintf("%s serve_warm_throughput   %12.1f -> %12.1f req/s  (%+6.1f%%)", status, ref.Warm.ReqPerSec, cur.ReqPerSec, 100*delta),
-		fmt.Sprintf("info serve_warm_p99        %12.2f -> %12.2f ms     (reported, not gated)", ref.Warm.Latency.P99, cur.Latency.P99))
-	return lines, failed
-}
-
 // compare gates a new report against a committed reference. The gate is
 // strictly one-sided: getting faster (lower ns/op) or leaner (fewer
 // allocs/op) can never fail, however large the improvement — only an
@@ -364,48 +322,7 @@ func main() {
 	compareFile := flag.String("compare", "", "reference BENCH_kernel.json to gate against")
 	tol := flag.Float64("tolerance", 0.10, "allowed fractional ns/op regression in -compare mode")
 	quick := flag.Bool("quick", false, "micro benchmarks only; skip the figure matrix and serving measurements")
-	compareServeFile := flag.String("compare-serve", "", "reference BENCH_serve.json to gate a -serve-report against")
-	serveReport := flag.String("serve-report", "", "fresh warm-cluster `loadgen -json` report for the -compare-serve gate")
 	flag.Parse()
-
-	// Serve-gate mode is standalone: diff a fresh loadgen report against the
-	// committed fleet baseline and exit, without rerunning the kernel pipeline.
-	if *compareServeFile != "" || *serveReport != "" {
-		if *compareServeFile == "" || *serveReport == "" {
-			fmt.Fprintln(os.Stderr, "bench: -compare-serve and -serve-report must be given together")
-			os.Exit(2)
-		}
-		var ref ServeBench
-		var cur ServeRun
-		for _, f := range []struct {
-			path string
-			into any
-		}{{*compareServeFile, &ref}, {*serveReport, &cur}} {
-			raw, err := os.ReadFile(f.path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			if err := json.Unmarshal(raw, f.into); err != nil {
-				fmt.Fprintf(os.Stderr, "bench: parsing %s: %v\n", f.path, err)
-				os.Exit(1)
-			}
-		}
-		if ref.Warm.ReqPerSec <= 0 {
-			fmt.Fprintf(os.Stderr, "bench: %s has no warm.req_per_sec baseline\n", *compareServeFile)
-			os.Exit(1)
-		}
-		lines, failed := compareServe(ref, cur, *tol)
-		for _, l := range lines {
-			fmt.Fprintln(os.Stderr, l)
-		}
-		if failed {
-			fmt.Fprintf(os.Stderr, "bench: serve regression vs %s (tolerance %.0f%%)\n", *compareServeFile, 100**tol)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: no serve regression vs %s (tolerance %.0f%%)\n", *compareServeFile, 100**tol)
-		return
-	}
 
 	rep := Report{
 		GOOS:     runtime.GOOS,

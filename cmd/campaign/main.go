@@ -1,9 +1,7 @@
 // Command campaign runs a declarative experiment campaign: a spec file
 // naming apps × versions × platforms × processor counts × scales expands
-// into a deterministic cell manifest, which is executed locally (bounded
-// worker pool over the memo/store tiers) or across a serve fleet
-// (-addrs: cells sharded by ring ownership, shipped as batched NDJSON
-// POST /run, retried with backoff on transient failures).
+// into a deterministic cell manifest, which is executed by a bounded
+// worker pool over the memo/store tiers.
 //
 // Progress is journaled: every completed cell is fsynced to the journal
 // with its result fingerprint, so a killed campaign re-invoked with
@@ -12,7 +10,6 @@
 //
 //	campaign -spec campaigns/scaling128.json -store /tmp/cstore -workers 8
 //	campaign -spec campaigns/scaling128.json -store /tmp/cstore -resume   # pick up where it died
-//	campaign -spec S.json -addrs http://n1:8080,http://n2:8080 -json      # fleet-distributed
 //	campaign -spec S.json -table                                          # render the scaling tables
 //
 // Exit status: 0 success, 1 failed cells, 2 usage/spec errors,
@@ -45,8 +42,6 @@ type progressEvent struct {
 	Failed     int                     `json:"failed"`
 	Resumed    int                     `json:"resumed"`
 	Total      int                     `json:"total"`
-	Retries    int                     `json:"retries"`       // attempts beyond each cell's first
-	Retried    int                     `json:"retried_cells"` // cells that needed >1 attempt
 	CellsPerS  float64                 `json:"cells_per_sec"`
 	EtaSeconds float64                 `json:"eta_seconds"`
 	Platforms  map[string]*platProgess `json:"platforms"`
@@ -66,18 +61,14 @@ func fatal(code int, a ...any) {
 
 func main() {
 	specPath := flag.String("spec", "", "campaign spec file (JSON; required)")
-	addrs := flag.String("addrs", "", "comma-separated serve fleet base URLs; empty = execute locally")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations (local) or batch requests (fleet)")
-	storeDir := flag.String("store", "", "persistent result store directory (local execution); completed cells load instead of simulating")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations")
+	storeDir := flag.String("store", "", "persistent result store directory; completed cells load instead of simulating")
 	journalPath := flag.String("journal", "", "campaign journal file (default: spec path with .journal extension)")
 	resume := flag.Bool("resume", false, "resume an existing journal instead of refusing to overwrite it")
 	jsonOut := flag.Bool("json", false, "emit machine-readable progress events on stdout")
 	manifestPath := flag.String("manifest", "", "write the deterministic manifest summary to this file (also printed to stdout unless -json or -table)")
 	table := flag.Bool("table", false, "print the scaling tables (speedup vs uniprocessor original) after the run")
 	maxCells := flag.Int("max-cells", 0, "stop after journaling N cells (kill/resume testing); exit 3")
-	batch := flag.Int("batch", 64, "cells per fleet batch request")
-	retries := flag.Int("retries", 4, "max attempts per cell on transient fleet failures")
-	backoff := flag.Duration("backoff", 250*time.Millisecond, "base retry backoff (doubled per attempt, capped at 5s)")
 	flag.Parse()
 
 	if *specPath == "" {
@@ -108,33 +99,9 @@ func main() {
 	}
 	defer journal.Close()
 
-	var exec campaign.Executor
-	var cacheStats func() string
-	if *addrs != "" {
-		var list []string
-		for _, a := range strings.Split(*addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				list = append(list, a)
-			}
-		}
-		if len(list) == 0 {
-			fatal(2, "empty -addrs")
-		}
-		exec = &campaign.Fleet{
-			Addrs:       list,
-			Campaign:    spec.Name,
-			BatchSize:   *batch,
-			Workers:     *workers,
-			MaxAttempts: *retries,
-			Backoff:     *backoff,
-		}
-	} else {
-		memo, err := campaign.OpenMemo(*storeDir)
-		if err != nil {
-			fatal(1, err)
-		}
-		exec = &campaign.Local{Memo: memo, Workers: *workers}
-		cacheStats = func() string { return memo.Stats().String() }
+	memo, err := campaign.OpenMemo(*storeDir)
+	if err != nil {
+		fatal(1, err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -143,7 +110,7 @@ func main() {
 	// Progress state, updated per settled cell from executor goroutines.
 	start := time.Now()
 	var mu sync.Mutex
-	done, failed, retries2, retried := 0, 0, 0, 0
+	done, failed := 0, 0
 	platTotal := map[string]*platProgess{}
 	for _, c := range cells {
 		pp := platTotal[c.Spec.Platform]
@@ -169,22 +136,19 @@ func main() {
 		ev := progressEvent{
 			Type: "progress", Campaign: spec.Name,
 			Done: done, Failed: failed, Resumed: resumed, Total: len(cells),
-			Retries: retries2, Retried: retried,
 			CellsPerS: rate, EtaSeconds: eta, Platforms: platTotal,
 		}
 		if final {
 			ev.Type = "summary"
 			ev.Elapsed = elapsed
-			if cacheStats != nil {
-				ev.Cache = cacheStats()
-			}
+			ev.Cache = memo.Stats().String()
 		}
 		if *jsonOut {
 			enc.Encode(ev)
 		} else if final || time.Since(lastLine) >= time.Second {
 			lastLine = time.Now()
-			fmt.Fprintf(os.Stderr, "campaign: %d/%d done (%d resumed, %d failed, %d retries), %.1f cells/s, eta %s\n",
-				completed, len(cells), resumed, failed, retries2, rate, time.Duration(eta*float64(time.Second)).Round(time.Second))
+			fmt.Fprintf(os.Stderr, "campaign: %d/%d done (%d resumed, %d failed), %.1f cells/s, eta %s\n",
+				completed, len(cells), resumed, failed, rate, time.Duration(eta*float64(time.Second)).Round(time.Second))
 		}
 	}
 
@@ -192,7 +156,7 @@ func main() {
 		Name:      spec.Name,
 		Cells:     cells,
 		Journal:   journal,
-		Exec:      exec,
+		Exec:      &campaign.Local{Memo: memo, Workers: *workers},
 		StopAfter: *maxCells,
 	}
 	resumedN := 0
@@ -206,10 +170,6 @@ func main() {
 			}
 		} else {
 			failed++
-		}
-		if e.Attempts > 1 {
-			retried++
-			retries2 += e.Attempts - 1
 		}
 		progress(resumedN, false)
 	}
@@ -252,9 +212,7 @@ func main() {
 	if *table {
 		fmt.Println(spec.Table(rep.Entries))
 	}
-	if cacheStats != nil {
-		fmt.Fprintf(os.Stderr, "campaign: cache: %s\n", cacheStats())
-	}
+	fmt.Fprintf(os.Stderr, "campaign: cache: %s\n", memo.Stats())
 
 	if rep.Interrupted || runErr != nil {
 		fmt.Fprintf(os.Stderr, "campaign: interrupted with %d cell(s) pending; re-run with -resume to continue\n",

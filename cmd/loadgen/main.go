@@ -1,34 +1,26 @@
-// Command loadgen hammers a serve instance — or a whole serve fleet — with
-// a mix of /run cells and reports throughput and latency percentiles, so
-// the cache, request coalescing, and cluster routing are benchmarked rather
-// than assumed. Run it twice against the same store-backed fleet to measure
-// cold vs warm service:
+// Command loadgen hammers a serve instance with a mix of /run cells and
+// reports throughput and latency percentiles, so the cache and request
+// coalescing are benchmarked rather than assumed. Run it twice against the
+// same store-backed server to measure cold vs warm service:
 //
-//	loadgen -addrs http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083 \
+//	loadgen -addr http://127.0.0.1:8080 \
 //	        -cells "lu/orig@svm:8,ocean/rows@svm:8,radix/orig@svm:8" \
-//	        -scale 0.25 -c 16 -n 20000 -zipf 1.2 -seed 1 -json
+//	        -scale 0.25 -c 16 -n 20000 -json
 //
-// Requests round-robin across the fleet's nodes. With -zipf, cell
-// popularity is skewed by a seeded Zipf generator (the first cell of the
-// mix is the most popular) — the realistic shape for a cache-backed
-// service, and the adversarial one for a sharded fleet, since the hot
-// cell's owner takes the brunt through forwarding. Without it, workers
-// rotate through the mix evenly.
-//
-// After the run, loadgen scrapes every node's /metrics and reports the
-// fleet-wide simulation count and simulations-per-unique-cell — the
-// cluster's cache-perfection invariant (exactly 1 on a cold store, 0 warm).
-// -json emits the whole report machine-readable on stdout; BENCH_serve.json
-// at the repo root is a committed pair of such reports (cold + warm).
+// Workers rotate through the mix evenly. After the run, loadgen scrapes
+// the server's /metrics and reports its simulation count and
+// simulations-per-unique-cell — the cache-perfection invariant (exactly 1
+// on a cold store, 0 warm). -json emits the whole report machine-readable
+// on stdout.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"os"
@@ -87,32 +79,6 @@ func parseCells(s string) ([]cell, error) {
 	return cells, nil
 }
 
-// parseAddrs splits -addrs, falling back to the single -addr.
-func parseAddrs(addrs, addr string) []string {
-	var out []string
-	for _, a := range strings.Split(addrs, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, strings.TrimSuffix(a, "/"))
-		}
-	}
-	if len(out) == 0 {
-		out = []string{strings.TrimSuffix(addr, "/")}
-	}
-	return out
-}
-
-// newPicker returns the cell-index chooser for one worker: a seeded Zipf
-// generator when s > 0 (rank 0 = the first cell = most popular), or
-// even rotation from a per-worker offset when s == 0. Each worker gets
-// its own deterministic stream — same seed, same workload, run to run.
-func newPicker(zipfS float64, seed int64, worker, ncells int) func(i int) int {
-	if zipfS > 0 {
-		z := rand.NewZipf(rand.New(rand.NewSource(seed+int64(worker)*7919)), zipfS, 1, uint64(ncells-1))
-		return func(int) int { return int(z.Uint64()) }
-	}
-	return func(i int) int { return (i + worker) % ncells }
-}
-
 // percentile returns the p-th percentile (0..100) of sorted durations.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
@@ -161,22 +127,6 @@ func parseMetricLine(line, metric string) (float64, bool) {
 	return v, true
 }
 
-// sumMetric totals a metric across the fleet; ok reports every node
-// answered.
-func sumMetric(client *http.Client, addrs []string, metric string) (total float64, ok bool) {
-	ok = true
-	for _, a := range addrs {
-		v, err := scrapeMetric(client, a, metric)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: scrape: %v\n", err)
-			ok = false
-			continue
-		}
-		total += v
-	}
-	return total, ok
-}
-
 // latencyMs is a percentile summary in milliseconds.
 type latencyMs struct {
 	P50 float64 `json:"p50_ms"`
@@ -198,43 +148,27 @@ func summarize(lats []time.Duration) latencyMs {
 	return out
 }
 
-// nodeReport is one fleet member's slice of the load.
-type nodeReport struct {
-	Addr     string    `json:"addr"`
-	Requests int       `json:"requests"`
-	Latency  latencyMs `json:"latency_ms"`
-}
-
-// report is the machine-readable result (-json; committed as
-// BENCH_serve.json phases).
+// report is the machine-readable result (-json).
 type report struct {
-	Addrs             []string       `json:"addrs"`
+	Addr              string         `json:"addr"`
 	Requests          int            `json:"requests"`
 	Workers           int            `json:"workers"`
 	UniqueCells       int            `json:"unique_cells"`
-	ZipfS             float64        `json:"zipf_s,omitempty"`
-	Seed              int64          `json:"seed"`
 	ElapsedSeconds    float64        `json:"elapsed_seconds"`
 	ReqPerSec         float64        `json:"req_per_sec"`
 	Latency           latencyMs      `json:"latency_ms"`
 	Status            map[string]int `json:"status"`
 	TransportErrors   int            `json:"transport_errors"`
-	PerNode           []nodeReport   `json:"per_node"`
-	FleetSimulations  float64        `json:"fleet_simulations"`
+	Simulations       float64        `json:"simulations"`
 	SimsPerUniqueCell float64        `json:"sims_per_unique_cell"`
-	ClusterForwards   float64        `json:"cluster_forwards"`
-	ClusterFallbacks  float64        `json:"cluster_fallbacks"`
 }
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "serve base URL (single node)")
-	addrsFlag := flag.String("addrs", "", "comma-separated serve base URLs (cluster mode; overrides -addr)")
+	addr := flag.String("addr", "http://127.0.0.1:8080", "serve base URL")
 	cellsFlag := flag.String("cells", "lu/orig@svm:8,ocean/rows@svm:8,radix/orig@svm:8", "comma-separated cell mix: app/version@platform:procs")
 	scale := flag.Float64("scale", 1, "problem size scale for every cell")
 	conc := flag.Int("c", 8, "concurrent client workers")
 	n := flag.Int("n", 1000, "total requests to issue")
-	zipfS := flag.Float64("zipf", 0, "Zipf skew for cell popularity (> 1; 0 = even rotation). First cell = most popular")
-	seed := flag.Int64("seed", 1, "seed for the Zipf cell-popularity generator")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable report on stdout instead of text")
 	flag.Parse()
 
@@ -246,10 +180,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *zipfS != 0 && *zipfS <= 1 {
-		fail(fmt.Errorf("-zipf must be > 1 (rand.Zipf's s parameter), got %g", *zipfS))
-	}
-	addrs := parseAddrs(*addrsFlag, *addr)
+	base := strings.TrimSuffix(*addr, "/")
 
 	paths := make([]string, len(cells))
 	for i, c := range cells {
@@ -264,14 +195,11 @@ func main() {
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *conc}}
 
-	simsBefore, simsBeforeOK := sumMetric(client, addrs, "svmserve_simulations_total")
-	fwdBefore, _ := sumMetric(client, addrs, "svmserve_cluster_forward_total")
-	fbBefore, _ := sumMetric(client, addrs, "svmserve_cluster_fallback_total")
+	simsBefore, simsBeforeErr := scrapeMetric(client, base, "svmserve_simulations_total")
 
 	type sample struct {
 		d    time.Duration
 		code int
-		node int
 		cell int
 		err  bool
 	}
@@ -295,24 +223,22 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pick := newPicker(*zipfS, *seed, w, len(cells))
 			for {
 				i := take()
 				if i < 0 {
 					return
 				}
-				ci := pick(i)
-				node := i % len(addrs)
+				ci := (i + w) % len(cells)
 				t0 := time.Now()
-				resp, err := client.Get(addrs[node] + paths[ci])
+				resp, err := client.Get(base + paths[ci])
 				d := time.Since(t0)
 				if err != nil {
-					samples[i] = sample{d, 0, node, ci, true}
+					samples[i] = sample{d, 0, ci, true}
 					continue
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				samples[i] = sample{d, resp.StatusCode, node, ci, false}
+				samples[i] = sample{d, resp.StatusCode, ci, false}
 			}
 		}(w)
 	}
@@ -322,7 +248,6 @@ func main() {
 	codes := map[int]int{}
 	var errs int
 	lats := make([]time.Duration, 0, *n)
-	nodeLats := make([][]time.Duration, len(addrs))
 	uniqueCells := map[int]bool{}
 	for _, s := range samples {
 		uniqueCells[s.cell] = true
@@ -333,44 +258,33 @@ func main() {
 		codes[s.code]++
 		if s.code == 200 {
 			lats = append(lats, s.d)
-			nodeLats[s.node] = append(nodeLats[s.node], s.d)
 		}
 	}
 
 	rep := report{
-		Addrs:            addrs,
-		Requests:         *n,
-		Workers:          *conc,
-		UniqueCells:      len(uniqueCells),
-		ZipfS:            *zipfS,
-		Seed:             *seed,
-		ElapsedSeconds:   elapsed.Seconds(),
-		ReqPerSec:        float64(*n) / elapsed.Seconds(),
-		Status:           map[string]int{},
-		TransportErrors:  errs,
-		FleetSimulations: -1,
+		Addr:            base,
+		Requests:        *n,
+		Workers:         *conc,
+		UniqueCells:     len(uniqueCells),
+		ElapsedSeconds:  elapsed.Seconds(),
+		ReqPerSec:       float64(*n) / elapsed.Seconds(),
+		Latency:         summarize(lats),
+		Status:          map[string]int{},
+		TransportErrors: errs,
+		Simulations:     -1,
 	}
 	for c, cnt := range codes {
 		rep.Status[strconv.Itoa(c)] = cnt
 	}
-	for ni, a := range addrs {
-		nl := nodeLats[ni]
-		rep.PerNode = append(rep.PerNode, nodeReport{Addr: a, Requests: len(nl), Latency: summarize(nl)})
-	}
-	rep.Latency = summarize(lats) // sorts lats; do this after per-node slicing
 
-	simsAfter, simsAfterOK := sumMetric(client, addrs, "svmserve_simulations_total")
-	if simsBeforeOK && simsAfterOK {
-		rep.FleetSimulations = simsAfter - simsBefore
+	simsAfter, simsAfterErr := scrapeMetric(client, base, "svmserve_simulations_total")
+	if simsBeforeErr == nil && simsAfterErr == nil {
+		rep.Simulations = simsAfter - simsBefore
 		if rep.UniqueCells > 0 {
-			rep.SimsPerUniqueCell = rep.FleetSimulations / float64(rep.UniqueCells)
+			rep.SimsPerUniqueCell = rep.Simulations / float64(rep.UniqueCells)
 		}
-	}
-	if fwdAfter, ok := sumMetric(client, addrs, "svmserve_cluster_forward_total"); ok {
-		rep.ClusterForwards = fwdAfter - fwdBefore
-	}
-	if fbAfter, ok := sumMetric(client, addrs, "svmserve_cluster_fallback_total"); ok {
-		rep.ClusterFallbacks = fbAfter - fbBefore
+	} else {
+		fmt.Fprintf(os.Stderr, "loadgen: scrape: %v\n", errors.Join(simsBeforeErr, simsAfterErr))
 	}
 
 	if *jsonOut {
@@ -380,8 +294,8 @@ func main() {
 		}
 		os.Stdout.Write(append(enc, '\n'))
 	} else {
-		fmt.Printf("loadgen: %d requests, %d workers, %d cells, %d node(s), %.2fs\n",
-			*n, *conc, len(cells), len(addrs), elapsed.Seconds())
+		fmt.Printf("loadgen: %d requests, %d workers, %d cells, %.2fs\n",
+			*n, *conc, len(cells), elapsed.Seconds())
 		fmt.Printf("  throughput: %.1f req/s\n", rep.ReqPerSec)
 		var codeKeys []int
 		for c := range codes {
@@ -398,12 +312,9 @@ func main() {
 			fmt.Printf("  latency p50=%.3gms p90=%.3gms p99=%.3gms max=%.3gms\n",
 				rep.Latency.P50, rep.Latency.P90, rep.Latency.P99, rep.Latency.Max)
 		}
-		for _, nr := range rep.PerNode {
-			fmt.Printf("  node %s: %d ok, p50=%.3gms p99=%.3gms\n", nr.Addr, nr.Requests, nr.Latency.P50, nr.Latency.P99)
-		}
-		if rep.FleetSimulations >= 0 {
-			fmt.Printf("  fleet simulations: %g for %d unique cell(s) = %.3g sims/cell (forwards %g, fallbacks %g)\n",
-				rep.FleetSimulations, rep.UniqueCells, rep.SimsPerUniqueCell, rep.ClusterForwards, rep.ClusterFallbacks)
+		if rep.Simulations >= 0 {
+			fmt.Printf("  simulations: %g for %d unique cell(s) = %.3g sims/cell\n",
+				rep.Simulations, rep.UniqueCells, rep.SimsPerUniqueCell)
 		}
 	}
 	if codes[200] == 0 {

@@ -31,47 +31,6 @@ func TestParseCells(t *testing.T) {
 	}
 }
 
-// TestPickerZipfDeterministic: the Zipf cell chooser is seeded — same
-// seed, same worker, same request sequence — so a committed
-// BENCH_serve.json run is reproducible, and skew favors the first cell.
-func TestPickerZipfDeterministic(t *testing.T) {
-	const n = 2000
-	a := newPicker(1.2, 42, 3, 8)
-	b := newPicker(1.2, 42, 3, 8)
-	counts := make([]int, 8)
-	for i := 0; i < n; i++ {
-		av, bv := a(i), b(i)
-		if av != bv {
-			t.Fatalf("pick %d: %d vs %d from identical seeds", i, av, bv)
-		}
-		if av < 0 || av >= 8 {
-			t.Fatalf("pick %d out of range: %d", i, av)
-		}
-		counts[av]++
-	}
-	if counts[0] <= n/4 {
-		t.Errorf("zipf head cell got %d/%d picks; want a heavy head", counts[0], n)
-	}
-	if c := newPicker(1.2, 43, 3, 8); func() bool {
-		for i := 0; i < 64; i++ {
-			if a(i) != c(i) {
-				return true
-			}
-		}
-		return false
-	}() == false {
-		t.Error("different seeds produced identical pick streams")
-	}
-
-	// s == 0: even rotation, offset by worker.
-	r := newPicker(0, 1, 2, 5)
-	for i := 0; i < 10; i++ {
-		if got, want := r(i), (i+2)%5; got != want {
-			t.Fatalf("rotation pick(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestParseMetricLine(t *testing.T) {
 	if v, ok := parseMetricLine("svmserve_simulations_total 42", "svmserve_simulations_total"); !ok || v != 42 {
 		t.Errorf("parse = %v %v, want 42 true", v, ok)
@@ -85,17 +44,6 @@ func TestParseMetricLine(t *testing.T) {
 		if _, ok := parseMetricLine(line, "svmserve_simulations_total"); ok {
 			t.Errorf("parseMetricLine accepted %q", line)
 		}
-	}
-}
-
-func TestParseAddrs(t *testing.T) {
-	got := parseAddrs(" http://a:1 , http://b:2/ ,", "http://fallback:9")
-	if len(got) != 2 || got[0] != "http://a:1" || got[1] != "http://b:2" {
-		t.Errorf("parseAddrs cluster = %v", got)
-	}
-	got = parseAddrs("", "http://fallback:9/")
-	if len(got) != 1 || got[0] != "http://fallback:9" {
-		t.Errorf("parseAddrs fallback = %v", got)
 	}
 }
 

@@ -5,19 +5,8 @@
 //
 //	serve -addr :8080 -store /var/cache/svmsim
 //
-// With -peers, N serve processes form a consistent-hash sharded fleet:
-// each /run cell has exactly one owner node, non-owners forward to it (so
-// a unique cold cell is simulated exactly once cluster-wide), and a dead
-// owner degrades to local compute-and-cache. A local 3-node fleet:
-//
-//	PEERS=127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083
-//	serve -addr 127.0.0.1:8081 -peers $PEERS -store /tmp/s1 &
-//	serve -addr 127.0.0.1:8082 -peers $PEERS -store /tmp/s2 &
-//	serve -addr 127.0.0.1:8083 -peers $PEERS -store /tmp/s3 &
-//
-// Endpoints: /run (GET: the exact `svmsim -json` bytes for a spec; POST: a
-// JSON array of cells answered as streamed NDJSON), /figures, /healthz
-// (503 once drain begins, so peers and load balancers stop routing here),
+// Endpoints: /run (the exact `svmsim -json` bytes for a spec), /figures,
+// /healthz (503 once drain begins, so a load balancer stops routing here),
 // /metrics. See internal/server for the full contract.
 package main
 
@@ -31,12 +20,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	_ "repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -51,10 +38,6 @@ func main() {
 	queue := flag.Int("queue", 64, "max requests waiting for a slot before shedding with 429")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-request deadline")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget after SIGTERM/SIGINT")
-	peers := flag.String("peers", "", "comma-separated fleet membership (advertised addresses incl. this node); empty = single-node")
-	self := flag.String("self", "", "this node's advertised address (default: -addr, with 127.0.0.1 filled in for a bare :port)")
-	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per member on the consistent-hash ring")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "peer /healthz probe period")
 	flag.Parse()
 
 	log.SetFlags(0)
@@ -83,43 +66,12 @@ func main() {
 		log.Printf("store %s (fingerprint %s)", st.Dir(), store.Fingerprint())
 	}
 
-	var cl *cluster.Cluster
-	if *peers != "" {
-		advertised := *self
-		if advertised == "" {
-			advertised = *addr
-			if strings.HasPrefix(advertised, ":") {
-				advertised = "127.0.0.1" + advertised
-			}
-		}
-		var members []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				members = append(members, p)
-			}
-		}
-		var err error
-		cl, err = cluster.New(cluster.Config{
-			Self:          advertised,
-			Peers:         members,
-			VNodes:        *vnodes,
-			ProbeInterval: *probeInterval,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl.Start()
-		defer cl.Stop()
-		log.Printf("cluster member %s of %v (%d vnodes, probe every %s)", advertised, cl.Members(), *vnodes, *probeInterval)
-	}
-
 	memo := harness.NewMemo(st)
 	handler := server.New(server.Config{
 		Memo:        memo,
 		MaxInflight: *inflight,
 		MaxQueue:    *queue,
 		Timeout:     *timeout,
-		Cluster:     cl,
 	})
 	srv := &http.Server{Addr: *addr, Handler: handler}
 
@@ -135,8 +87,8 @@ func main() {
 	case <-ctx.Done():
 	}
 	stop()
-	// Flip /healthz to 503 FIRST: cluster peers and load balancers stop
-	// steering traffic here while in-flight requests finish below.
+	// Flip /healthz to 503 FIRST: a load balancer stops steering traffic
+	// here while in-flight requests finish below.
 	handler.Drain()
 	log.Printf("draining (up to %s)...", *drain)
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)

@@ -111,9 +111,8 @@ func main() {
 
 	var spFactor float64
 	if *speedup {
-		a, _ := core.Lookup(*app)
 		base, err := memo.Run(harness.Spec{
-			App: *app, Version: a.Versions()[0].Name, Platform: *plat,
+			App: *app, Version: core.OrigVersion(*app), Platform: *plat,
 			NumProcs: 1, Scale: *scale,
 		})
 		if err != nil {

@@ -7,8 +7,7 @@
 // (processor counts × platforms, plus each platform's uniprocessor baseline
 // of the original version) comes from campaign.SweepCells, and execution is
 // the same journalless local runner a one-app campaign uses. For anything
-// bigger — many apps, predicates, resumability, a serve fleet — use
-// cmd/campaign.
+// bigger — many apps, predicates, resumability — use cmd/campaign.
 //
 // A failing cell prints as "error" while the rest of the sweep completes;
 // failures are listed on stderr and the exit code is 1.
@@ -27,6 +26,7 @@ import (
 
 	_ "repro/internal/apps"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/platform"
 )
@@ -74,7 +74,7 @@ func main() {
 
 	// Render the table serially from the settled entries, so it is
 	// byte-identical to a serial run regardless of -workers.
-	orig := campaign.OrigVersion(*app)
+	orig := core.OrigVersion(*app)
 	end := func(v string, np int, pl string) (uint64, bool) {
 		spec := harness.Spec{App: *app, Version: v, Platform: pl, NumProcs: np, Scale: *scale}
 		e, ok := rep.Entries[spec.MemoKey()]

@@ -1,11 +1,8 @@
 // Package campaign drives large, long-running, interruptible experiment
 // campaigns: it expands a declarative spec (apps × versions × platforms ×
 // processor counts × scales, with include/exclude predicates) into a
-// deterministic, memo-key-ordered cell manifest, and executes it either
-// locally (a bounded worker pool over the harness memo/store tiers) or
-// distributed across a serve fleet (cells sharded by consistent-hash
-// ownership and shipped as batched NDJSON POST /run, with per-cell
-// retry/backoff on transient failures).
+// deterministic, memo-key-ordered cell manifest, and executes it through
+// a bounded worker pool over the harness memo/store tiers.
 //
 // Progress is checkpointed in a journal (see Journal): every completed
 // cell is appended with its result fingerprint, so killing a campaign at
@@ -16,9 +13,9 @@
 // byte-identical manifest summary.
 //
 // The cell bytes a campaign fingerprints are the canonical single-cell
-// document (server.CellBody — the exact bytes `svmsim -json` prints), so
-// local and fleet execution of the same spec produce identical
-// fingerprints cell for cell.
+// document (server.CellBody — the exact bytes `svmsim -json` prints and
+// serve's GET /run returns), so a cell fingerprints the same whichever
+// tool produced it.
 package campaign
 
 import (
@@ -42,8 +39,8 @@ import (
 // -spec FILE` reads; see campaigns/scaling128.json for the committed
 // big-proc scaling study.
 type Spec struct {
-	// Name identifies the campaign in journals, manifests, progress
-	// events, and the X-Campaign header on fleet batches.
+	// Name identifies the campaign in journals, manifests, and progress
+	// events.
 	Name string `json:"name"`
 	// Apps lists each application with the versions to run.
 	Apps []AppMatrix `json:"apps"`
@@ -128,7 +125,7 @@ func (p Predicate) matches(s harness.Spec) bool {
 
 // Cell is one expanded experiment of a campaign: the fully-defaulted spec
 // and its memo key — the name the cell goes by in the journal, the
-// manifest, the persistent store, and the fleet ownership ring.
+// manifest, and the persistent store.
 type Cell struct {
 	Spec harness.Spec
 	Key  string
@@ -216,8 +213,8 @@ func (s *Spec) validate() error {
 // Expand validates the spec and enumerates its cell manifest: the full
 // cross product, predicate-filtered, deduplicated, and sorted by memo
 // key. The order is deterministic for a given spec regardless of how the
-// axes are spelled, so journals, manifests, and fleet sharding all agree
-// across runs and machines.
+// axes are spelled, so journals and manifests agree across runs and
+// machines.
 func (s *Spec) Expand() ([]Cell, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -289,19 +286,6 @@ func Digest(cells []Cell) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// OrigVersion returns the application's original version name (the
-// paper's speedup denominator source: "orig" for most apps, "splash" for
-// barnes). Unknown apps fall back to "orig", which then fails at
-// execution with the registry's error, exactly as a hand-written spec
-// would.
-func OrigVersion(app string) string {
-	a, err := core.Lookup(app)
-	if err != nil {
-		return "orig"
-	}
-	return a.Versions()[0].Name
-}
-
 // ParseProcs parses a -procs flag value: comma-separated positive
 // integers with no duplicates. A dup would either waste a run or (worse)
 // silently render the same column twice. Shared by cmd/sweep and
@@ -344,7 +328,7 @@ func OpenMemo(dir string) (*harness.Memo, error) {
 // the original version IS its own baseline). This is the same enumeration
 // a one-app campaign spec expands to; sweep is a thin rendering over it.
 func SweepCells(app, version string, plats []string, procs []int, scale float64) []Cell {
-	orig := OrigVersion(app)
+	orig := core.OrigVersion(app)
 	seen := map[string]bool{}
 	var cells []Cell
 	add := func(spec harness.Spec) {

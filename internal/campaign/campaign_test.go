@@ -220,18 +220,6 @@ func TestClassPredicate(t *testing.T) {
 	}
 }
 
-func TestOrigVersion(t *testing.T) {
-	if v := OrigVersion("lu"); v != "orig" {
-		t.Errorf("OrigVersion(lu) = %q", v)
-	}
-	if v := OrigVersion("barnes"); v != "splash" {
-		t.Errorf("OrigVersion(barnes) = %q, want splash", v)
-	}
-	if v := OrigVersion("nope"); v != "orig" {
-		t.Errorf("OrigVersion(nope) = %q, want orig fallback", v)
-	}
-}
-
 func TestSweepCells(t *testing.T) {
 	cells := SweepCells("lu", "4da", []string{"svm", "smp"}, []int{1, 4}, 1)
 	// Per platform: baseline orig@1 + 4da@{1,4} = 3 cells, no dedup overlap.

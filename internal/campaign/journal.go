@@ -19,11 +19,11 @@ import (
 // changes incompatibly, so old journals are refused instead of misread.
 const journalVersion = 1
 
-// KindTransient marks a failure that exhausted the fleet path's retries
-// (owner unreachable, repeated 5xx, stream cut). Unlike deterministic
-// failure kinds ("panic", "deadlock", "invariant", "verify", "error",
-// "request"), a transient entry does NOT settle its cell: the next resume
-// retries it.
+// KindTransient marks a failure that is not a property of the cell: an
+// executor handed back bytes that do not decode as a cell document.
+// Unlike deterministic failure kinds ("panic", "deadlock", "invariant",
+// "verify", "error"), a transient entry does NOT settle its cell: the
+// next resume retries it.
 const KindTransient = "transient"
 
 // Entry is one journaled cell completion.
@@ -34,8 +34,8 @@ type Entry struct {
 	Status string `json:"status"`
 	// FP fingerprints the cell's canonical document bytes (the exact
 	// `svmsim -json` bytes, 422 failure documents included): the first 8
-	// bytes of their SHA-256, hex. Empty only for failures with no
-	// document (transient, request).
+	// bytes of their SHA-256, hex. Empty only for transient failures,
+	// which have no document.
 	FP string `json:"fp,omitempty"`
 	// End is the simulated end time of a done cell, kept here so tables
 	// and sweeps render from the journal without re-fetching bodies.
@@ -44,8 +44,8 @@ type Entry struct {
 	// line of the message.
 	Kind string `json:"kind,omitempty"`
 	Msg  string `json:"msg,omitempty"`
-	// Attempts counts execution attempts, >1 only on the fleet path
-	// after transient retries.
+	// Attempts counts execution attempts. Executors never retry, so it
+	// is 1; older journals may hold larger values, which replay as-is.
 	Attempts int `json:"attempts,omitempty"`
 }
 

@@ -6,28 +6,23 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/server"
 )
 
-// Outcome is one executed cell attempt's final result, as reported by an
-// Executor. Exactly one of Body / Err is meaningful: Body carries the
+// Outcome is one executed cell's result, as reported by an Executor: the
 // canonical single-cell document bytes (200 results and 422 failure
-// documents alike), Err a non-document failure (a cell-level 400 from the
-// batch endpoint, or a transient failure that exhausted its retries).
+// documents alike, trailing newline included).
 type Outcome struct {
-	Cell     Cell
-	Code     int    // HTTP-style: 200, 422, 400; 0 with Err set for transient
-	Body     []byte // canonical document bytes, trailing newline included
-	Err      string // non-document failure message
-	Attempts int    // execution attempts (>1 after fleet retries)
+	Cell Cell
+	Body []byte
 }
 
 // Executor executes cells, invoking emit exactly once per cell it
@@ -47,8 +42,7 @@ type Local struct {
 }
 
 // Execute runs the cells through the memo, producing for each the exact
-// bytes a serve fleet would return for it (server.CellBody), so local and
-// fleet campaigns fingerprint identically.
+// bytes `svmsim -json` and serve's GET /run return for it (server.CellBody).
 func (l *Local) Execute(ctx context.Context, cells []Cell, emit func(Outcome)) {
 	workers := l.Workers
 	if workers <= 0 {
@@ -67,8 +61,8 @@ func (l *Local) Execute(ctx context.Context, cells []Cell, emit func(Outcome)) {
 		go func() {
 			defer wg.Done()
 			for c := range work {
-				body, _, code := server.CellBody(l.Memo, c.Spec, false)
-				emit(Outcome{Cell: c, Code: code, Body: body, Attempts: 1})
+				body, _, _ := server.CellBody(l.Memo, c.Spec, false)
+				emit(Outcome{Cell: c, Body: body})
 			}
 		}()
 	}
@@ -85,7 +79,7 @@ feed:
 }
 
 // fingerprint names a cell's document bytes: first 8 bytes of SHA-256,
-// hex — the value local/fleet identity is asserted on.
+// hex — the value manifest identity is asserted on.
 func fingerprint(body []byte) string {
 	sum := sha256.Sum256(body)
 	return hex.EncodeToString(sum[:8])
@@ -103,50 +97,31 @@ type cellDocument struct {
 }
 
 // entryFor derives the journal entry for an outcome. Everything in the
-// entry comes from the document bytes (not from in-process error values),
-// so local and fleet execution journal identically.
+// entry comes from the document bytes, not from in-process error values.
+// Attempts is always 1: the field is kept so journal lines keep their
+// format.
 func entryFor(o Outcome) Entry {
-	e := Entry{Key: o.Cell.Key, Attempts: o.Attempts}
-	if o.Body == nil {
-		e.Status = "failed"
-		e.Msg = firstLine(o.Err)
-		if o.Code == http.StatusBadRequest {
-			e.Kind = "request"
-		} else {
-			e.Kind = KindTransient
-		}
-		return e
-	}
-	e.FP = fingerprint(o.Body)
+	e := Entry{Key: o.Cell.Key, Attempts: 1, FP: fingerprint(o.Body)}
 	var doc cellDocument
 	if err := json.Unmarshal(o.Body, &doc); err != nil {
-		// A document that does not parse is not a cell result; treat it
-		// like a transport failure so the cell is retried, never settled
-		// on garbage.
+		// A document that does not parse is not a cell result; journal it
+		// as transient so a resume retries the cell, never settling on
+		// garbage.
 		e.Status = "failed"
 		e.Kind = KindTransient
-		e.Msg = firstLine("undecodable cell document: " + err.Error())
+		e.Msg = harness.FirstLine("undecodable cell document: " + err.Error())
 		e.FP = ""
 		return e
 	}
 	if doc.Error != nil {
 		e.Status = "failed"
 		e.Kind = doc.Error.Kind
-		e.Msg = firstLine(doc.Error.Message)
+		e.Msg = harness.FirstLine(doc.Error.Message)
 		return e
 	}
 	e.Status = "done"
 	e.End = doc.EndTime
 	return e
-}
-
-// firstLine truncates multi-line failure text for one-line journal and
-// report rows.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i] + " ..."
-	}
-	return s
 }
 
 // Runner executes a campaign's pending cells through an executor,
@@ -160,7 +135,7 @@ type Runner struct {
 	// appended to as cells finish. A nil journal runs everything fresh
 	// and keeps results only in memory (cmd/sweep).
 	Journal *Journal
-	// Exec runs the pending cells (Local or Fleet).
+	// Exec runs the pending cells (Local, or a wrapper around it).
 	Exec Executor
 	// OnEntry, when non-nil, is called after each cell is journaled —
 	// from executor goroutines, so it must be safe for concurrent use.
@@ -267,8 +242,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 // Manifest renders the campaign's deterministic summary: one line per
 // manifest cell in memo-key order with its status and result fingerprint.
 // Two runs of the same spec over the same simulator build — interrupted
-// and resumed any number of times, locally or against a fleet — produce
-// byte-identical manifests.
+// and resumed any number of times — produce byte-identical manifests.
 func (rep *Report) Manifest() string {
 	var b strings.Builder
 	done, failed, pendingN := 0, 0, 0
@@ -320,7 +294,7 @@ func (s *Spec) Table(entries map[string]Entry) string {
 	}
 	var b strings.Builder
 	for _, am := range s.Apps {
-		orig := OrigVersion(am.App)
+		orig := core.OrigVersion(am.App)
 		for _, v := range am.Versions {
 			for _, sc := range s.Scales {
 				fmt.Fprintf(&b, "%s/%s speedup vs uniprocessor original (scale %.2g)\n", am.App, v, sc)

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -189,30 +188,20 @@ func TestManifestShape(t *testing.T) {
 // TestEntryFor pins the outcome→entry derivation rules.
 func TestEntryFor(t *testing.T) {
 	c := Cell{Key: "k"}
-	// Transient (no body, no code).
-	e := entryFor(Outcome{Cell: c, Err: "node down", Attempts: 3})
-	if e.Status != "failed" || e.Kind != KindTransient || e.Attempts != 3 || e.Complete() {
-		t.Errorf("transient entry %+v", e)
-	}
-	// Cell-level 400: deterministic request failure.
-	e = entryFor(Outcome{Cell: c, Code: http.StatusBadRequest, Err: "unknown version"})
-	if e.Status != "failed" || e.Kind != "request" || !e.Complete() {
-		t.Errorf("request entry %+v", e)
-	}
 	// 422 failure document settles with its kind.
 	doc := []byte(`{"error":{"kind":"verify","message":"bad sum"}}` + "\n")
-	e = entryFor(Outcome{Cell: c, Code: 422, Body: doc, Attempts: 1})
+	e := entryFor(Outcome{Cell: c, Body: doc})
 	if e.Status != "failed" || e.Kind != "verify" || e.Msg != "bad sum" || e.FP == "" || !e.Complete() {
 		t.Errorf("document failure entry %+v", e)
 	}
 	// Result document settles done with the end time.
 	doc = []byte(`{"end_time":42}` + "\n")
-	e = entryFor(Outcome{Cell: c, Code: 200, Body: doc, Attempts: 1})
-	if e.Status != "done" || e.End != 42 || e.FP != fingerprint(doc) {
+	e = entryFor(Outcome{Cell: c, Body: doc})
+	if e.Status != "done" || e.End != 42 || e.FP != fingerprint(doc) || e.Attempts != 1 {
 		t.Errorf("done entry %+v", e)
 	}
 	// Garbage bytes never settle a cell.
-	e = entryFor(Outcome{Cell: c, Code: 200, Body: []byte("<html>proxy error"), Attempts: 1})
+	e = entryFor(Outcome{Cell: c, Body: []byte("<html>proxy error")})
 	if e.Status != "failed" || e.Kind != KindTransient || e.Complete() || e.FP != "" {
 		t.Errorf("garbage-body entry %+v", e)
 	}

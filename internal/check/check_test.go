@@ -14,16 +14,6 @@ const (
 	sweepScale = 0.25
 )
 
-// firstVersion returns the original (paper-baseline) version of app.
-func firstVersion(t *testing.T, app string) string {
-	t.Helper()
-	a, err := core.Lookup(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a.Versions()[0].Name
-}
-
 // Every registered figure cell must run to completion — and verify — with
 // the runtime invariant checker enabled.
 func TestFigureCellsPassInvariantChecking(t *testing.T) {
@@ -46,7 +36,7 @@ func TestRunTwiceIsByteIdentical(t *testing.T) {
 	plats := []string{"svm", "smp", "dsm", "svmsmp"}
 	for i, app := range core.Apps() {
 		spec := harness.Spec{
-			App: app, Version: firstVersion(t, app), Platform: plats[i%len(plats)],
+			App: app, Version: core.OrigVersion(app), Platform: plats[i%len(plats)],
 			NumProcs: sweepProcs, Scale: sweepScale, Check: true,
 		}
 		if err := DiffRuns(spec); err != nil {
@@ -60,7 +50,7 @@ func TestRunTwiceIsByteIdentical(t *testing.T) {
 // the two-level hierarchy must all produce bit-identical fingerprints.
 func TestResultsAgreeAcrossPlatforms(t *testing.T) {
 	for _, app := range core.Apps() {
-		ver := firstVersion(t, app)
+		ver := core.OrigVersion(app)
 		var first uint64
 		var firstPlat string
 		for _, plat := range []string{"svm", "smp", "dsm", "svmsmp"} {
@@ -96,7 +86,7 @@ func TestResultsStableAcrossProcCounts(t *testing.T) {
 		if app == "ocean" {
 			continue
 		}
-		ver := firstVersion(t, app)
+		ver := core.OrigVersion(app)
 		var first uint64
 		var firstNP int
 		for _, np := range []int{4, 8} {
@@ -126,7 +116,7 @@ func TestResultsStableAcrossProcCounts(t *testing.T) {
 // remainder tiles).
 func TestVerifyAtAwkwardProcCounts(t *testing.T) {
 	for _, app := range core.Apps() {
-		ver := firstVersion(t, app)
+		ver := core.OrigVersion(app)
 		if _, err := harness.Execute(harness.Spec{
 			App: app, Version: ver, Platform: "svm",
 			NumProcs: 5, Scale: sweepScale, Check: true,

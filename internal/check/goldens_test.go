@@ -46,7 +46,7 @@ func goldenSpecs(t *testing.T) []harness.Spec {
 		})
 	}
 	for _, app := range core.Apps() {
-		ver := firstVersion(t, app)
+		ver := core.OrigVersion(app)
 		for _, np := range []int{3, sweepProcs} {
 			specs = append(specs, harness.Spec{
 				App: app, Version: ver, Platform: "svmsmp",

@@ -88,7 +88,7 @@ func TestIrregularRunTwiceByteIdenticalEveryPreset(t *testing.T) {
 	for _, app := range irregularApps {
 		for _, plat := range platform.AllPresets {
 			spec := harness.Spec{
-				App: app, Version: firstVersion(t, app), Platform: plat,
+				App: app, Version: core.OrigVersion(app), Platform: plat,
 				NumProcs: sweepProcs, Scale: sweepScale, Check: true,
 			}
 			if err := DiffRuns(spec); err != nil {

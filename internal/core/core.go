@@ -156,6 +156,19 @@ func Apps() []string {
 	return names
 }
 
+// OrigVersion returns the application's original version — the first of
+// its Versions and the paper's speedup denominator source: "orig" for most
+// apps, "splash" for barnes. An unknown app falls back to "orig", which
+// then fails at execution with Lookup's error, exactly as a hand-written
+// spec naming it would.
+func OrigVersion(app string) string {
+	a, ok := registry[app]
+	if !ok {
+		return "orig"
+	}
+	return a.Versions()[0].Name
+}
+
 // FindVersion returns the Version metadata for an app variant. The error
 // for an unknown variant lists the app's available versions, so a typo'd
 // multi-variant campaign spec names the fix instead of just the failure.

@@ -59,7 +59,7 @@ type Figure struct {
 
 // cellErr formats one failed cell for the notes under a figure table.
 func cellErr(cell string, err error) string {
-	return "  ! " + cell + ": " + firstLine(err.Error())
+	return "  ! " + cell + ": " + FirstLine(err.Error())
 }
 
 // writeFails appends the per-cell failure notes to a rendered figure.
@@ -105,7 +105,7 @@ func Figures() []Figure {
 			Run: func(r *Runner) (string, error) {
 				run, err := r.Run(b.app, b.version, "svm")
 				if err != nil {
-					return fmt.Sprintf("error: %s\n", firstLine(err.Error())), nil
+					return fmt.Sprintf("error: %s\n", FirstLine(err.Error())), nil
 				}
 				return run.BreakdownTable(), nil
 			},
@@ -131,9 +131,8 @@ func FindFigure(id string) (Figure, error) {
 func fig2Cells() []Cell {
 	var cells []Cell
 	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
 		for _, pl := range platform.Names {
-			cells = append(cells, Cell{App: app, Version: a.Versions()[0].Name, Platform: pl, Speedup: true})
+			cells = append(cells, Cell{App: app, Version: core.OrigVersion(app), Platform: pl, Speedup: true})
 		}
 	}
 	return cells
@@ -148,8 +147,7 @@ func fig2(r *Runner) (string, error) {
 	}
 	fmt.Fprintln(&b)
 	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
-		orig := a.Versions()[0].Name
+		orig := core.OrigVersion(app)
 		fmt.Fprintf(&b, "%-10s", app)
 		for _, pl := range platform.Names {
 			s, err := r.Speedup(app, orig, pl)

@@ -71,9 +71,9 @@ func (s Spec) memoKey() string {
 
 // MemoKey is the cache key Memo.Run would use for s, with defaults
 // applied — the string that names s's cell in the memo, the persistent
-// store, and the cluster ownership ring. Two specs that execute
-// identically (one spelled with defaults, one without) share a MemoKey,
-// so they share an owner node.
+// store, and a campaign journal. Two specs that execute identically (one
+// spelled with defaults, one without) share a MemoKey, so they share a
+// cache entry.
 func (s Spec) MemoKey() string { return s.withDefaults().memoKey() }
 
 // envCheck force-enables invariant checking for the whole process (the CI
@@ -276,12 +276,7 @@ func (r *Runner) Record(app, version, plat string, run *stats.Run) {
 // memoized like any other spec, so a parallel figure run executes each one
 // exactly once no matter how many cells divide by it.
 func (r *Runner) Baseline(app, plat string) (uint64, error) {
-	a, err := core.Lookup(app)
-	if err != nil {
-		return 0, err
-	}
-	origName := a.Versions()[0].Name
-	run, err := r.memo.Run(Spec{App: app, Version: origName, Platform: plat, NumProcs: 1, Scale: r.scaleFor(app), Check: r.Check})
+	run, err := r.memo.Run(Spec{App: app, Version: core.OrigVersion(app), Platform: plat, NumProcs: 1, Scale: r.scaleFor(app), Check: r.Check})
 	if err != nil {
 		return 0, err
 	}
@@ -294,9 +289,9 @@ func (r *Runner) Baseline(app, plat string) (uint64, error) {
 // specs). Empty means every cell succeeded.
 func (r *Runner) FailedCells() []string { return r.memo.Failed() }
 
-// firstLine truncates multi-line error text (deadlock state dumps) to its
-// first line for one-row-per-cell reports.
-func firstLine(s string) string {
+// FirstLine truncates multi-line error text (deadlock state dumps) to its
+// first line for one-row-per-cell reports and journal entries.
+func FirstLine(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
 		return s[:i] + " ..."
 	}

@@ -173,7 +173,7 @@ func (m *Memo) Failed() []string {
 		select {
 		case <-e.done:
 			if e.err != nil {
-				out = append(out, key+": "+firstLine(e.err.Error()))
+				out = append(out, key+": "+FirstLine(e.err.Error()))
 			}
 		default: // still executing; not a result yet
 		}

@@ -25,9 +25,9 @@ func fakeRun(s Spec) *stats.Run {
 	return r
 }
 
-// TestMemoKeyAppliesDefaults: the exported MemoKey (the cluster ring's
-// routing key) must treat a defaulted spec and its explicit spelling as
-// the same cell, or equivalent requests would route to different owners.
+// TestMemoKeyAppliesDefaults: the exported MemoKey (the campaign journal's
+// cell key) must treat a defaulted spec and its explicit spelling as the
+// same cell, or equivalent cells would be journaled twice.
 func TestMemoKeyAppliesDefaults(t *testing.T) {
 	short := Spec{App: "radix"}
 	full := Spec{App: "radix", Version: "orig", Platform: "svm", NumProcs: 16, Scale: 1}

@@ -68,7 +68,7 @@ func Make(name string, as *mem.AddressSpace, np int) (sim.Platform, error) {
 		// read-then-write pays an upgrade even with no other sharer.
 		return protocol.NewDirMachine("dsm-msi", protocol.MSI, dsm.CacheConfig, as, dsm.DefaultParams(), np), nil
 	default:
-		return nil, fmt.Errorf("platform: unknown preset %q (want one of %v)", name, Names)
+		return nil, fmt.Errorf("platform: unknown preset %q (want one of %v)", name, AllPresets)
 	}
 }
 

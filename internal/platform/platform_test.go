@@ -1,13 +1,14 @@
 package platform
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
 )
 
 func TestMakeAllPresets(t *testing.T) {
-	for _, name := range append(append([]string{}, Names...), "svmsmp", "smp-msi", "dsm-msi") {
+	for _, name := range AllPresets {
 		as := mem.NewAddressSpace(PageSize, 8)
 		pl, err := Make(name, as, 8)
 		if err != nil {
@@ -23,6 +24,34 @@ func TestMakeUnknown(t *testing.T) {
 	as := mem.NewAddressSpace(PageSize, 2)
 	if _, err := Make("vax", as, 2); err == nil {
 		t.Error("expected error for unknown preset")
+	}
+}
+
+// TestMakeUnknownNamesEveryPreset: the unknown-preset error lists exactly
+// the presets Make builds, so the suggested fix is always a valid name.
+func TestMakeUnknownNamesEveryPreset(t *testing.T) {
+	_, err := Make("vax", mem.NewAddressSpace(PageSize, 2), 2)
+	if err == nil {
+		t.Fatal("expected error for unknown preset")
+	}
+	_, list, ok := strings.Cut(err.Error(), "want one of [")
+	if !ok {
+		t.Fatalf("error %q lists no presets", err)
+	}
+	named := strings.Fields(strings.TrimSuffix(list, "])"))
+	for _, want := range []string{"svm", "smp", "dsm", "svmsmp", "smp-msi", "dsm-msi"} {
+		found := false
+		for _, n := range named {
+			found = found || n == want
+		}
+		if !found {
+			t.Errorf("error %q does not name preset %q", err, want)
+		}
+	}
+	for _, n := range named {
+		if _, err := Make(n, mem.NewAddressSpace(PageSize, 2), 2); err != nil {
+			t.Errorf("error names %q, which Make rejects: %v", n, err)
+		}
 	}
 }
 

@@ -28,20 +28,7 @@ type metrics struct {
 	timeouts atomic.Uint64 // request deadline hit -> 504
 	inflight atomic.Int64  // requests currently holding an execution slot
 	queued   atomic.Int64  // requests waiting for a slot
-
-	forwards    atomic.Uint64 // cells served by forwarding to their owner
-	forwardHits atomic.Uint64 // cells served from the local forward-bytes cache
-	fallbacks   atomic.Uint64 // forwards that failed over to local compute
-	batchCells  atomic.Uint64 // cells served through POST /run batches
-	draining    atomic.Bool   // Drain called; /healthz answers 503
-
-	// Campaign progress, counted from batches marked with the
-	// CampaignHeader: done (200), failed (anything else), and retried
-	// (cells arriving in a batch marked as a campaign retry attempt —
-	// counted in addition to their done/failed outcome).
-	campaignDone    atomic.Uint64
-	campaignFailed  atomic.Uint64
-	campaignRetried atomic.Uint64
+	draining atomic.Bool   // Drain called; /healthz answers 503
 
 	latBuckets []atomic.Uint64 // len(latencyBuckets)+1: +Inf tail
 	latCount   atomic.Uint64
@@ -70,9 +57,8 @@ func (m *metrics) observeLatency(d time.Duration) {
 }
 
 // render writes the metrics in Prometheus text exposition format. extra
-// appends caller-provided gauge/counter lines (cache and store stats);
-// peerHealth, when non-nil, appends the cluster's per-peer up gauges.
-func (m *metrics) render(b *strings.Builder, extra map[string]uint64, peerHealth map[string]bool) {
+// appends caller-provided gauge/counter lines (cache and store stats).
+func (m *metrics) render(b *strings.Builder, extra map[string]uint64) {
 	fmt.Fprintf(b, "# HELP svmserve_requests_total Requests served, by path and status code.\n")
 	fmt.Fprintf(b, "# TYPE svmserve_requests_total counter\n")
 	m.mu.Lock()
@@ -102,35 +88,6 @@ func (m *metrics) render(b *strings.Builder, extra map[string]uint64, peerHealth
 	fmt.Fprintf(b, "# HELP svmserve_draining Whether SIGTERM drain has begun (healthz answers 503).\n")
 	fmt.Fprintf(b, "# TYPE svmserve_draining gauge\n")
 	fmt.Fprintf(b, "svmserve_draining %d\n", b2i(m.draining.Load()))
-	fmt.Fprintf(b, "# HELP svmserve_cluster_forward_total Cells served by forwarding to their ring owner.\n")
-	fmt.Fprintf(b, "# TYPE svmserve_cluster_forward_total counter\n")
-	fmt.Fprintf(b, "svmserve_cluster_forward_total %d\n", m.forwards.Load())
-	fmt.Fprintf(b, "# HELP svmserve_cluster_forward_cache_hits_total Cells answered from the local cache of forwarded response bytes.\n")
-	fmt.Fprintf(b, "# TYPE svmserve_cluster_forward_cache_hits_total counter\n")
-	fmt.Fprintf(b, "svmserve_cluster_forward_cache_hits_total %d\n", m.forwardHits.Load())
-	fmt.Fprintf(b, "# HELP svmserve_cluster_fallback_total Failed forwards served by local compute-and-cache instead.\n")
-	fmt.Fprintf(b, "# TYPE svmserve_cluster_fallback_total counter\n")
-	fmt.Fprintf(b, "svmserve_cluster_fallback_total %d\n", m.fallbacks.Load())
-	fmt.Fprintf(b, "# HELP svmserve_batch_cells_total Cells served through POST /run batches.\n")
-	fmt.Fprintf(b, "# TYPE svmserve_batch_cells_total counter\n")
-	fmt.Fprintf(b, "svmserve_batch_cells_total %d\n", m.batchCells.Load())
-	fmt.Fprintf(b, "# HELP svmserve_campaign_cells_total Campaign-marked batch cells served, by outcome.\n")
-	fmt.Fprintf(b, "# TYPE svmserve_campaign_cells_total counter\n")
-	fmt.Fprintf(b, "svmserve_campaign_cells_total{status=\"done\"} %d\n", m.campaignDone.Load())
-	fmt.Fprintf(b, "svmserve_campaign_cells_total{status=\"retried\"} %d\n", m.campaignRetried.Load())
-	fmt.Fprintf(b, "svmserve_campaign_cells_total{status=\"failed\"} %d\n", m.campaignFailed.Load())
-	if peerHealth != nil {
-		fmt.Fprintf(b, "# HELP svmserve_cluster_peer_up Last probed health of each cluster peer (1 up, 0 down).\n")
-		fmt.Fprintf(b, "# TYPE svmserve_cluster_peer_up gauge\n")
-		peers := make([]string, 0, len(peerHealth))
-		for p := range peerHealth {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			fmt.Fprintf(b, "svmserve_cluster_peer_up{peer=%q} %d\n", p, b2i(peerHealth[p]))
-		}
-	}
 
 	ekeys := make([]string, 0, len(extra))
 	for k := range extra {

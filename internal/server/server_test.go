@@ -41,6 +41,29 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestHealthzDrain pins the load-balancer contract: /healthz answers 200
+// until drain begins, 503 after, while /run keeps serving through the
+// drain window.
+func TestHealthzDrain(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if code, _, body := get(t, ts, "/healthz"); code != 200 || string(body) != "ok\n" {
+		t.Fatalf("pre-drain healthz = %d %q", code, body)
+	}
+	srv.Drain()
+	if code, _, body := get(t, ts, "/healthz"); code != 503 || string(body) != "draining\n" {
+		t.Errorf("draining healthz = %d %q, want 503 \"draining\\n\"", code, body)
+	}
+	if code, _, _ := get(t, ts, "/run?app=radix&p=2&scale=0.125"); code != 200 {
+		t.Errorf("in-drain /run = %d, want 200 (drain only stops NEW routing, not service)", code)
+	}
+	_, _, body := get(t, ts, "/metrics")
+	if !strings.Contains(string(body), "svmserve_draining 1") {
+		t.Error("/metrics missing svmserve_draining 1")
+	}
+}
+
 // TestRunByteIdentity: the served body must be the exact bytes `svmsim
 // -json` prints for the same spec — cold and again as a cache hit.
 func TestRunByteIdentity(t *testing.T) {
@@ -92,6 +115,16 @@ func TestRunSpeedupAndErrors(t *testing.T) {
 	code, _, body = get(t, ts, "/run?app=nosuchapp&p=2")
 	if code != 422 || !strings.Contains(string(body), "\"error\"") {
 		t.Errorf("unknown app = %d %q, want 422 with error JSON", code, body)
+	}
+
+	// /run is read-only.
+	resp, err := ts.Client().Post(ts.URL+"/run", "application/json", strings.NewReader(`[{"app":"radix"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /run = %d, want 405", resp.StatusCode)
 	}
 
 	// Malformed and unknown parameters are client errors.
@@ -206,130 +239,6 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	}
 }
 
-// TestBatchShedMatchesSingleCellShed pins the shed response of the batch
-// admission path to the single-cell path, byte for byte: status code,
-// Retry-After ceiling and body. The two handlers used to carry cloned copies
-// of the response; they now share Server.admit, and this test keeps them
-// from drifting apart again.
-func TestBatchShedMatchesSingleCellShed(t *testing.T) {
-	var execs atomic.Uint64
-	release := make(chan struct{})
-	started := make(chan struct{}, 4)
-	ts := httptest.NewServer(New(Config{Memo: blockingMemo(&execs, started, release), MaxInflight: 1, MaxQueue: 1, RetryAfter: 3 * time.Second}))
-	defer ts.Close()
-	srv := ts.Config.Handler.(*Server)
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	for i := 0; i < 2; i++ {
-		go func(i int) { // one occupies the slot, one the queue
-			defer wg.Done()
-			get(t, ts, fmt.Sprintf("/run?app=radix&p=%d&scale=0.125", 2+i))
-		}(i)
-	}
-	<-started
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.mx.queued.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.mx.queued.Load() == 0 {
-		t.Fatal("second request never queued")
-	}
-
-	singleCode, singleHdr, singleBody := get(t, ts, "/run?app=radix&p=8&scale=0.125")
-	resp, err := ts.Client().Post(ts.URL+"/run", "application/json",
-		strings.NewReader(`[{"app":"radix","procs":8,"scale":0.125}]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if singleCode != http.StatusTooManyRequests || resp.StatusCode != singleCode {
-		t.Fatalf("shed codes: single %d, batch %d, want both 429", singleCode, resp.StatusCode)
-	}
-	if s, b := singleHdr.Get("Retry-After"), resp.Header.Get("Retry-After"); s != "3" || b != s {
-		t.Errorf("Retry-After: single %q, batch %q, want both \"3\"", s, b)
-	}
-	if !bytes.Equal(singleBody, batchBody) {
-		t.Errorf("shed bodies differ: single %q, batch %q", singleBody, batchBody)
-	}
-
-	close(release)
-	wg.Wait()
-}
-
-// TestForwardedRequestBypassesAdmission pins the fleet's deadlock-freedom
-// invariant: a request marked X-Cluster-Forwarded is served even when this
-// node's slots and queue are saturated. The entry node already holds a
-// slot for it; if owners queued forwards behind their own admission, two
-// nodes whose slots are all held by requests forwarding to each other
-// would wedge until the request deadline.
-func TestForwardedRequestBypassesAdmission(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 2)
-	m := harness.NewMemo(nil)
-	m.Exec = func(s harness.Spec) (*stats.Run, error) {
-		if s.App == "radix" { // only the saturating cells block
-			started <- struct{}{}
-			<-release
-		}
-		r := stats.NewRun(s.App, s.NumProcs)
-		r.EndTime = 42
-		for i := range r.Procs {
-			r.Procs[i].Cycles[stats.Compute] = 42
-		}
-		return r, nil
-	}
-	ts := httptest.NewServer(New(Config{Memo: m, MaxInflight: 1, MaxQueue: 1}))
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	occupy := func(path string) {
-		defer wg.Done()
-		get(t, ts, path)
-	}
-	wg.Add(1)
-	go occupy("/run?app=radix&p=2&scale=0.125") // holds the only slot
-	<-started
-	wg.Add(1)
-	go occupy("/run?app=radix&p=4&scale=0.125") // fills the queue
-	srv := ts.Config.Handler.(*Server)
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.mx.queued.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.mx.queued.Load() == 0 {
-		t.Fatal("second request never queued")
-	}
-
-	// A plain request is shed: the node is genuinely saturated.
-	if code, _, _ := get(t, ts, "/run?app=lu&p=2&scale=0.125"); code != http.StatusTooManyRequests {
-		t.Fatalf("plain request under saturation = %d, want 429", code)
-	}
-
-	// The forwarded request is served right through the saturation.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/run?app=lu&p=2&scale=0.125", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(ForwardHeader, "test-origin")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("forwarded request under saturation = %d, want 200", resp.StatusCode)
-	}
-
-	close(release)
-	wg.Wait()
-}
-
 // TestRequestTimeout: a request whose simulation outlives the deadline gets
 // 504, and the simulation still completes and lands in the cache.
 func TestRequestTimeout(t *testing.T) {
@@ -401,8 +310,6 @@ func TestMetrics(t *testing.T) {
 		"svmstore_puts_total 1",
 		"svmstore_gc_runs_total 0",
 		"svmstore_gc_evicted_total 0",
-		"svmserve_cluster_forward_total 0",
-		"svmserve_cluster_fallback_total 0",
 		"svmserve_shed_total 0",
 		"svmserve_inflight 0",
 		"svmserve_queue_depth 0",
