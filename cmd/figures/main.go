@@ -9,7 +9,8 @@
 // a fully serial run regardless of -workers. A cell whose simulation fails
 // (panic, deadlock, verification) renders as an error row; the rest of the
 // figure still completes, failures are listed on stderr, and the exit code
-// is 1.
+// is 1. A -p below 1 or a -scale that is not positive is a usage error: exit
+// 2 before anything is simulated.
 //
 // Usage:
 //
@@ -72,6 +73,13 @@ func main() {
 	}
 	for _, f := range figs {
 		cells = append(cells, f.Cells()...)
+	}
+	for _, c := range cells {
+		spec := harness.Spec{App: c.App, Version: c.Version, Platform: c.Platform, NumProcs: *np, Scale: *scale}
+		if err := spec.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(2)
+		}
 	}
 
 	// Warm the memo cache in parallel; rendering below is serial cache

@@ -8,17 +8,23 @@
 //	svmsim -app lu -version 4da -platform svm -p 16 -scale 1.0 [-speedup] [-freecs]
 //	svmsim -app lu -version 4d -platform svm -trace out.json   # Perfetto timeline
 //	svmsim -app radix -json                                    # machine-readable result
+//
+// An unknown app, version or platform, -p below 1, or a scale that is not
+// positive is a usage error: exit 2 before anything is simulated, with the
+// message on stderr only (also under -json).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	_ "repro/internal/apps"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -26,7 +32,7 @@ import (
 func main() {
 	app := flag.String("app", "lu", "application name")
 	version := flag.String("version", "orig", "application version")
-	plat := flag.String("platform", "svm", "platform: svm, smp, dsm")
+	plat := flag.String("platform", "svm", "platform preset: "+strings.Join(platform.AllPresets, ", "))
 	np := flag.Int("p", 16, "number of simulated processors")
 	scale := flag.Float64("scale", 1.0, "problem size scale factor")
 	speedup := flag.Bool("speedup", false, "also compute speedup vs uniprocessor original")
@@ -56,6 +62,10 @@ func main() {
 		App: *app, Version: *version, Platform: *plat,
 		NumProcs: *np, Scale: *scale, FreeCSFaults: *freecs,
 		TraceRing: *traceBuf, Check: *check,
+	}
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "svmsim:", err)
+		os.Exit(2)
 	}
 	var chrome *trace.Chrome
 	if *traceOut != "" {

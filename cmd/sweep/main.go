@@ -3,14 +3,17 @@
 // systems, we plan to investigate the issues with larger numbers of
 // processors"), answerable here by simulation.
 //
-// Sweep is a thin rendering over internal/campaign: the cell matrix
-// (processor counts × platforms, plus each platform's uniprocessor baseline
-// of the original version) comes from campaign.SweepCells, and execution is
-// the same journalless local runner a one-app campaign uses. For anything
-// bigger — many apps, predicates, resumability — use cmd/campaign.
+// Sweep is a thin view over internal/campaign: the cell matrix (processor
+// counts × platforms, plus each platform's uniprocessor baseline of the
+// original version) comes from campaign.SweepCells, execution is the same
+// journalless local runner a one-app campaign uses, and the table is
+// campaign.Spec.Table's. For anything bigger — many apps, predicates,
+// resumability — use cmd/campaign.
 //
-// A failing cell prints as "error" while the rest of the sweep completes;
-// failures are listed on stderr and the exit code is 1.
+// An unknown app, version or platform, or a bad -procs or -scale value, is
+// a usage error (exit 2) before anything runs. A failing cell prints as
+// "error" while the rest of the sweep completes; failures are listed on
+// stderr and the exit code is 1.
 //
 //	sweep -app ocean -version rows -platform svm -procs 1,2,4,8,16,32
 //	sweep -app ocean -version rows -store DIR   # incremental: cached cells are not re-simulated
@@ -26,8 +29,6 @@ import (
 
 	_ "repro/internal/apps"
 	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/platform"
 )
 
@@ -57,14 +58,19 @@ func main() {
 	if *plat != "" {
 		plats = []string{*plat}
 	}
+	cells := campaign.SweepCells(*app, *version, plats, counts, *scale)
+	for _, c := range cells {
+		if err := c.Spec.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+			os.Exit(2)
+		}
+	}
 
 	memo, err := campaign.OpenMemo(*storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-
-	cells := campaign.SweepCells(*app, *version, plats, counts, *scale)
 	runner := &campaign.Runner{
 		Name:  "sweep",
 		Cells: cells,
@@ -74,34 +80,13 @@ func main() {
 
 	// Render the table serially from the settled entries, so it is
 	// byte-identical to a serial run regardless of -workers.
-	orig := core.OrigVersion(*app)
-	end := func(v string, np int, pl string) (uint64, bool) {
-		spec := harness.Spec{App: *app, Version: v, Platform: pl, NumProcs: np, Scale: *scale}
-		e, ok := rep.Entries[spec.MemoKey()]
-		if !ok || e.Status != "done" || e.End == 0 {
-			return 0, false
-		}
-		return e.End, true
+	view := campaign.Spec{
+		Apps:      []campaign.AppMatrix{{App: *app, Versions: []string{*version}}},
+		Platforms: plats,
+		Procs:     counts,
+		Scales:    []float64{*scale},
 	}
-	fmt.Printf("%s/%s speedup vs uniprocessor original (scale %.2g)\n", *app, *version, *scale)
-	fmt.Printf("%6s", "P")
-	for _, pl := range plats {
-		fmt.Printf(" %8s", pl)
-	}
-	fmt.Println()
-	for _, np := range counts {
-		fmt.Printf("%6d", np)
-		for _, pl := range plats {
-			base, okB := end(orig, 1, pl)
-			run, okR := end(*version, np, pl)
-			if !okB || !okR {
-				fmt.Printf(" %8s", "error")
-				continue
-			}
-			fmt.Printf(" %8.2f", float64(base)/float64(run))
-		}
-		fmt.Println()
-	}
+	fmt.Print(view.Table(rep.Entries))
 
 	fmt.Fprintf(os.Stderr, "sweep: cache: %s\n", memo.Stats())
 

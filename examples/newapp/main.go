@@ -90,7 +90,7 @@ func histogram(plat string, private bool) uint64 {
 
 func main() {
 	fmt.Printf("%-6s %16s %16s %8s\n", "plat", "shared-bins", "private-bins", "ratio")
-	for _, plat := range []string{"svm", "smp", "dsm"} {
+	for _, plat := range platform.Names {
 		s := histogram(plat, false)
 		pv := histogram(plat, true)
 		fmt.Printf("%-6s %16d %16d %7.1fx\n", plat, s, pv, float64(s)/float64(pv))

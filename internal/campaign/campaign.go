@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/platform"
 	"repro/internal/store"
 )
 
@@ -149,10 +148,10 @@ func DecodeSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// validate checks the axes before expansion. App and version names are
-// checked against the registry, platforms against the preset list: a
-// campaign of thousands of cells should fail on the typo, not journal
-// thousands of error rows.
+// validate checks the axes before expansion: every cell of the unfiltered
+// cross product must pass harness.Spec.Validate, so a campaign of
+// thousands of cells fails on the typo instead of journaling thousands of
+// error rows.
 func (s *Spec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: spec has no name")
@@ -164,32 +163,20 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("campaign: spec needs at least one app, platform, processor count, and scale")
 	}
 	for _, am := range s.Apps {
-		a, err := core.Lookup(am.App)
-		if err != nil {
-			return fmt.Errorf("campaign: %w", err)
-		}
 		if len(am.Versions) == 0 {
 			return fmt.Errorf("campaign: app %q lists no versions", am.App)
 		}
 		for _, v := range am.Versions {
-			if _, err := core.FindVersion(a, v); err != nil {
-				return fmt.Errorf("campaign: %w", err)
+			for _, pl := range s.Platforms {
+				for _, np := range s.Procs {
+					for _, sc := range s.Scales {
+						spec := harness.Spec{App: am.App, Version: v, Platform: pl, NumProcs: np, Scale: sc}
+						if err := spec.Validate(); err != nil {
+							return fmt.Errorf("campaign: %w", err)
+						}
+					}
+				}
 			}
-		}
-	}
-	for _, pl := range s.Platforms {
-		if !platform.Known(pl) {
-			return fmt.Errorf("campaign: unknown platform %q", pl)
-		}
-	}
-	for _, np := range s.Procs {
-		if np < 1 {
-			return fmt.Errorf("campaign: bad processor count %d (want a positive integer)", np)
-		}
-	}
-	for _, sc := range s.Scales {
-		if sc <= 0 {
-			return fmt.Errorf("campaign: bad scale %g (want a positive number)", sc)
 		}
 	}
 	for _, preds := range [][]Predicate{s.Include, s.Exclude} {

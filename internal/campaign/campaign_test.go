@@ -284,6 +284,34 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTableSpecOrderAndFailedBaseline: rows follow the spec's processor
+// order, and a failed baseline turns its platform's column into "error" —
+// a failure is not a missing cell.
+func TestTableSpecOrderAndFailedBaseline(t *testing.T) {
+	s := tinySpec()
+	s.Apps[0].Versions = []string{"4da"}
+	s.Procs = []int{4, 1}
+	entries := map[string]Entry{}
+	for _, pl := range s.Platforms {
+		for _, sp := range []harness.Spec{
+			{App: "lu", Version: "orig", Platform: pl, NumProcs: 1, Scale: 0.25},
+			{App: "lu", Version: "4da", Platform: pl, NumProcs: 1, Scale: 0.25},
+			{App: "lu", Version: "4da", Platform: pl, NumProcs: 4, Scale: 0.25},
+		} {
+			entries[sp.MemoKey()] = Entry{Key: sp.MemoKey(), Status: "done", End: uint64(1000 / sp.NumProcs)}
+		}
+	}
+	baseKey := harness.Spec{App: "lu", Version: "orig", Platform: "smp", NumProcs: 1, Scale: 0.25}.MemoKey()
+	entries[baseKey] = Entry{Key: baseKey, Status: "failed", Kind: "panic"}
+	want := "lu/4da speedup vs uniprocessor original (scale 0.25)\n" +
+		"     P      svm      smp\n" +
+		"     4     4.00    error\n" +
+		"     1     1.00    error\n"
+	if got := s.Table(entries); got != want {
+		t.Errorf("table:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestParseProcs(t *testing.T) {
 	got, err := ParseProcs("1, 2,4")
 	if err != nil || !reflect.DeepEqual(got, []int{1, 2, 4}) {

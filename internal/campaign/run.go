@@ -7,8 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -43,39 +41,13 @@ type Local struct {
 
 // Execute runs the cells through the memo, producing for each the exact
 // bytes `svmsim -json` and serve's GET /run return for it (server.CellBody).
+// Once ctx is done no further cells start; in-flight cells finish and are
+// emitted, and the rest stay pending.
 func (l *Local) Execute(ctx context.Context, cells []Cell, emit func(Outcome)) {
-	workers := l.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 0 {
-		return
-	}
-	work := make(chan Cell)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				body, _, _ := server.CellBody(l.Memo, c.Spec, false)
-				emit(Outcome{Cell: c, Body: body})
-			}
-		}()
-	}
-feed:
-	for _, c := range cells {
-		select {
-		case work <- c:
-		case <-ctx.Done():
-			break feed // in-flight cells finish and are journaled; the rest stay pending
-		}
-	}
-	close(work)
-	wg.Wait()
+	harness.ForEach(ctx, l.Workers, cells, func(c Cell) {
+		body, _, _ := server.CellBody(l.Memo, c.Spec, false)
+		emit(Outcome{Cell: c, Body: body})
+	})
 }
 
 // fingerprint names a cell's document bytes: first 8 bytes of SHA-256,
@@ -279,19 +251,12 @@ func (rep *Report) Manifest() string {
 // Table renders the campaign's scaling tables from settled entries: for
 // each (app, version, scale) of the spec, speedup over the platform's
 // uniprocessor original version (the paper's convention) per processor
-// count and platform. Failed cells render as "error", cells outside the
-// manifest or still pending as "-"; when a platform's baseline is
-// missing, its whole column is "-".
+// count, in spec order, and platform. A failed cell renders as "error",
+// and so does every cell of a platform whose baseline failed; cells
+// outside the manifest or still pending render as "-", and when a
+// platform's baseline is missing, its whole column is "-". cmd/sweep
+// prints its one-app matrix through this too.
 func (s *Spec) Table(entries map[string]Entry) string {
-	procs := append([]int(nil), s.Procs...)
-	sort.Ints(procs)
-	end := func(spec harness.Spec) (uint64, bool) {
-		e, ok := entries[spec.MemoKey()]
-		if !ok || e.Status != "done" || e.End == 0 {
-			return 0, false
-		}
-		return e.End, true
-	}
 	var b strings.Builder
 	for _, am := range s.Apps {
 		orig := core.OrigVersion(am.App)
@@ -303,19 +268,18 @@ func (s *Spec) Table(entries map[string]Entry) string {
 					fmt.Fprintf(&b, " %8s", pl)
 				}
 				fmt.Fprintln(&b)
-				for _, np := range procs {
+				for _, np := range s.Procs {
 					fmt.Fprintf(&b, "%6d", np)
 					for _, pl := range s.Platforms {
-						base, okB := end(harness.Spec{App: am.App, Version: orig, Platform: pl, NumProcs: 1, Scale: sc, Check: s.Check})
-						spec := harness.Spec{App: am.App, Version: v, Platform: pl, NumProcs: np, Scale: sc, Check: s.Check}
-						e, okE := entries[spec.MemoKey()]
+						base, okB := entries[harness.Spec{App: am.App, Version: orig, Platform: pl, NumProcs: 1, Scale: sc, Check: s.Check}.MemoKey()]
+						e, okE := entries[harness.Spec{App: am.App, Version: v, Platform: pl, NumProcs: np, Scale: sc, Check: s.Check}.MemoKey()]
 						switch {
-						case okE && e.Status == "failed":
+						case okE && e.Status == "failed", okB && base.Status == "failed":
 							fmt.Fprintf(&b, " %8s", "error")
-						case !okB || !okE || e.End == 0:
+						case !okB || !okE || base.End == 0 || e.End == 0:
 							fmt.Fprintf(&b, " %8s", "-")
 						default:
-							fmt.Fprintf(&b, " %8.2f", float64(base)/float64(e.End))
+							fmt.Fprintf(&b, " %8.2f", float64(base.End)/float64(e.End))
 						}
 					}
 					fmt.Fprintln(&b)

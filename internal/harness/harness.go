@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -98,6 +99,32 @@ func (s Spec) withDefaults() Spec {
 		s.Check = true
 	}
 	return s
+}
+
+// Validate reports the first reason s cannot run as given: an unknown app,
+// version or platform preset, a processor count below 1, or a scale that is
+// not a positive finite number. It applies no defaults, so a command-line
+// -p 0 or -scale 0 is rejected rather than silently run as 16 processors
+// or scale 1. Commands call it before simulating anything; campaign spec
+// validation calls it for every cell of the matrix.
+func (s Spec) Validate() error {
+	a, err := core.Lookup(s.App)
+	if err != nil {
+		return err
+	}
+	if _, err := core.FindVersion(a, s.Version); err != nil {
+		return err
+	}
+	if !platform.Known(s.Platform) {
+		return fmt.Errorf("unknown platform %q", s.Platform)
+	}
+	if s.NumProcs < 1 {
+		return fmt.Errorf("bad processor count %d (want a positive integer)", s.NumProcs)
+	}
+	if !(s.Scale > 0) || math.IsInf(s.Scale, 1) {
+		return fmt.Errorf("bad scale %g (want a positive number)", s.Scale)
+	}
+	return nil
 }
 
 // VerifyError wraps a result-verification failure, so renderers and the

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -18,6 +19,40 @@ func TestExecuteUnknownAppAndVersion(t *testing.T) {
 	}
 	if _, err := Execute(Spec{App: "lu", Version: "orig", Platform: "vax"}); err == nil {
 		t.Error("expected error for unknown platform")
+	}
+}
+
+// TestSpecValidate is the table of inputs the commands used to clamp or
+// run silently: each must be rejected with a message naming the bad value.
+func TestSpecValidate(t *testing.T) {
+	good := Spec{App: "ocean", Version: "rows", Platform: "svm", NumProcs: 4, Scale: 0.25}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	bad := []struct {
+		what string
+		mut  func(*Spec)
+		want string
+	}{
+		{"unknown app", func(s *Spec) { s.App = "oceanx" }, `unknown app "oceanx"`},
+		{"unknown version", func(s *Spec) { s.Version = "nosuch" }, `no version "nosuch"`},
+		{"empty version", func(s *Spec) { s.Version = "" }, `no version ""`},
+		{"unknown platform", func(s *Spec) { s.Platform = "vax" }, `unknown platform "vax"`},
+		{"empty platform", func(s *Spec) { s.Platform = "" }, `unknown platform ""`},
+		{"zero procs", func(s *Spec) { s.NumProcs = 0 }, "bad processor count 0"},
+		{"negative procs", func(s *Spec) { s.NumProcs = -2 }, "bad processor count -2"},
+		{"zero scale", func(s *Spec) { s.Scale = 0 }, "bad scale 0"},
+		{"negative scale", func(s *Spec) { s.Scale = -1 }, "bad scale -1"},
+		{"NaN scale", func(s *Spec) { s.Scale = math.NaN() }, "bad scale NaN"},
+		{"infinite scale", func(s *Spec) { s.Scale = math.Inf(1) }, "bad scale +Inf"},
+	}
+	for _, b := range bad {
+		s := good
+		b.mut(&s)
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("%s: Validate() = %v, want error containing %q", b.what, err, b.want)
+		}
 	}
 }
 

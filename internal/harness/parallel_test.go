@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,5 +173,53 @@ func TestMemoKeyCoversDiagnosticFields(t *testing.T) {
 	}
 	if base.memoKey() != base.memoKey() {
 		t.Error("memo key not stable")
+	}
+}
+
+// TestForEachBoundedAndCancelable pins the pool contract: every item is
+// passed to fn exactly once, never more than workers calls run at a time,
+// and once ctx is done no new item starts while in-flight calls finish.
+func TestForEachBoundedAndCancelable(t *testing.T) {
+	items := make([]int, 40)
+	for i := range items {
+		items[i] = i
+	}
+	var mu sync.Mutex
+	seen := map[int]int{}
+	running, peak := 0, 0
+	ForEach(context.Background(), 3, items, func(i int) {
+		mu.Lock()
+		seen[i]++
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		running--
+		mu.Unlock()
+	})
+	if len(seen) != len(items) {
+		t.Errorf("fn saw %d distinct items, want %d", len(seen), len(items))
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("item %d passed to fn %d times", i, n)
+		}
+	}
+	if peak > 3 {
+		t.Errorf("%d concurrent calls, want at most 3", peak)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var started atomic.Int32
+	ForEach(ctx, 2, items, func(int) {
+		if started.Add(1) == 4 {
+			cancel()
+		}
+	})
+	// After the cancel, at most one item per worker can already be in a
+	// worker's hands or racing the feeder's select.
+	if n := started.Load(); n < 4 || n > 4+2 {
+		t.Errorf("%d items started after canceling at the 4th, want 4..6", n)
 	}
 }

@@ -1,83 +1,126 @@
-// Package platform assembles the three machine models of the paper as named
-// presets: "svm" (page-grained shared virtual memory, HLRC), "smp" (bus-based
-// hardware cache coherence, SGI Challenge-like) and "dsm" (CC-NUMA hardware
-// cache coherence with a distributed directory).
+// Package platform assembles the machine models as named presets. The
+// paper's three platforms are "svm" (page-grained shared virtual memory,
+// HLRC), "smp" (bus-based hardware cache coherence, SGI Challenge-like) and
+// "dsm" (CC-NUMA hardware cache coherence with a distributed directory).
+// Beyond them: the §7 future-work hierarchy "svmsmp" (SMP nodes connected
+// by SVM) and the protocol-engine compositions "smp-msi" and "dsm-msi"
+// (the hardware machines with the coherence state machine swapped to MSI).
+//
+// Every preset is one row of the presets table; the name lists, the
+// hardware-coherence classification and Make all read that table.
 package platform
 
 import (
 	"fmt"
 
-	"repro/internal/dsm"
 	"repro/internal/mem"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/svm"
 	"repro/internal/svmsmp"
 )
-
-// Names lists the paper's three platforms in paper order; the figures
-// iterate over these. Additional presets available through Make: the §7
-// future-work hierarchy "svmsmp" (SMP nodes connected by SVM) and the
-// protocol-engine compositions "smp-msi" and "dsm-msi" (the hardware
-// machines with the coherence state machine swapped to MSI).
-var Names = []string{"svm", "smp", "dsm"}
 
 // PageSize is the allocation/placement granularity shared by all presets:
 // the SVM page size (4 KB), which the DSM preset also uses as its memory
 // placement granularity.
 const PageSize = 4096
 
-// AllPresets lists every preset Make can build: the paper's three
-// platforms first, then the two-level hierarchy and the MSI protocol-engine
-// compositions. The cross-platform differential suite and the irregular
-// workload campaign sweep all of them.
-var AllPresets = []string{"svm", "smp", "dsm", "svmsmp", "smp-msi", "dsm-msi"}
+// preset is one row of the preset table.
+type preset struct {
+	name string
+	// hw marks hardware cache coherence (fine-grained), as opposed to
+	// page-grained software coherence.
+	hw bool
+	// paper marks the paper's three platforms, which the figures iterate
+	// over.
+	paper bool
+	build func(name string, as *mem.AddressSpace, np int) sim.Platform
+}
 
-// Known reports whether name is a preset Make can build. Campaign and
-// sweep spec validation use it to reject a typo'd platform before
-// enumerating (and journaling) thousands of cells that would all fail.
-func Known(name string) bool {
-	for _, n := range AllPresets {
-		if n == name {
-			return true
+// presets lists every preset, the paper's three platforms first and in
+// paper order.
+var presets = []preset{
+	{"svm", false, true, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
+		return svm.New(as, svm.DefaultParams(), np)
+	}},
+	{"smp", true, true, busMachine(protocol.MESI)},
+	{"dsm", true, true, dirMachine(protocol.MESI)},
+	// The paper's §7 future-work hierarchy: SMP nodes of four processors
+	// connected by SVM.
+	{"svmsmp", false, false, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
+		return svmsmp.New(as, svmsmp.DefaultParams(), np)
+	}},
+	// The hardware machines with the MESI axis swapped for plain MSI: every
+	// read fills Shared, so read-then-write pays an upgrade even with no
+	// other sharer.
+	{"smp-msi", true, false, busMachine(protocol.MSI)},
+	{"dsm-msi", true, false, dirMachine(protocol.MSI)},
+}
+
+// busMachine builds the Challenge-class SMP: {sts × SnoopBus} over
+// centralized memory, so the address space's page homes are ignored.
+func busMachine(sts protocol.StateKind) func(string, *mem.AddressSpace, int) sim.Platform {
+	return func(name string, _ *mem.AddressSpace, np int) sim.Platform {
+		return protocol.NewBusMachine(name, sts, protocol.ChallengeCache, protocol.DefaultBusParams(), np)
+	}
+}
+
+// dirMachine builds the DASH-like CC-NUMA machine: {sts × Directory} over
+// the address space's page homes.
+func dirMachine(sts protocol.StateKind) func(string, *mem.AddressSpace, int) sim.Platform {
+	return func(name string, as *mem.AddressSpace, np int) sim.Platform {
+		return protocol.NewDirMachine(name, sts, protocol.DASHCache, as, protocol.DefaultDirParams(), np)
+	}
+}
+
+// AllPresets lists every preset Make can build, in table order. The
+// cross-platform differential suite and the irregular workload campaign
+// sweep all of them.
+var AllPresets = presetNames(func(preset) bool { return true })
+
+// Names lists the paper's three platforms in paper order (a prefix of
+// AllPresets); the figures iterate over these.
+var Names = presetNames(func(p preset) bool { return p.paper })
+
+func presetNames(keep func(preset) bool) []string {
+	var names []string
+	for _, p := range presets {
+		if keep(p) {
+			names = append(names, p.name)
 		}
 	}
-	return false
+	return names
+}
+
+func lookup(name string) (preset, bool) {
+	for _, p := range presets {
+		if p.name == name {
+			return p, true
+		}
+	}
+	return preset{}, false
+}
+
+// Known reports whether name is a preset Make can build. Spec validation
+// (harness.Spec.Validate) uses it to reject a typo'd platform before a
+// command or campaign simulates, or journals, cells that would all fail.
+func Known(name string) bool {
+	_, ok := lookup(name)
+	return ok
 }
 
 // Make builds the named platform over the given address space.
 func Make(name string, as *mem.AddressSpace, np int) (sim.Platform, error) {
-	switch name {
-	case "svm":
-		return svm.New(as, svm.DefaultParams(), np), nil
-	case "dsm":
-		return dsm.New(as, dsm.DefaultParams(), np), nil
-	case "smp":
-		return smp.New(as, smp.DefaultParams(), np), nil
-	case "svmsmp":
-		// The paper's §7 future-work hierarchy: SMP nodes of four
-		// processors connected by SVM.
-		return svmsmp.New(as, svmsmp.DefaultParams(), np), nil
-	case "smp-msi":
-		// The Challenge machine with the MESI axis swapped for plain MSI:
-		// a new protocol-engine composition, not a new platform package.
-		return protocol.NewBusMachine("smp-msi", protocol.MSI, smp.CacheConfig, smp.DefaultParams(), np), nil
-	case "dsm-msi":
-		// The CC-NUMA machine over MSI — every read fills Shared, so
-		// read-then-write pays an upgrade even with no other sharer.
-		return protocol.NewDirMachine("dsm-msi", protocol.MSI, dsm.CacheConfig, as, dsm.DefaultParams(), np), nil
-	default:
+	p, ok := lookup(name)
+	if !ok {
 		return nil, fmt.Errorf("platform: unknown preset %q (want one of %v)", name, AllPresets)
 	}
+	return p.build(name, as, np), nil
 }
 
 // IsHardwareCoherent reports whether the preset models hardware cache
 // coherence (fine-grained), as opposed to page-grained software coherence.
 func IsHardwareCoherent(name string) bool {
-	switch name {
-	case "smp", "dsm", "smp-msi", "dsm-msi":
-		return true
-	}
-	return false
+	p, _ := lookup(name)
+	return p.hw
 }

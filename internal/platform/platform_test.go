@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/protocol"
 )
 
 func TestMakeAllPresets(t *testing.T) {
@@ -62,5 +63,31 @@ func TestIsHardwareCoherent(t *testing.T) {
 	if !IsHardwareCoherent("smp") || !IsHardwareCoherent("dsm") ||
 		!IsHardwareCoherent("smp-msi") || !IsHardwareCoherent("dsm-msi") {
 		t.Error("hardware platforms misclassified")
+	}
+}
+
+// TestPresetTableConsistent: the paper platforms lead the preset list, and
+// the hardware-coherence classification agrees with the type Make builds.
+func TestPresetTableConsistent(t *testing.T) {
+	if len(Names) != 3 || len(AllPresets) < len(Names) {
+		t.Fatalf("Names %v, AllPresets %v", Names, AllPresets)
+	}
+	for i, n := range Names {
+		if AllPresets[i] != n {
+			t.Errorf("Names %v is not a prefix of AllPresets %v", Names, AllPresets)
+		}
+	}
+	for _, name := range AllPresets {
+		pl, err := Make(name, mem.NewAddressSpace(PageSize, 4), 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, isHW := pl.(*protocol.HW)
+		if IsHardwareCoherent(name) != isHW {
+			t.Errorf("%s: IsHardwareCoherent = %v, but Make built %T", name, IsHardwareCoherent(name), pl)
+		}
+	}
+	if IsHardwareCoherent("vax") || Known("vax") {
+		t.Error("unknown preset classified as known or hardware-coherent")
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // UpgradeAccounting selects how a snooping bus prices the invalidation of
 // remote sharers on a write upgrade. The two values are the two accountings
-// the hand-cloned platforms had silently diverged into (ISSUE 8 satellite:
-// internal/smp/smp.go charged n × InvalPer while internal/svmsmp charged a
-// single Bus.InvalPer); the extraction keeps both as an explicit, documented
+// the hand-cloned platforms had silently diverged into (the Challenge
+// machine charged n × InvalPer while internal/svmsmp charged a single
+// Bus.InvalPer); the extraction keeps both as an explicit, documented
 // modeling parameter — see the pinned regressions in bus_test.go.
 type UpgradeAccounting int
 

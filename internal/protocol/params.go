@@ -1,10 +1,34 @@
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cache"
+)
+
+// ChallengeCache is the per-processor hierarchy of the paper's bus-based
+// SMP (§2.1.2, an SGI Challenge): 16 KB direct-mapped L1, unified 1 MB
+// direct-mapped L2, 128 B second-level lines. The smp and smp-msi presets
+// and svmsmp's intra-cluster buses all use it.
+var ChallengeCache = cache.Config{
+	L1Size: 16 << 10, L1Assoc: 1,
+	L2Size: 1 << 20, L2Assoc: 1,
+	Line: 128,
+}
+
+// DASHCache is the node hierarchy of the paper's CC-NUMA machine (§2.1.3):
+// 16 KB direct-mapped L1, 1 MB 4-way L2, 64 B lines. The dsm and dsm-msi
+// presets use it.
+var DASHCache = cache.Config{
+	L1Size: 16 << 10, L1Assoc: 1,
+	L2Size: 1 << 20, L2Assoc: 4,
+	Line: 64,
+}
 
 // BusParams are the cycle costs of a snooping-bus interconnect (the paper's
-// SGI Challenge-class SMP at 150 MHz; see internal/smp for the machine
-// description the defaults are calibrated to).
+// SGI Challenge-class SMP at 150 MHz, one cycle = 6.7 ns: sixteen
+// processors on a 1.2 GB/s bus to centralized memory, kept coherent by
+// MESI snooping; the single bus is the contended resource).
 type BusParams struct {
 	L2HitCost uint64
 	BusArb    uint64 // bus arbitration
@@ -37,7 +61,9 @@ func DefaultBusParams() BusParams {
 }
 
 // DirParams are the cycle costs of a full-map directory interconnect (the
-// paper's DASH-like CC-NUMA at 300 MHz; see internal/dsm).
+// paper's DASH-like CC-NUMA at 300 MHz, one cycle = 3.3 ns: one processor
+// per node, physically distributed memory placed by page homes, 400 MB/s
+// node-to-network bandwidth).
 type DirParams struct {
 	L2HitCost   uint64 // L1 miss, L2 hit
 	LocalMem    uint64 // L2 miss satisfied by local (home) memory

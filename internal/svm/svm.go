@@ -49,7 +49,7 @@ type Platform struct {
 func New(as *mem.AddressSpace, p Params, np int) *Platform {
 	s := &Platform{
 		P: p, as: as, np: np,
-		pageShift: PageShift(p.PageSize),
+		pageShift: protocol.PageShift(p.PageSize),
 		levelCost: [3]uint64{cache.L1Hit: 0, cache.L2Hit: p.L2HitCost, cache.Miss: p.MemCost},
 	}
 	s.eng = protocol.NewPageEngine(protocol.PageConfig{
@@ -59,11 +59,6 @@ func New(as *mem.AddressSpace, p Params, np int) *Platform {
 	})
 	return s
 }
-
-// PageShift returns log2(n), panicking unless n is a power of two. Page-
-// grained platforms use it to turn per-access page-number divisions into
-// shifts.
-func PageShift(n uint64) uint { return protocol.PageShift(n) }
 
 // HomeDomain implements protocol.PageHost: flat platform, one domain per
 // node, homes straight from the address space's page placement.

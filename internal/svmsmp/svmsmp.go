@@ -25,7 +25,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/smp"
 	"repro/internal/svm"
 )
 
@@ -36,7 +35,7 @@ const DefaultClusterSize = 4
 // bus-coherence costs.
 type Params struct {
 	SVM svm.Params
-	Bus smp.Params
+	Bus protocol.BusParams
 	// ClusterSize is the number of processors per SMP node.
 	ClusterSize int
 }
@@ -44,7 +43,7 @@ type Params struct {
 // DefaultParams returns SVM costs across clusters and Challenge-class costs
 // inside them.
 func DefaultParams() Params {
-	return Params{SVM: svm.DefaultParams(), Bus: smp.DefaultParams(), ClusterSize: DefaultClusterSize}
+	return Params{SVM: svm.DefaultParams(), Bus: protocol.DefaultBusParams(), ClusterSize: DefaultClusterSize}
 }
 
 // Platform is the two-level machine model.
@@ -74,7 +73,7 @@ func New(as *mem.AddressSpace, p Params, np int) *Platform {
 		p.ClusterSize = DefaultClusterSize
 	}
 	nc := (np + p.ClusterSize - 1) / p.ClusterSize
-	s := &Platform{P: p, as: as, np: np, nc: nc, pageShift: svm.PageShift(p.SVM.PageSize)}
+	s := &Platform{P: p, as: as, np: np, nc: nc, pageShift: protocol.PageShift(p.SVM.PageSize)}
 	s.eng = protocol.NewPageEngine(protocol.PageConfig{
 		Params: p.SVM, Domains: nc, Host: s,
 		Scope: "svmsmp", Noun: "cluster",
@@ -86,7 +85,7 @@ func New(as *mem.AddressSpace, p Params, np int) *Platform {
 func (s *Platform) Name() string { return "svmsmp" }
 
 // LineSize reports the intra-cluster coherence granularity.
-func (s *Platform) LineSize() int { return smp.CacheConfig.Line }
+func (s *Platform) LineSize() int { return protocol.ChallengeCache.Line }
 
 func (s *Platform) clusterOf(p int) int { return p / s.P.ClusterSize }
 
@@ -141,7 +140,7 @@ func (s *Platform) Attach(k *sim.Kernel) {
 		if rest := s.np - c*s.P.ClusterSize; rest < members {
 			members = rest
 		}
-		s.lineEng[c] = protocol.NewLineEngine(protocol.MESI, smp.CacheConfig, members)
+		s.lineEng[c] = protocol.NewLineEngine(protocol.MESI, protocol.ChallengeCache, members)
 		// Short intra-cluster buses: broadcast upgrade accounting, no
 		// per-transaction miss classification (the page layer above owns
 		// miss accounting), BusOccupy stamped with the cluster id.

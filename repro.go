@@ -18,9 +18,12 @@
 package repro
 
 import (
+	"slices"
+
 	_ "repro/internal/apps" // register all seven applications
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/platform"
 	"repro/internal/stats"
 )
 
@@ -77,5 +80,6 @@ func Versions(app string) ([]core.Version, error) {
 	return a.Versions(), nil
 }
 
-// Platforms lists the machine models.
-func Platforms() []string { return []string{"svm", "smp", "dsm"} }
+// Platforms lists the paper's three machine models, in paper order. The
+// slice is a copy: callers may modify it freely.
+func Platforms() []string { return slices.Clone(platform.Names) }
