@@ -11,6 +11,7 @@
 //	campaign -spec campaigns/scaling128.json -store /tmp/cstore -workers 8
 //	campaign -spec campaigns/scaling128.json -store /tmp/cstore -resume   # pick up where it died
 //	campaign -spec S.json -table                                          # render the scaling tables
+//	campaign -spec S.json -cpuprofile cpu.out                             # host CPU profile, split by cell with pprof -tagfocus
 //
 // Exit status: 0 success, 1 failed cells, 2 usage/spec errors,
 // 3 interrupted (signal or -max-cells) with the journal intact.
@@ -31,6 +32,7 @@ import (
 
 	_ "repro/internal/apps"
 	"repro/internal/campaign"
+	"repro/internal/harness"
 )
 
 // progressEvent is one -json line on stdout: cumulative campaign state
@@ -69,6 +71,7 @@ func main() {
 	manifestPath := flag.String("manifest", "", "write the deterministic manifest summary to this file (also printed to stdout unless -json or -table)")
 	table := flag.Bool("table", false, "print the scaling tables (speedup vs uniprocessor original) after the run")
 	maxCells := flag.Int("max-cells", 0, "stop after journaling N cells (kill/resume testing); exit 3")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to `file`; samples carry app, version, platform and procs labels")
 	flag.Parse()
 
 	if *specPath == "" {
@@ -174,7 +177,14 @@ func main() {
 		progress(resumedN, false)
 	}
 
+	stopProfile, err := harness.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fatal(1, err)
+	}
 	rep, runErr := runner.Run(ctx)
+	if err := stopProfile(); err != nil {
+		fatal(1, err)
+	}
 	// Seed the counters with what the journal already held, then fold in
 	// everything the run settled (OnEntry counted those live; recount
 	// from the report for the final numbers so resumed cells show too).

@@ -21,6 +21,8 @@
 //	                            # of each app's base problem size
 //	figures -all -workers 8     # at most 8 concurrent simulations
 //	figures -all -store DIR     # persist results; a rerun simulates nothing
+//	figures -all -cpuprofile F  # host CPU profile of the simulations;
+//	                            # split it by cell with pprof -tagfocus
 package main
 
 import (
@@ -43,6 +45,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations pre-executing the experiment matrix (1 = serial)")
 	check := flag.Bool("check", false, "enable runtime invariant checking on every cell")
 	storeDir := flag.String("store", "", "persistent result store directory; already-computed cells are loaded instead of simulated")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the simulations to `file`; samples carry app, version, platform and procs labels")
 	flag.Parse()
 
 	memo, err := campaign.OpenMemo(*storeDir)
@@ -82,9 +85,18 @@ func main() {
 		}
 	}
 
+	stopProfile, err := harness.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
 	// Warm the memo cache in parallel; rendering below is serial cache
 	// reads, so its bytes do not depend on -workers.
 	r.RunParallel(*workers, cells)
+	if err := stopProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
 
 	if *headline {
 		out, err := harness.HeadlineSpeedups(r)

@@ -1,7 +1,10 @@
 // Package apputil provides building blocks shared by the application
 // reimplementations: lock-protected task queues with stealing (Volrend,
-// Raytrace), block partition helpers, and a small deterministic RNG so runs
-// are reproducible across platforms.
+// Raytrace), block partition and processor-grid helpers, a small
+// deterministic RNG so runs are reproducible across platforms, the FNV
+// result fingerprint, and Head, the CT-head volume Volrend and Shear-Warp
+// render. Head stores each distinct column of the head once, keyed by its
+// exact distance from the axis, instead of the dense n×n×nz voxel array.
 package apputil
 
 import (
@@ -20,6 +23,19 @@ func Split(n, np, id int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
+}
+
+// ProcGrid factors np into a near-square pr × pc processor grid: pr is the
+// largest divisor of np no greater than ceil(√np).
+func ProcGrid(np int) (pr, pc int) {
+	pr = 1
+	for pr*pr < np {
+		pr++
+	}
+	for np%pr != 0 {
+		pr--
+	}
+	return pr, np / pr
 }
 
 func min(a, b int) int {

@@ -133,6 +133,7 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 }
 
 // procGrid factors np into a near-square pr x pc grid with pc >= pr.
+// Not apputil.ProcGrid: their grids differ at np = k(k+1) (2, 6, 12, ...), which would change LU's results.
 func procGrid(np int) (pr, pc int) {
 	pr = int(math.Sqrt(float64(np)))
 	for np%pr != 0 {

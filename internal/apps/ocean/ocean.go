@@ -150,6 +150,7 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	return in, nil
 }
 
+// procGrid is not apputil.ProcGrid: their grids differ at np = k(k+1) (2, 6, 12, ...), which would change Ocean's results.
 func procGrid(np int) (pr, pc int) {
 	pr = int(math.Sqrt(float64(np)))
 	for np%pr != 0 {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -60,7 +61,7 @@ type instance struct {
 	n, nz, np int
 	opt       bool
 
-	vol    []uint8
+	head   *apputil.Head
 	rleAdr uint64
 	rleOff []int // per-scanline offset into the RLE data
 	rleLen []int // per-scanline RLE byte length
@@ -71,13 +72,11 @@ type instance struct {
 	interLay *mem.Array2D
 	final    []float64
 	finalLay *mem.Array2D
-	refI     []float64
-	refF     []float64
 
 	// Partitions.
-	rowOwner  []int // intermediate scanline -> owner (composite phase)
-	blockLo   []int // opt: contiguous block bounds per processor
-	blockHi   []int
+	rowOwner []int // intermediate scanline -> owner (composite phase)
+	blockLo  []int // opt: contiguous block bounds per processor
+	blockHi  []int
 }
 
 // Build implements core.App.
@@ -93,15 +92,14 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 
 	// Head volume, ray-major like Volrend's, then run-length encoded per
 	// intermediate scanline.
-	in.vol = make([]uint8, n*n*in.nz)
-	fillHead(in.vol, n, in.nz)
+	in.head = apputil.NewHead(n, in.nz)
 	in.rleOff = make([]int, n+1)
 	in.rleLen = make([]int, n)
 	in.runs = make([]int, n)
 	in.cost = make([]uint64, n)
 	total := 0
 	for y := 0; y < n; y++ {
-		nvox, runs := rleScan(in.vol, n, in.nz, y)
+		nvox, runs := rleScan(in.head, n, in.nz, y)
 		in.rleOff[y] = total
 		in.rleLen[y] = nvox + 2*runs
 		in.runs[y] = runs
@@ -171,74 +169,38 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 		as.DistributeRoundRobin(in.interLay.Base, in.interLay.Size())
 		as.DistributeRoundRobin(in.finalLay.Base, in.finalLay.Size())
 	}
-
-	// Reference results.
-	in.refI = make([]float64, n*n)
-	for y := 0; y < n; y++ {
-		compositeRow(in.vol, n, in.nz, y, in.refI)
-	}
-	in.refF = make([]float64, n*n)
-	for y := 0; y < n; y++ {
-		warpRow(in.refI, n, y, in.refF)
-	}
 	return in, nil
 }
 
-// fillHead builds the same CT-head stand-in as Volrend.
-func fillHead(vol []uint8, n, nz int) {
-	cx, cy, cz := float64(n)/2, float64(n)/2, float64(nz)/2
-	r := 0.45 * float64(n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			for z := 0; z < nz; z++ {
-				dx, dy, dz := float64(x)-cx, float64(y)-cy, (float64(z)-cz)*2
-				d2 := dx*dx + dy*dy + dz*dz
-				if d2 > r*r {
-					continue
-				}
-				switch int(d2/(r*r)*8) % 3 {
-				case 0:
-					vol[(y*n+x)*nz+z] = 200
-				case 1:
-					vol[(y*n+x)*nz+z] = 40
-				default:
-					vol[(y*n+x)*nz+z] = 90
-				}
-			}
-		}
-	}
-}
-
-// rleScan counts the non-transparent voxels and runs of scanline y.
-func rleScan(vol []uint8, n, nz, y int) (nvox, runs int) {
-	inRun := false
+// rleScan counts the non-transparent voxels and runs of scanline y. The
+// volume is scanned column after column, so a run that reaches the top of
+// one column continues into the next column if that one starts at z = 0.
+func rleScan(h *apputil.Head, n, nz, y int) (nvox, runs int) {
+	inRun := false // the previous column's top voxel is set
 	for x := 0; x < n; x++ {
-		for z := 0; z < nz; z++ {
-			if vol[(y*n+x)*nz+z] != 0 {
-				nvox++
-				if !inRun {
-					runs++
-					inRun = true
-				}
-			} else {
-				inRun = false
-			}
+		lo, vox := h.Column(x, y)
+		if len(vox) == 0 {
+			inRun = false
+			continue
 		}
+		nvox += len(vox)
+		if lo > 0 || !inRun {
+			runs++
+		}
+		inRun = lo+len(vox) == nz
 	}
 	return nvox, runs
 }
 
-// compositeRow computes intermediate scanline y (front-to-back compositing
-// down z for each column).
-func compositeRow(vol []uint8, n, nz, y int, out []float64) {
+// compositeRow computes intermediate scanline y into row (front-to-back
+// compositing down z for each column). Only a column's nonzero span is
+// walked: the RLE skips transparent voxels.
+func compositeRow(h *apputil.Head, n, y int, row []float64) {
 	for x := 0; x < n; x++ {
 		var acc, alpha float64
-		base := (y*n + x) * nz
-		for z := 0; z < nz; z++ {
-			d := float64(vol[base+z]) / 255
-			if d == 0 {
-				continue // RLE skips transparent voxels
-			}
+		_, vox := h.Column(x, y)
+		for _, v := range vox {
+			d := float64(v) / 255
 			a := d * 0.05
 			acc += (1 - alpha) * a * d * 255
 			alpha += (1 - alpha) * a
@@ -246,12 +208,12 @@ func compositeRow(vol []uint8, n, nz, y int, out []float64) {
 				break
 			}
 		}
-		out[y*n+x] = acc
+		row[x] = acc
 	}
 }
 
-// warpRow resamples intermediate scanline y into final scanline y with a
-// per-row horizontal shear (the 2-d warp of the factorization).
+// warpRow resamples intermediate scanline y (inter) into final scanline y
+// (out) with a per-row horizontal shear (the 2-d warp of the factorization).
 func warpRow(inter []float64, n, y int, out []float64) {
 	shift := 0.25 * float64(y) / float64(n) * 8
 	fx := shift - math.Floor(shift)
@@ -260,19 +222,19 @@ func warpRow(inter []float64, n, y int, out []float64) {
 		x0 := x + s
 		v := 0.0
 		if x0 >= 0 && x0 < n {
-			v += (1 - fx) * inter[y*n+x0]
+			v += (1 - fx) * inter[x0]
 		}
 		if x0+1 >= 0 && x0+1 < n {
-			v += fx * inter[y*n+x0+1]
+			v += fx * inter[x0+1]
 		}
-		out[y*n+x] = v
+		out[x] = v
 	}
 }
 
 // compositeScanline performs phase-1 work for scanline y with simulated
 // accesses: read the RLE data, write the intermediate row once per slab.
 func (in *instance) compositeScanline(p *sim.Proc, y int) {
-	compositeRow(in.vol, in.n, in.nz, y, in.inter)
+	compositeRow(in.head, in.n, y, in.row(in.inter, y))
 	p.ReadRange(in.rleAdr+uint64(in.rleOff[y]), in.rleLen[y])
 	for s := 0; s < slabs; s++ {
 		p.WriteRange(in.interLay.RowAddr(y), in.n*4)
@@ -283,7 +245,7 @@ func (in *instance) compositeScanline(p *sim.Proc, y int) {
 // warpScanline performs phase-2 work for final scanline y: read the
 // intermediate row and write the final row.
 func (in *instance) warpScanline(p *sim.Proc, y int) {
-	warpRow(in.inter, in.n, y, in.final)
+	warpRow(in.row(in.inter, y), in.n, y, in.row(in.final, y))
 	p.ReadRange(in.interLay.RowAddr(y), in.n*4)
 	p.WriteRange(in.finalLay.RowAddr(y), in.n*4)
 	p.Compute(uint64(in.n * warpCost))
@@ -294,24 +256,15 @@ func (in *instance) warpScanline(p *sim.Proc, y int) {
 // is done once, by the block owner covering column 0.
 func (in *instance) warpBlockRow(p *sim.Proc, y, x0, x1 int) {
 	if x0 == 0 {
-		warpRow(in.inter, in.n, y, in.final)
+		warpRow(in.row(in.inter, y), in.n, y, in.row(in.final, y))
 	}
 	p.ReadRange(in.interLay.Addr(y, x0), (x1-x0)*4)
 	p.WriteRange(in.finalLay.Addr(y, x0), (x1-x0)*4)
 	p.Compute(uint64((x1 - x0) * warpCost))
 }
 
-// procGrid factors np into a near-square grid.
-func procGrid(np int) (pr, pc int) {
-	pr = 1
-	for pr*pr < np {
-		pr++
-	}
-	for np%pr != 0 {
-		pr--
-	}
-	return pr, np / pr
-}
+// row returns scanline y of an n×n image.
+func (in *instance) row(img []float64, y int) []float64 { return img[y*in.n : (y+1)*in.n] }
 
 // Body implements core.Instance.
 func (in *instance) Body(p *sim.Proc) {
@@ -341,7 +294,7 @@ func (in *instance) Body(p *sim.Proc) {
 		// resamples were mostly composited by OTHER processors, and each
 		// intermediate page is read by several warp processors (the
 		// redistribution + fragmentation the paper blames).
-		pr, pc := procGrid(in.np)
+		pr, pc := apputil.ProcGrid(in.np)
 		bh, bw := n/pr, n/pc
 		py, px := id/pc, id%pc
 		for y := py * bh; y < (py+1)*bh; y++ {
@@ -351,16 +304,21 @@ func (in *instance) Body(p *sim.Proc) {
 	p.Barrier()
 }
 
-// Verify implements core.Instance.
+// Verify implements core.Instance: it recomputes the reference images a
+// scanline at a time and compares them with what the run produced.
 func (in *instance) Verify() error {
-	for i := range in.final {
-		if math.Abs(in.final[i]-in.refF[i]) > 1e-12 {
-			return fmt.Errorf("shearwarp: final pixel %d = %g, want %g", i, in.final[i], in.refF[i])
-		}
-	}
-	for i := range in.inter {
-		if math.Abs(in.inter[i]-in.refI[i]) > 1e-12 {
-			return fmt.Errorf("shearwarp: intermediate pixel %d = %g, want %g", i, in.inter[i], in.refI[i])
+	n := in.n
+	refI, refF := make([]float64, n), make([]float64, n)
+	for y := 0; y < n; y++ {
+		compositeRow(in.head, n, y, refI)
+		warpRow(refI, n, y, refF)
+		for x := 0; x < n; x++ {
+			if got := in.inter[y*n+x]; math.Abs(got-refI[x]) > 1e-12 {
+				return fmt.Errorf("shearwarp: intermediate pixel %d = %g, want %g", y*n+x, got, refI[x])
+			}
+			if got := in.final[y*n+x]; math.Abs(got-refF[x]) > 1e-12 {
+				return fmt.Errorf("shearwarp: final pixel %d = %g, want %g", y*n+x, got, refF[x])
+			}
 		}
 	}
 	return nil

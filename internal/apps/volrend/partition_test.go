@@ -19,7 +19,8 @@ func TestBlockedPartitionCoversAllTiles(t *testing.T) {
 			t.Fatalf("np=%d: %v", np, err)
 		}
 		in := built.(*instance)
-		seen := make([]int, len(in.tiles))
+		nt := in.n / tile
+		seen := make([]int, nt*nt)
 		for id := range in.assign {
 			for _, ti := range in.assign[id] {
 				seen[ti]++

@@ -68,15 +68,13 @@ type instance struct {
 	steal     bool
 	fourD     bool
 
-	vol     []uint8
+	head    *apputil.Head
 	volAdr  uint64
 	img     []uint32
 	imgLay  mem.Layout2D
-	ref     []uint32
 	queues  []*apputil.TaskQueue
-	assign  [][]int  // per-processor initial task lists (per frame)
-	tiles   [][2]int // task id -> tile origin (x, y)
-	extraPx uint64   // extra per-pixel addressing cost (ds4d)
+	assign  [][]int // per-processor initial task lists (per frame)
+	extraPx uint64  // extra per-pixel addressing cost (ds4d)
 }
 
 // Build implements core.App.
@@ -92,10 +90,9 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 
 	// The run-length-encoded volume, stored ray-major so an axis-aligned
 	// ray reads contiguously; read-only data, distributed round-robin.
-	in.vol = make([]uint8, n*n*in.nz)
-	in.volAdr = as.AllocPages(len(in.vol))
-	as.DistributeRoundRobin(in.volAdr, len(in.vol))
-	fillHead(in.vol, n, in.nz)
+	in.volAdr = as.AllocPages(n * n * in.nz)
+	as.DistributeRoundRobin(in.volAdr, n*n*in.nz)
+	in.head = apputil.NewHead(n, in.nz)
 
 	padQueues := uint64(0)
 	balanced := false
@@ -117,7 +114,7 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 
 	// Image plane.
 	in.img = make([]uint32, n*n)
-	pr, pc := procGrid(np)
+	pr, pc := apputil.ProcGrid(np)
 	if in.fourD {
 		m := mem.NewArray4D(as, n, n, n/pr, n/pc, 4, as.PageSize())
 		for bi := 0; bi < pr; bi++ {
@@ -132,18 +129,12 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 		in.imgLay = m
 	}
 
-	// Tiles and task queues.
+	// Task queues: task t is tile (t%nt, t/nt) of the nt×nt tile grid.
 	nt := n / tile
-	in.tiles = make([][2]int, 0, nt*nt)
-	for ty := 0; ty < nt; ty++ {
-		for tx := 0; tx < nt; tx++ {
-			in.tiles = append(in.tiles, [2]int{tx * tile, ty * tile})
-		}
-	}
 	in.queues = make([]*apputil.TaskQueue, np)
 	for q := 0; q < np; q++ {
 		in.queues[q] = apputil.NewTaskQueue(as, q, apputil.QueueOptions{
-			Capacity: len(in.tiles), EntryBytes: 16, PadEntriesTo: padQueues, LockID: 100 + q,
+			Capacity: nt * nt, EntryBytes: 16, PadEntriesTo: padQueues, LockID: 100 + q,
 		})
 	}
 	assign := make([][]int, np)
@@ -177,59 +168,16 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 		in.queues[q].Reset(assign[q])
 	}
 	in.assign = assign
-
-	in.ref = make([]uint32, n*n)
-	for py := 0; py < n; py++ {
-		for px := 0; px < n; px++ {
-			in.ref[py*n+px], _ = castRay(in.vol, n, in.nz, px, py)
-		}
-	}
 	return in, nil
-}
-
-func procGrid(np int) (pr, pc int) {
-	pr = 1
-	for pr*pr < np {
-		pr++
-	}
-	for np%pr != 0 {
-		pr--
-	}
-	return pr, np / pr
-}
-
-// fillHead builds the CT-head stand-in: concentric density shells inside a
-// bounding sphere, empty outside.
-func fillHead(vol []uint8, n, nz int) {
-	cx, cy, cz := float64(n)/2, float64(n)/2, float64(nz)/2
-	r := 0.45 * float64(n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			for z := 0; z < nz; z++ {
-				dx, dy, dz := float64(x)-cx, float64(y)-cy, (float64(z)-cz)*2
-				d2 := dx*dx + dy*dy + dz*dz
-				if d2 > r*r {
-					continue
-				}
-				// Shells: alternating dense / sparse bands.
-				band := int(d2/(r*r)*8) % 3
-				switch band {
-				case 0:
-					vol[(y*n+x)*nz+z] = 200
-				case 1:
-					vol[(y*n+x)*nz+z] = 40
-				default:
-					vol[(y*n+x)*nz+z] = 90
-				}
-			}
-		}
-	}
 }
 
 // castRay composites the ray for pixel (px, py); it returns the pixel value
 // and the number of voxels marched (0 when empty-space skipping rejects the
-// whole ray).
-func castRay(vol []uint8, n, nz, px, py int) (uint32, int) {
+// whole ray). A ray the octree admits marches from z = 0 until its opacity
+// saturates or it leaves the volume. Empty voxels leave acc and alpha
+// unchanged, so the march only composites the column's nonzero span and
+// counts the empty voxels before it (and after it, if the ray gets through).
+func castRay(h *apputil.Head, n, nz, px, py int) (uint32, int) {
 	cx, cy := float64(n)/2, float64(n)/2
 	dx, dy := float64(px)-cx, float64(py)-cy
 	r := 0.45 * float64(n)
@@ -237,19 +185,18 @@ func castRay(vol []uint8, n, nz, px, py int) (uint32, int) {
 		return 0, 0 // octree: fully empty column
 	}
 	var acc, alpha float64
-	steps := 0
-	base := (py*n + px) * nz
-	for z := 0; z < nz; z++ {
+	steps, vox := h.Column(px, py)
+	for _, v := range vox {
 		steps++
-		d := float64(vol[base+z]) / 255
+		d := float64(v) / 255
 		a := d * 0.05
 		acc += (1 - alpha) * a * d * 255
 		alpha += (1 - alpha) * a
 		if alpha > maxAlpha {
-			break
+			return uint32(acc), steps
 		}
 	}
-	return uint32(acc), steps
+	return uint32(acc), nz
 }
 
 // renderTile runs one task: casts the rays of a tile, issuing the simulated
@@ -259,7 +206,7 @@ func (in *instance) renderTile(p *sim.Proc, t int) {
 	x0, y0 := (t%nt)*tile, (t/nt)*tile
 	for py := y0; py < y0+tile; py++ {
 		for px := x0; px < x0+tile; px++ {
-			v, steps := castRay(in.vol, in.n, in.nz, px, py)
+			v, steps := castRay(in.head, in.n, in.nz, px, py)
 			in.img[py*in.n+px] = v
 			if steps > 0 {
 				p.ReadRange(in.volAdr+uint64((py*in.n+px)*in.nz), steps)
@@ -321,11 +268,12 @@ func (in *instance) Body(p *sim.Proc) {
 	}
 }
 
-// Verify implements core.Instance.
+// Verify implements core.Instance: it recasts every ray and compares the
+// result with the rendered image.
 func (in *instance) Verify() error {
-	for i := range in.img {
-		if in.img[i] != in.ref[i] {
-			return fmt.Errorf("volrend: pixel %d = %d, want %d", i, in.img[i], in.ref[i])
+	for i, got := range in.img {
+		if want, _ := castRay(in.head, in.n, in.nz, i%in.n, i/in.n); got != want {
+			return fmt.Errorf("volrend: pixel %d = %d, want %d", i, got, want)
 		}
 	}
 	return nil

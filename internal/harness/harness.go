@@ -7,9 +7,12 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -178,8 +181,19 @@ func buildInstance(a core.App, version string, scale float64, as *mem.AddressSpa
 	return a.Build(version, scale, as, np)
 }
 
-func execute(s Spec, profile bool) (*stats.Run, string, core.Instance, error) {
+// execute runs one cell under pprof labels naming it (app, version,
+// platform, procs), so one host CPU profile of many cells splits by cell
+// with `go tool pprof -tagfocus`. The labels touch no simulated state.
+func execute(s Spec, profile bool) (run *stats.Run, report string, inst core.Instance, err error) {
 	s = s.withDefaults()
+	labels := pprof.Labels("app", s.App, "version", s.Version, "platform", s.Platform, "procs", strconv.Itoa(s.NumProcs))
+	pprof.Do(context.Background(), labels, func(context.Context) {
+		run, report, inst, err = executeCell(s, profile)
+	})
+	return run, report, inst, err
+}
+
+func executeCell(s Spec, profile bool) (*stats.Run, string, core.Instance, error) {
 	a, err := core.Lookup(s.App)
 	if err != nil {
 		return nil, "", nil, err
@@ -339,4 +353,25 @@ func (r *Runner) Speedup(app, version, plat string) (float64, error) {
 		return 0, fmt.Errorf("harness: zero execution time for %s/%s on %s", app, version, plat)
 	}
 	return float64(t1) / float64(run.EndTime), nil
+}
+
+// StartCPUProfile starts a host CPU profile of the process, written to
+// path, and returns the function that stops it and closes the file. An
+// empty path profiles nothing.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
