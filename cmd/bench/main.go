@@ -6,8 +6,9 @@
 // Three layers, cheapest first:
 //
 //   - micro: testing.Benchmark over the kernel's hot paths (cache tag-array
-//     access, fused hit-access, the SVM fast path, a full kernel access
-//     stream, tracing-off Emit), reporting ns/op and allocs/op.
+//     access, fused hit-access, the SVM fast path, the HLRC page path's
+//     PageArrived and Flush, a full kernel access stream, tracing-off
+//     Emit), reporting ns/op and allocs/op.
 //   - figures: wall-clock seconds for the full `figures -all` matrix,
 //     simulated in-process against a fresh memo (every cell cold).
 //   - serving: cold-cache requests/second through the HTTP serving layer,
@@ -45,6 +46,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
+	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/svm"
@@ -173,6 +175,62 @@ func runMicro() map[string]Micro {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k.Run("stream", body)
+		}
+	})
+
+	// One op = four line fills on one valid page, then that page's
+	// PageArrived: the fetched page replaces the page under the node's
+	// caches, which drop its lines through the page fill filter.
+	m["svm_page_arrived"] = microBench(func(b *testing.B) {
+		as := mem.NewAddressSpace(platform.PageSize, 1)
+		a := as.AllocPages(1 << 16)
+		as.SetHome(a, 1<<16, 0)
+		pl := svm.New(as, svm.DefaultParams(), 1)
+		k := sim.New(pl, sim.Config{NumProcs: 1})
+		pl.Attach(k)
+		pl.Prevalidate(a, 1<<16, 0)
+		pages := uint64(1<<16) / platform.PageSize
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			base := a + uint64(i)%pages*platform.PageSize
+			for off := uint64(0); off < 4*1024; off += 1024 {
+				pl.FastAccess(0, 0, base+off, false)
+			}
+			pl.PageArrived(0, base/platform.PageSize)
+		}
+	})
+
+	// One op = one HLRC interval of node 0 on a two-node machine: write
+	// traps (with twins) on four pages homed at node 1, then the Flush that
+	// diffs them home, logs their write notices and opens the next
+	// interval. The engine is reset, untimed, every 1<<14 intervals so the
+	// notice log's footprint does not grow with b.N.
+	m["page_flush"] = microBench(func(b *testing.B) {
+		as := mem.NewAddressSpace(platform.PageSize, 2)
+		a := as.AllocPages(1 << 16)
+		as.SetHome(a, 1<<16, 1)
+		pl := svm.New(as, svm.DefaultParams(), 2)
+		k := sim.New(pl, sim.Config{NumProcs: 2})
+		if _, err := k.RunErr("attach", func(*sim.Proc) {}); err != nil {
+			b.Fatal(err)
+		}
+		eng := protocol.NewPageEngine(protocol.PageConfig{Params: pl.P, Domains: 2, Host: pl})
+		npages := int(as.NumPages()) + 1
+		eng.Init(k, npages)
+		pages := uint64(1<<16) / platform.PageSize
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%(1<<14) == 0 {
+				b.StopTimer()
+				eng.Init(k, npages)
+				b.StartTimer()
+			}
+			for j := uint64(0); j < 4; j++ {
+				eng.Trap(0, 0, 0, a+(uint64(4*i)+j)%pages*platform.PageSize)
+			}
+			eng.Flush(0, 0, 0)
 		}
 	})
 

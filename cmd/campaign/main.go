@@ -13,8 +13,9 @@
 //	campaign -spec S.json -table                                          # render the scaling tables
 //	campaign -spec S.json -cpuprofile cpu.out                             # host CPU profile, split by cell with pprof -tagfocus
 //
-// Exit status: 0 success, 1 failed cells, 2 usage/spec errors,
-// 3 interrupted (signal or -max-cells) with the journal intact.
+// Exit status: 0 success, 1 failed cells, 2 usage/spec errors (including a
+// -workers below 1 or a negative -max-cells), 3 interrupted (signal or
+// -max-cells) with the journal intact.
 package main
 
 import (
@@ -70,13 +71,19 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable progress events on stdout")
 	manifestPath := flag.String("manifest", "", "write the deterministic manifest summary to this file (also printed to stdout unless -json or -table)")
 	table := flag.Bool("table", false, "print the scaling tables (speedup vs uniprocessor original) after the run")
-	maxCells := flag.Int("max-cells", 0, "stop after journaling N cells (kill/resume testing); exit 3")
+	maxCells := flag.Int("max-cells", 0, "stop after journaling N cells, 0 for no limit (kill/resume testing); exit 3")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to `file`; samples carry app, version, platform and procs labels")
 	flag.Parse()
 
 	if *specPath == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := harness.CheckWorkers(*workers); err != nil {
+		fatal(2, err)
+	}
+	if *maxCells < 0 {
+		fatal(2, fmt.Errorf("bad -max-cells %d (want 0 for no limit, or a positive count)", *maxCells))
 	}
 	data, err := os.ReadFile(*specPath)
 	if err != nil {

@@ -9,8 +9,8 @@
 // a fully serial run regardless of -workers. A cell whose simulation fails
 // (panic, deadlock, verification) renders as an error row; the rest of the
 // figure still completes, failures are listed on stderr, and the exit code
-// is 1. A -p below 1 or a -scale that is not positive is a usage error: exit
-// 2 before anything is simulated.
+// is 1. A -p or -workers below 1 or a -scale that is not positive is a usage
+// error: exit 2 before anything is simulated.
 //
 // Usage:
 //
@@ -47,6 +47,10 @@ func main() {
 	storeDir := flag.String("store", "", "persistent result store directory; already-computed cells are loaded instead of simulated")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the simulations to `file`; samples carry app, version, platform and procs labels")
 	flag.Parse()
+	if err := harness.CheckWorkers(*workers); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
+	}
 
 	memo, err := campaign.OpenMemo(*storeDir)
 	if err != nil {

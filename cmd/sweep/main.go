@@ -10,8 +10,8 @@
 // campaign.Spec.Table's. For anything bigger — many apps, predicates,
 // resumability — use cmd/campaign.
 //
-// An unknown app, version or platform, or a bad -procs or -scale value, is
-// a usage error (exit 2) before anything runs. A failing cell prints as
+// An unknown app, version or platform, or a bad -procs, -scale or -workers
+// value, is a usage error (exit 2) before anything runs. A failing cell prints as
 // "error" while the rest of the sweep completes; failures are listed on
 // stderr and the exit code is 1.
 //
@@ -29,6 +29,7 @@ import (
 
 	_ "repro/internal/apps"
 	"repro/internal/campaign"
+	"repro/internal/harness"
 	"repro/internal/platform"
 )
 
@@ -48,6 +49,10 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
 	storeDir := flag.String("store", "", "persistent result store directory; already-computed cells are loaded instead of simulated")
 	flag.Parse()
+	if err := harness.CheckWorkers(*workers); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
+	}
 
 	counts, err := parseProcs(*procs)
 	if err != nil {

@@ -5,7 +5,19 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// A -workers below 1 is a usage error, not a silent GOMAXPROCS.
+func TestBadWorkersIsUsageError(t *testing.T) {
+	for _, w := range []string{"0", "-3"} {
+		clitest.WantUsageError(t, "bad -workers "+w,
+			"-app", "ocean", "-version", "rows", "-platform", "svm", "-procs", "1", "-scale", "0.25", "-workers", w)
+	}
+}
 
 func TestParseProcs(t *testing.T) {
 	good := []struct {

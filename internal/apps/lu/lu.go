@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/apps/apputil"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -303,21 +303,25 @@ func (in *instance) Body(p *sim.Proc) {
 func (in *instance) Verify() error {
 	n := in.n
 	var maxErr float64
+	// Row i of L*U, accumulated in i-k-j order so the inner loop streams
+	// rows of U: element j gathers L[i][k]*U[k][j] for k < min(i, j) in
+	// ascending k from zero, the same sum in the same order as the
+	// per-element dot product, so maxErr is bit-identical to it.
+	acc := make([]float64, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			kmax := i
-			if j < i {
-				kmax = j
-				s = 0
+		clear(acc)
+		row := in.data[i*n : (i+1)*n]
+		for k := 0; k < i; k++ {
+			l, urow := row[k], in.data[k*n:(k+1)*n]
+			for j := k + 1; j < n; j++ {
+				acc[j] += l * urow[j]
 			}
-			for k := 0; k < kmax; k++ {
-				s += in.data[i*n+k] * in.data[k*n+j]
-			}
+		}
+		for j, s := range acc {
 			if i <= j {
-				s += in.data[i*n+j] // U[i][j], L[i][i]=1
+				s += row[j] // U[i][j], L[i][i]=1
 			} else {
-				s += in.data[i*n+j] * in.data[j*n+j] // L[i][j]*U[j][j]
+				s += row[j] * in.data[j*n+j] // L[i][j]*U[j][j]
 			}
 			if e := math.Abs(s - in.orig[i*n+j]); e > maxErr {
 				maxErr = e

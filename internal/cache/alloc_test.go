@@ -59,3 +59,17 @@ func TestAllocFreeSetState(t *testing.T) {
 		t.Fatalf("SetState allocates %v per run; want 0", n)
 	}
 }
+
+func TestAllocFreeInvalidateRange(t *testing.T) {
+	h := New(allocTestConfig())
+	h.FilterPages(4096, 64)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Access(0x3000, true, Exclusive)
+		h.Access(0x3400, false, Exclusive)
+		h.InvalidateRange(0x3000, 4096)  // two resident groups walked
+		h.InvalidateRange(0x5000, 4096)  // nothing resident: every group skipped
+		h.InvalidateRange(0x7f0010, 100) // past the filter: every line walked
+	}); n != 0 {
+		t.Fatalf("InvalidateRange allocates %v per run; want 0", n)
+	}
+}

@@ -187,6 +187,18 @@ type Hierarchy struct {
 	m1, m2       uint64
 	s1, s2       uint
 
+	// fill is the per-page fill filter (nil unless FilterPages attached
+	// one): bit g of fill[pg] is set by every L2 fill of a line in group g of
+	// page pg and cleared only when InvalidateRange walks the whole group, so
+	// a clear bit proves no line of the group is in L2 and, by inclusion,
+	// none is in L1. Pages past the slice are never filtered. fillPage is
+	// log2(lines per page), fillGroup log2(lines per group), fillMask the
+	// number of groups per page less one.
+	fill      []uint16
+	fillPage  uint
+	fillGroup uint
+	fillMask  uint64
+
 	// OnL2Evict, when set, is called with the line address and state of
 	// every line evicted from L2 by capacity/conflict replacement. The
 	// hardware-coherent platforms use it to keep directory/bus sharer
@@ -210,6 +222,32 @@ func New(cfg Config) *Hierarchy {
 	h.w1arr, h.m1, h.s1 = h.l1.ways, h.l1.setMask, h.l1.setShift
 	h.w2arr, h.m2, h.s2 = h.l2.ways, h.l2.setMask, h.l2.setShift
 	return h
+}
+
+// FilterPages gives the hierarchy a fill filter over pages 0..npages-1 of
+// pageSize bytes, so InvalidateRange skips the groups of a page that no
+// fill has touched since their last walk. It is sized once, for the page
+// platforms' address space; lines of later pages are simply not filtered.
+// pageSize must be a power of two no smaller than the line size.
+func (h *Hierarchy) FilterPages(pageSize, npages int) {
+	if pageSize < h.cfg.Line || pageSize&(pageSize-1) != 0 {
+		panic(fmt.Sprintf("cache: page size %d is not a power-of-two multiple of the %d B line", pageSize, h.cfg.Line))
+	}
+	h.fillPage = uint(bits.TrailingZeros(uint(pageSize))) - h.lineShift
+	groups := min(uint64(1)<<h.fillPage, fillGroups)
+	h.fillGroup = h.fillPage - uint(bits.TrailingZeros64(groups))
+	h.fillMask = groups - 1
+	h.fill = make([]uint16, npages)
+}
+
+// fillGroups is the number of line groups a page's fill word tracks.
+const fillGroups = 16
+
+// filled records an L2 fill of line la in the fill filter.
+func (h *Hierarchy) filled(la uint64) {
+	if pg := la >> (h.fillPage & 63); pg < uint64(len(h.fill)) {
+		h.fill[pg] |= 1 << ((la >> (h.fillGroup & 63)) & h.fillMask)
+	}
 }
 
 // checkLine rejects a line address beyond the packed tags' range: its tag
@@ -378,6 +416,7 @@ func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, S
 	if wa.state() != Invalid && (wb.state() == Invalid || wb.lru < wa.lru) {
 		v = wb
 	}
+	h.filled(la)
 	ev, evSt := uint64(v.key>>stateBits)<<sh2|la&h.m2, v.state()
 	*v = way{key: t2 | uint32(st), lru: h.clock}
 	if evSt != Invalid {
@@ -421,6 +460,7 @@ func (h *Hierarchy) accessGeneric(addr uint64, write bool, fillState State) (Lev
 	st := writeFill(fillState, write)
 	ev, evSt := h.l2.lineAt(b2+vic2), h.l2.ways[b2+vic2].state()
 	h.l2.ways[b2+vic2] = way{key: h.l2.tagKey(la) | uint32(st), lru: h.clock}
+	h.filled(la)
 	if evSt != Invalid {
 		// Inclusion: a line leaving L2 must also leave L1. This can free a
 		// way in la's own L1 set, so the L1 victim must be re-chosen below
@@ -499,6 +539,10 @@ func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 func (h *Hierarchy) SetState(addr uint64, st State) {
 	la := addr >> h.lineShift
 	h.checkLine(la)
+	h.setLine(la, st)
+}
+
+func (h *Hierarchy) setLine(la uint64, st State) {
 	if b2, w2, ok := h.l2.lookup(la); ok {
 		w := &h.l2.ways[b2+w2]
 		w.key = w.key&^stateMask | uint32(st)
@@ -518,12 +562,33 @@ func (h *Hierarchy) Contains(addr uint64) bool {
 
 // InvalidateRange removes all lines overlapping [addr, addr+n) — used when a
 // page is invalidated under the SVM protocol, so stale data cannot be read
-// from the cache after a page fetch replaces the page.
+// from the cache after a page fetch replaces the page. The range is walked
+// a fill-filter group at a time: a group whose bit is clear holds no line
+// and is skipped; a walked group that the range covers whole has its bit
+// cleared. Without a filter every group is one line and every line is
+// walked.
 func (h *Hierarchy) InvalidateRange(addr uint64, n int) {
-	line := uint64(h.cfg.Line)
-	first := addr &^ (line - 1)
-	for a := first; a < addr+uint64(n); a += line {
-		h.SetState(a, Invalid)
+	if n <= 0 {
+		return
+	}
+	la, end := addr>>h.lineShift, (addr+uint64(n)-1)>>h.lineShift+1
+	h.checkLine(end - 1)
+	span := uint64(1) << h.fillGroup
+	for la < end {
+		stop := min((la|(span-1))+1, end)
+		if pg := la >> (h.fillPage & 63); pg < uint64(len(h.fill)) {
+			bit := uint16(1) << ((la >> (h.fillGroup & 63)) & h.fillMask)
+			if h.fill[pg]&bit == 0 {
+				la = stop
+				continue
+			}
+			if la&(span-1) == 0 && stop-la == span {
+				h.fill[pg] &^= bit
+			}
+		}
+		for ; la < stop; la++ {
+			h.setLine(la, Invalid)
+		}
 	}
 }
 
@@ -556,21 +621,13 @@ func (h *Hierarchy) CheckInclusion() error {
 	return nil
 }
 
-// Flush empties both levels (used between simulated runs).
-func (h *Hierarchy) Flush() {
-	for _, l := range []*level{h.l1, h.l2} {
-		for i := range l.ways {
-			l.ways[i].key &^= stateMask
-		}
-	}
-}
-
 // Reset returns the hierarchy to its exact post-New state — cold tag arrays,
-// zero LRU clock, zero counters — without reallocating the way records, so a
-// platform reattaching between runs allocates nothing.
+// an empty fill filter, zero LRU clock, zero counters — without reallocating
+// the way records, so a platform reattaching between runs allocates nothing.
 func (h *Hierarchy) Reset() {
 	clear(h.l1.ways)
 	clear(h.l2.ways)
+	clear(h.fill)
 	h.clock = 0
 	h.Accesses = 0
 	h.L1Misses = 0

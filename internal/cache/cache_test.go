@@ -120,15 +120,6 @@ func TestDirectMappedConflictThrashing(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	h := New(testConfig())
-	h.Access(0x5000, true, Exclusive)
-	h.Flush()
-	if h.Contains(0x5000) {
-		t.Error("line survived Flush")
-	}
-}
-
 func TestProbeDoesNotMutate(t *testing.T) {
 	h := New(testConfig())
 	h.Access(0x6000, false, Shared)
@@ -161,5 +152,41 @@ func TestMissCounters(t *testing.T) {
 	h.Access(0x1000, false, Exclusive)
 	if h.Accesses != 2 || h.L2Misses != 1 || h.L1Misses != 1 {
 		t.Errorf("counters = %d/%d/%d, want 2/1/1", h.Accesses, h.L1Misses, h.L2Misses)
+	}
+}
+
+// The fill filter's bookkeeping: an L2 fill sets its group's bit, a walk
+// over a whole group clears it, a walk over part of a group leaves it set
+// (other lines of the group may still be resident), and Reset empties it.
+func TestFillFilterBits(t *testing.T) {
+	for _, c := range []struct {
+		line, groupLines int
+	}{{32, 8}, {128, 2}, {512, 1}} {
+		cfg := Config{L1Size: 8 << 10, L1Assoc: 1, L2Size: 64 << 10, L2Assoc: 2, Line: c.line}
+		h := New(cfg)
+		h.FilterPages(4096, 4)
+		g := uint64(c.groupLines * c.line) // bytes per group
+		h.Access(0x1000+3*g, false, Exclusive)
+		if got, want := h.fill[1], uint16(1<<3); got != want {
+			t.Fatalf("line %d: fill word after one fill = %#x, want %#x", c.line, got, want)
+		}
+		if c.groupLines > 1 {
+			h.InvalidateRange(0x1000+3*g+uint64(c.line), c.line) // part of group 3
+			if h.fill[1] != 1<<3 {
+				t.Fatalf("line %d: a partial walk cleared the group's bit", c.line)
+			}
+			if !h.Contains(0x1000 + 3*g) {
+				t.Fatalf("line %d: a partial walk dropped a line outside its range", c.line)
+			}
+		}
+		h.InvalidateRange(0x1000, 4096)
+		if h.fill[1] != 0 || h.Contains(0x1000+3*g) {
+			t.Fatalf("line %d: whole-page walk left fill word %#x", c.line, h.fill[1])
+		}
+		h.Access(0x2000, false, Exclusive)
+		h.Reset()
+		if h.fill[2] != 0 {
+			t.Fatalf("line %d: Reset left fill word %#x", c.line, h.fill[2])
+		}
 	}
 }

@@ -176,6 +176,26 @@ func (h *refHierarchy) linesL2() []string {
 	return out
 }
 
+func (h *refHierarchy) linesL1() []string {
+	var out []string
+	for _, w := range h.l1.ways {
+		if w.st != Invalid {
+			out = append(out, fmt.Sprintf("%#x", w.tag))
+		}
+	}
+	return out
+}
+
+func linesL1(h *Hierarchy) []string {
+	var out []string
+	for i := range h.l1.ways {
+		if h.l1.ways[i].state() != Invalid {
+			out = append(out, fmt.Sprintf("%#x", h.l1.lineAt(i)))
+		}
+	}
+	return out
+}
+
 func linesL2(h *Hierarchy) []string {
 	var out []string
 	h.LinesL2(func(la uint64, st State) { out = append(out, fmt.Sprintf("%#x:%s", la, st)) })
@@ -197,85 +217,116 @@ var platformShapes = []struct {
 // TestPackedLayoutMatchesReference drives the packed tag arrays and the
 // 16-byte reference layout with one randomized stream of Access, HitAccess,
 // SetState and InvalidateRange calls and requires identical results,
-// counters, eviction callbacks and L2 contents throughout. Addresses mix a
-// hot set, a region twice the L2 size, same-set conflict strides and a
+// counters, eviction callbacks and L1 and L2 contents throughout. Addresses
+// mix a hot set, a region twice the L2 size, same-set conflict strides and a
 // region just below the packed tags' range, so the top tag bits are
-// exercised too.
+// exercised too. Each shape also runs with a page fill filter over the
+// first filterPages pages (128 lines per page on svm, 64 on dsm, 32 on smp
+// and svmsmp), so InvalidateRange skips groups on filtered pages and walks
+// every line of the rest; its ranges are whole pages or unaligned spans
+// that start and end inside a group.
 func TestPackedLayoutMatchesReference(t *testing.T) {
+	const filterPages = 1024
 	for _, sh := range platformShapes {
-		t.Run(sh.name, func(t *testing.T) {
-			h, ref := New(sh.cfg), newRef(sh.cfg)
-			if got, want := h.fast12, sh.name == "svm"; got != want {
-				t.Fatalf("fast12 = %v, want %v", got, want)
+		for _, filtered := range []bool{false, true} {
+			name := sh.name
+			if filtered {
+				name += "/filtered"
 			}
-			var evGot, evWant []string
-			h.OnL2Evict = func(la uint64, st State) { evGot = append(evGot, fmt.Sprintf("%#x:%s", la, st)) }
-			ref.onEvict = func(la uint64, st State) { evWant = append(evWant, fmt.Sprintf("%#x:%s", la, st)) }
+			t.Run(name, func(t *testing.T) {
+				h, ref := New(sh.cfg), newRef(sh.cfg)
+				if filtered {
+					h.FilterPages(4096, filterPages)
+				}
+				comparePackedToReference(t, sh.name, sh.cfg, h, ref)
+			})
+		}
+	}
+}
 
-			line := uint64(sh.cfg.Line)
-			top := h.lineLimit << h.lineShift
-			setSpan := uint64(sh.cfg.L2Size / sh.cfg.L2Assoc)
-			rng := rand.New(rand.NewSource(1))
-			addr := func() uint64 {
-				switch rng.Intn(4) {
-				case 0:
-					return 4096 + uint64(rng.Intn(16<<10))
-				case 1:
-					return 4096 + uint64(rng.Intn(2*sh.cfg.L2Size))
-				case 2:
-					return 4096 + uint64(rng.Intn(8))*setSpan + uint64(rng.Intn(4))*line
-				}
-				return top - uint64(1+rng.Intn(2*sh.cfg.L2Size))
+func comparePackedToReference(t *testing.T, shape string, cfg Config, h *Hierarchy, ref *refHierarchy) {
+	if got, want := h.fast12, shape == "svm"; got != want {
+		t.Fatalf("fast12 = %v, want %v", got, want)
+	}
+	var evGot, evWant []string
+	h.OnL2Evict = func(la uint64, st State) { evGot = append(evGot, fmt.Sprintf("%#x:%s", la, st)) }
+	ref.onEvict = func(la uint64, st State) { evWant = append(evWant, fmt.Sprintf("%#x:%s", la, st)) }
+
+	line := uint64(cfg.Line)
+	top := h.lineLimit << h.lineShift
+	setSpan := uint64(cfg.L2Size / cfg.L2Assoc)
+	rng := rand.New(rand.NewSource(1))
+	addr := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 4096 + uint64(rng.Intn(16<<10))
+		case 1:
+			return 4096 + uint64(rng.Intn(2*cfg.L2Size))
+		case 2:
+			return 4096 + uint64(rng.Intn(8))*setSpan + uint64(rng.Intn(4))*line
+		}
+		return top - uint64(1+rng.Intn(2*cfg.L2Size))
+	}
+	sameContents := func(i int) {
+		t.Helper()
+		if got, want := strings.Join(linesL2(h), " "), strings.Join(ref.linesL2(), " "); got != want {
+			t.Fatalf("op %d: LinesL2 differs from the reference", i)
+		}
+		if got, want := strings.Join(linesL1(h), " "), strings.Join(ref.linesL1(), " "); got != want {
+			t.Fatalf("op %d: L1 contents differ from the reference", i)
+		}
+	}
+	states := []State{Invalid, Shared, Exclusive, Modified}
+	for i := 0; i < 200000; i++ {
+		a, write := addr(), rng.Intn(3) == 0
+		var got, want string
+		switch op := rng.Intn(10); {
+		case op < 6:
+			fill := states[1+rng.Intn(3)]
+			l1, s1 := h.Access(a, write, fill)
+			l2, s2 := ref.access(a, write, fill)
+			got, want = fmt.Sprint("access ", l1, s1), fmt.Sprint("access ", l2, s2)
+		case op < 8:
+			l1, s1, ok1 := h.HitAccess(a, write)
+			l2, s2, ok2 := ref.hitAccess(a, write)
+			got, want = fmt.Sprint("hit ", l1, s1, ok1), fmt.Sprint("hit ", l2, s2, ok2)
+		case op < 9:
+			st := states[rng.Intn(4)]
+			h.SetState(a, st)
+			ref.setState(a, st)
+		default:
+			start, n := a&^4095, uint64(4096)
+			if rng.Intn(2) == 0 {
+				// Unaligned: up to three pages from a, within the tags' range.
+				start, n = a, min(1+uint64(rng.Intn(3*4096)), top-a)
 			}
-			states := []State{Invalid, Shared, Exclusive, Modified}
-			for i := 0; i < 200000; i++ {
-				a, write := addr(), rng.Intn(3) == 0
-				var got, want string
-				switch op := rng.Intn(10); {
-				case op < 6:
-					fill := states[1+rng.Intn(3)]
-					l1, s1 := h.Access(a, write, fill)
-					l2, s2 := ref.access(a, write, fill)
-					got, want = fmt.Sprint("access ", l1, s1), fmt.Sprint("access ", l2, s2)
-				case op < 8:
-					l1, s1, ok1 := h.HitAccess(a, write)
-					l2, s2, ok2 := ref.hitAccess(a, write)
-					got, want = fmt.Sprint("hit ", l1, s1, ok1), fmt.Sprint("hit ", l2, s2, ok2)
-				case op < 9:
-					st := states[rng.Intn(4)]
-					h.SetState(a, st)
-					ref.setState(a, st)
-				default:
-					h.InvalidateRange(a&^4095, 4096)
-					ref.invalidateRange(a&^4095, 4096)
-				}
-				if got != want {
-					t.Fatalf("op %d at %#x: packed %q, reference %q", i, a, got, want)
-				}
-				pl, ps := h.Probe(a)
-				if rl, rs := ref.probe(a); pl != rl || ps != rs {
-					t.Fatalf("op %d: Probe(%#x) = %v %v, reference %v %v", i, a, pl, ps, rl, rs)
-				}
-				if h.Accesses != ref.accesses || h.L1Misses != ref.l1Misses || h.L2Misses != ref.l2Misses {
-					t.Fatalf("op %d: counters %d/%d/%d, reference %d/%d/%d", i,
-						h.Accesses, h.L1Misses, h.L2Misses, ref.accesses, ref.l1Misses, ref.l2Misses)
-				}
-				if len(evGot) != len(evWant) || len(evGot) > 0 && evGot[len(evGot)-1] != evWant[len(evWant)-1] {
-					t.Fatalf("op %d: evictions %v, reference %v", i, evGot, evWant)
-				}
-				if i%20000 == 0 {
-					if err := h.CheckInclusion(); err != nil {
-						t.Fatal(err)
-					}
-				}
+			h.InvalidateRange(start, int(n))
+			ref.invalidateRange(start, int(n))
+		}
+		if got != want {
+			t.Fatalf("op %d at %#x: packed %q, reference %q", i, a, got, want)
+		}
+		pl, ps := h.Probe(a)
+		if rl, rs := ref.probe(a); pl != rl || ps != rs {
+			t.Fatalf("op %d: Probe(%#x) = %v %v, reference %v %v", i, a, pl, ps, rl, rs)
+		}
+		if h.Accesses != ref.accesses || h.L1Misses != ref.l1Misses || h.L2Misses != ref.l2Misses {
+			t.Fatalf("op %d: counters %d/%d/%d, reference %d/%d/%d", i,
+				h.Accesses, h.L1Misses, h.L2Misses, ref.accesses, ref.l1Misses, ref.l2Misses)
+		}
+		if len(evGot) != len(evWant) || len(evGot) > 0 && evGot[len(evGot)-1] != evWant[len(evWant)-1] {
+			t.Fatalf("op %d: evictions %v, reference %v", i, evGot, evWant)
+		}
+		if i%20000 == 0 {
+			if err := h.CheckInclusion(); err != nil {
+				t.Fatal(err)
 			}
-			if got, want := strings.Join(linesL2(h), " "), strings.Join(ref.linesL2(), " "); got != want {
-				t.Fatalf("LinesL2 differs from the reference")
-			}
-			if len(evGot) == 0 {
-				t.Fatal("the stream caused no L2 evictions")
-			}
-		})
+			sameContents(i)
+		}
+	}
+	sameContents(200000)
+	if len(evGot) == 0 {
+		t.Fatal("the stream caused no L2 evictions")
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -37,6 +38,16 @@ func (r *Runner) RunParallel(workers int, cells []Cell) {
 			_, _ = r.Run(c.App, c.Version, c.Platform)
 		}
 	})
+}
+
+// CheckWorkers rejects a command-line worker count below 1. The commands'
+// -workers flags default to GOMAXPROCS, so an explicit 0 or negative value
+// is a mistake to report, not a request for ForEach's GOMAXPROCS fallback.
+func CheckWorkers(n int) error {
+	if n < 1 {
+		return fmt.Errorf("bad -workers %d (want a positive integer)", n)
+	}
+	return nil
 }
 
 // ForEach calls fn once per item from a pool of at most workers goroutines

@@ -84,10 +84,10 @@ type PageEngine struct {
 	nd        int
 	pageShift uint
 
-	// writeLog[q][i] lists pages domain q flushed in interval i; acquirers
-	// walk the intervals their vector clock advances over and invalidate
-	// those pages (the write notices of LRC).
-	writeLog [][][]uint64
+	// notices[q] is domain q's write-notice log; acquirers walk the
+	// intervals their vector clock advances over and invalidate the pages
+	// flushed in them (the write notices of LRC).
+	notices []noticeLog
 
 	// lockVC[id] is the releaser's vector clock at the last release of
 	// lock id, transferred to the next acquirer.
@@ -97,6 +97,20 @@ type PageEngine struct {
 	// reuses them in place while the address space still fits.
 	npagesAlloc int
 }
+
+// noticeLog is one domain's write notices, flat and pointer-free: the pages
+// flushed in interval i are pages[ends[i-1]:ends[i]], and ends[0] == 0 closes
+// the empty interval 0, so len(ends) is the domain's interval count plus one.
+// Flush appends in place. Most intervals of lock-heavy runs log no page, so
+// ends is most of the log; uint32 offsets halve it (2^32 notices would be
+// 32 GiB of pages).
+type noticeLog struct {
+	pages []uint64
+	ends  []uint32
+}
+
+// interval returns the pages flushed in interval i (0 < i < len(ends)).
+func (l *noticeLog) interval(i int) []uint64 { return l.pages[l.ends[i-1]:l.ends[i]] }
 
 // NewPageEngine builds an engine; per-run state is created by Init.
 func NewPageEngine(cfg PageConfig) *PageEngine {
@@ -129,8 +143,8 @@ func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 			d.Pending = d.Pending[:0]
 			d.NIC = sim.Resource{}
 		}
-		for i := range e.writeLog {
-			e.writeLog[i] = append(e.writeLog[i][:0], nil) // interval 0
+		for i := range e.notices {
+			e.notices[i] = noticeLog{pages: e.notices[i].pages[:0], ends: append(e.notices[i].ends[:0], 0)}
 		}
 		clear(e.lockVC)
 		reused = true
@@ -143,9 +157,9 @@ func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 				Dirty: make([]bool, npages),
 			}
 		}
-		e.writeLog = make([][][]uint64, e.nd)
-		for i := range e.writeLog {
-			e.writeLog[i] = [][]uint64{nil} // interval 0
+		e.notices = make([]noticeLog, e.nd)
+		for i := range e.notices {
+			e.notices[i].ends = []uint32{0}
 		}
 		e.lockVC = map[int][]uint32{}
 		e.npagesAlloc = npages
@@ -271,7 +285,7 @@ func (e *PageEngine) DiffHome(p int, pg uint64, now uint64) (local uint64) {
 // returns the handler cycles spent by the flushing processor.
 func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 	d := e.Doms[dom]
-	var log []uint64
+	log := &e.notices[dom]
 	// Pages whose diff already went home at an acquire-time invalidation
 	// still owe a write notice in this interval; re-dirtied ones are
 	// covered by the dirty-list walk below.
@@ -279,14 +293,14 @@ func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 		if d.Dirty[pg] {
 			continue
 		}
-		log = append(log, pg)
+		log.pages = append(log.pages, pg)
 		handler += e.P.NoticeCost
 		e.k.Emit(trace.WriteNotice, p, now+handler, pg, e.P.NoticeCost)
 	}
 	d.Pending = d.Pending[:0]
 	for _, pg := range d.DirtyLst {
 		d.Dirty[pg] = false
-		log = append(log, pg)
+		log.pages = append(log.pages, pg)
 		handler += e.P.NoticeCost
 		e.k.Emit(trace.WriteNotice, p, now+handler, pg, e.P.NoticeCost)
 		if e.Cfg.Host.HomeDomain(pg*e.P.PageSize) != dom {
@@ -295,7 +309,7 @@ func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 		}
 	}
 	d.DirtyLst = d.DirtyLst[:0]
-	e.writeLog[dom] = append(e.writeLog[dom], log)
+	log.ends = append(log.ends, uint32(len(log.pages)))
 	if d.Interval == math.MaxUint32 {
 		// Intervals advance at every release and barrier arrival whether or
 		// not anything was written, so a long enough run genuinely gets
@@ -345,11 +359,12 @@ func (e *PageEngine) InvalidateUpTo(dom, q int, upTo uint32, p int, now uint64) 
 		return 0, 0
 	}
 	d := e.Doms[dom]
+	log := &e.notices[q]
 	for i := d.VC[q] + 1; i <= upTo; i++ {
-		if int(i) >= len(e.writeLog[q]) {
+		if int(i) >= len(log.ends) {
 			break
 		}
-		for _, pg := range e.writeLog[q][i] {
+		for _, pg := range log.interval(int(i)) {
 			e.EnsurePage(dom, pg)
 			// The home keeps its copy up to date by applying diffs;
 			// everyone else invalidates.
@@ -484,7 +499,7 @@ func (e *PageEngine) CheckInvariants() error {
 		if d.VC[dom] != d.Interval {
 			return fmt.Errorf("%s: %s %d's own vector-clock entry is %d but its interval is %d", scope, noun, dom, d.VC[dom], d.Interval)
 		}
-		if got, want := len(e.writeLog[dom]), int(d.Interval)+1; got != want {
+		if got, want := len(e.notices[dom].ends), int(d.Interval)+1; got != want {
 			return fmt.Errorf("%s: %s %d's write log has %d interval entries, want %d", scope, noun, dom, got, want)
 		}
 		for q, dq := range e.Doms {

@@ -91,10 +91,10 @@ func (s *Platform) LineSize() int { return CacheConfig.Line }
 
 // Attach implements sim.Platform, resetting all protocol state. A platform
 // reattached to run again (micro-benchmarks, parameter sweeps on one
-// instance) resets its nodes in place — vector clocks, page tables and the
-// quarter-megabyte cache tag arrays are cleared, not reallocated — so a
-// repeated run allocates nothing and starts from the identical cold state a
-// fresh platform would.
+// instance) resets its nodes in place — vector clocks, page tables, the
+// quarter-megabyte cache tag arrays and their page fill filters are
+// cleared, not reallocated — so a repeated run allocates nothing and starts
+// from the identical cold state a fresh platform would.
 func (s *Platform) Attach(k *sim.Kernel) {
 	s.k = k
 	npages := int(s.as.NumPages()) + 1
@@ -106,6 +106,7 @@ func (s *Platform) Attach(k *sim.Kernel) {
 		s.caches = make([]*cache.Hierarchy, s.np)
 		for i := range s.caches {
 			s.caches[i] = cache.New(CacheConfig)
+			s.caches[i].FilterPages(int(s.P.PageSize), npages)
 		}
 	}
 	if s.profOn {

@@ -131,7 +131,8 @@ func (s *Platform) DiffApplied(home int, pg uint64) { s.dropPageLines(home, pg) 
 // Attach implements sim.Platform.
 func (s *Platform) Attach(k *sim.Kernel) {
 	s.k = k
-	s.eng.Init(k, int(s.as.NumPages())+1)
+	npages := int(s.as.NumPages()) + 1
+	s.eng.Init(k, npages)
 	s.caches = make([]*cache.Hierarchy, s.np)
 	s.lineEng = make([]*protocol.LineEngine, s.nc)
 	s.buses = make([]*protocol.SnoopBus, s.nc)
@@ -141,6 +142,9 @@ func (s *Platform) Attach(k *sim.Kernel) {
 			members = rest
 		}
 		s.lineEng[c] = protocol.NewLineEngine(protocol.MESI, protocol.ChallengeCache, members)
+		for _, h := range s.lineEng[c].Caches {
+			h.FilterPages(int(s.P.SVM.PageSize), npages)
+		}
 		// Short intra-cluster buses: broadcast upgrade accounting, no
 		// per-transaction miss classification (the page layer above owns
 		// miss accounting), BusOccupy stamped with the cluster id.
