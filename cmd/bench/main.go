@@ -1,18 +1,10 @@
-// Command bench is the kernel performance pipeline: it measures the
-// simulator's host-side speed — the hot paths a figure run lives in — and
-// emits a machine-readable report (BENCH_kernel.json at the repo root is the
+// Command bench is the kernel performance gate: it measures the simulator's
+// host-side speed on the hot paths a figure run lives in, with
+// testing.Benchmark over cache tag-array access, fused hit-access, the SVM
+// fast path, the HLRC page path's PageArrived and Flush, a full kernel
+// access stream, and tracing-off Emit, and emits a machine-readable report
+// of ns/op and allocs/op (BENCH_kernel.json at the repo root is the
 // committed reference for this container class).
-//
-// Three layers, cheapest first:
-//
-//   - micro: testing.Benchmark over the kernel's hot paths (cache tag-array
-//     access, fused hit-access, the SVM fast path, the HLRC page path's
-//     PageArrived and Flush, a full kernel access stream, tracing-off
-//     Emit), reporting ns/op and allocs/op.
-//   - figures: wall-clock seconds for the full `figures -all` matrix,
-//     simulated in-process against a fresh memo (every cell cold).
-//   - serving: cold-cache requests/second through the HTTP serving layer,
-//     each request a distinct never-computed cell.
 //
 // With -compare FILE the run becomes a regression gate: ns/op worse than the
 // reference by more than -tolerance, or ANY allocs/op increase, fails with
@@ -23,31 +15,26 @@
 // ns/op across different machines needs a generous tolerance (CI uses 0.5;
 // the 0.10 default is meant for same-machine before/after comparisons).
 //
-//	bench -quick -out BENCH_kernel.json     # micro only, seconds
-//	bench -out BENCH_kernel.json            # full pipeline, minutes
-//	bench -quick -compare BENCH_kernel.json -tolerance 0.5
+//	bench -out BENCH_kernel.json
+//	bench -compare BENCH_kernel.json -tolerance 0.5
+//
+// End-to-end wall time (cold `figures -all`, the committed campaigns) is
+// measured by the host benchmark in hostbench/.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 
-	_ "repro/internal/apps"
 	"repro/internal/cache"
-	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
 	"repro/internal/protocol"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/svm"
 	"repro/internal/trace"
@@ -61,30 +48,14 @@ type Micro struct {
 	N           int     `json:"n"`
 }
 
-// Report is the pipeline's output shape; BENCH_kernel.json holds one.
+// Report is the gate's output shape; BENCH_kernel.json holds one.
 type Report struct {
 	GOOS     string `json:"goos"`
 	GOARCH   string `json:"goarch"`
 	MaxProcs int    `json:"gomaxprocs"`
 
 	Micro map[string]Micro `json:"micro"`
-
-	// FiguresAllSeconds is the cold wall-clock of the full figure matrix
-	// (zero when -quick skipped it). BaselineFiguresAllSeconds is the same
-	// number measured at the pre-optimization commit on the same host
-	// class, recorded for provenance.
-	FiguresAllSeconds         float64 `json:"figures_all_seconds,omitempty"`
-	BaselineFiguresAllSeconds float64 `json:"baseline_figures_all_seconds,omitempty"`
-
-	// ColdReqPerSec is the serving layer's throughput on all-cold cells;
-	// ColdRequests is how many distinct cells the measurement issued.
-	ColdReqPerSec float64 `json:"cold_req_per_sec,omitempty"`
-	ColdRequests  int     `json:"cold_requests,omitempty"`
 }
-
-// baselineFiguresAllSeconds was measured at the commit before the hot-path
-// optimization PR with the same matrix on the same container class.
-const baselineFiguresAllSeconds = 70.7
 
 func microBench(fn func(b *testing.B)) Micro {
 	r := testing.Benchmark(fn)
@@ -248,85 +219,6 @@ func runMicro() map[string]Micro {
 	return m
 }
 
-// runFiguresAll simulates the complete figure matrix against a fresh memo
-// (every cell cold) and renders every figure, discarding the text — the same
-// work `figures -all` does, minus stdout.
-func runFiguresAll() (float64, error) {
-	r := harness.NewRunner(16, 1)
-	var cells []harness.Cell
-	figs := harness.Figures()
-	for _, f := range figs {
-		cells = append(cells, f.Cells()...)
-	}
-	start := time.Now()
-	r.RunParallel(runtime.GOMAXPROCS(0), cells)
-	for _, f := range figs {
-		if _, err := f.Run(r); err != nil {
-			return 0, fmt.Errorf("figure %s: %w", f.ID, err)
-		}
-	}
-	secs := time.Since(start).Seconds()
-	if fails := r.FailedCells(); len(fails) > 0 {
-		return 0, fmt.Errorf("%d cell(s) failed: %v", len(fails), fails)
-	}
-	return secs, nil
-}
-
-// runColdServing measures the HTTP serving layer on all-cold cells: distinct
-// (app, version, procs) requests against a fresh memo, issued by concurrent
-// clients, so every request pays a real simulation. Scale 1 keeps the
-// simulations large enough that the kernel, not HTTP plumbing, dominates.
-func runColdServing() (reqPerSec float64, n int, err error) {
-	srv := httptest.NewServer(server.New(server.Config{Memo: harness.NewMemo(nil)}))
-	defer srv.Close()
-
-	type req struct {
-		app, version string
-		procs        int
-	}
-	var reqs []req
-	for _, av := range []req{{app: "lu", version: "orig"}, {app: "lu", version: "4d"}, {app: "ocean", version: "rows"}} {
-		for _, p := range []int{1, 2, 4, 8} {
-			reqs = append(reqs, req{av.app, av.version, p})
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, len(reqs))
-	work := make(chan req)
-	start := time.Now()
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rq := range work {
-				url := fmt.Sprintf("%s/run?app=%s&version=%s&platform=svm&p=%d&scale=1",
-					srv.URL, rq.app, rq.version, rq.procs)
-				resp, err := http.Get(url)
-				if err != nil {
-					errs <- err
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-				}
-				resp.Body.Close()
-			}
-		}()
-	}
-	for _, rq := range reqs {
-		work <- rq
-	}
-	close(work)
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	close(errs)
-	for e := range errs {
-		return 0, 0, e
-	}
-	return float64(len(reqs)) / wall, len(reqs), nil
-}
-
 // compare gates a new report against a committed reference. The gate is
 // strictly one-sided: getting faster (lower ns/op) or leaner (fewer
 // allocs/op) can never fail, however large the improvement — only an
@@ -379,7 +271,6 @@ func main() {
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	compareFile := flag.String("compare", "", "reference BENCH_kernel.json to gate against")
 	tol := flag.Float64("tolerance", 0.10, "allowed fractional ns/op regression in -compare mode")
-	quick := flag.Bool("quick", false, "micro benchmarks only; skip the figure matrix and serving measurements")
 	flag.Parse()
 
 	rep := Report{
@@ -387,22 +278,6 @@ func main() {
 		GOARCH:   runtime.GOARCH,
 		MaxProcs: runtime.GOMAXPROCS(0),
 		Micro:    runMicro(),
-	}
-	if !*quick {
-		secs, err := runFiguresAll()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench: figures:", err)
-			os.Exit(1)
-		}
-		rep.FiguresAllSeconds = secs
-		rep.BaselineFiguresAllSeconds = baselineFiguresAllSeconds
-		rps, n, err := runColdServing()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench: serving:", err)
-			os.Exit(1)
-		}
-		rep.ColdReqPerSec = rps
-		rep.ColdRequests = n
 	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")

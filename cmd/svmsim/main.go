@@ -7,7 +7,7 @@
 //
 //	svmsim -app lu -version 4da -platform svm -p 16 -scale 1.0 [-speedup] [-freecs]
 //	svmsim -app lu -version 4d -platform svm -trace out.json   # Perfetto timeline
-//	svmsim -app radix -json                                    # machine-readable result
+//	svmsim -app radix -json                                    # the canonical cell document
 //
 // An unknown app, version or platform, -p below 1, or a scale that is not
 // positive is a usage error: exit 2 before anything is simulated, with the
@@ -37,14 +37,14 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "problem size scale factor")
 	speedup := flag.Bool("speedup", false, "also compute speedup vs uniprocessor original")
 	freecs := flag.Bool("freecs", false, "paper diagnostic: page faults inside critical sections are free")
-	hot := flag.Bool("hot", false, "print the SVM hot-page / hot-lock profile (paper §6's performance tool)")
+	hot := flag.Bool("hot", false, "print the SVM hot-page / hot-lock profile (paper §6's performance tool; no effect with -json)")
 	list := flag.Bool("list", false, "list applications and versions")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of protocol events to this file")
 	traceBuf := flag.Int("trace-buffer", 0, "keep the last N protocol events for post-mortem dumps on simulation errors")
 	sample := flag.Uint64("sample", 0, "sample the breakdown every N cycles into the trace (default 100000 with -trace)")
 	jsonOut := flag.Bool("json", false, "print the result as machine-readable JSON instead of tables")
 	check := flag.Bool("check", false, "enable runtime invariant checking (scheduler, protocol state, accounting)")
-	storeDir := flag.String("store", "", "persistent result store directory; a cached cell is loaded instead of simulated (ignored with -trace/-sample/-hot)")
+	storeDir := flag.String("store", "", "persistent result store directory; a cached cell is loaded instead of simulated (not with -trace/-sample, nor with -hot outside -json)")
 	flag.Parse()
 
 	if *list {
@@ -85,15 +85,37 @@ func main() {
 		spec.SampleInterval = *sample
 	}
 
-	// Execution path: -hot needs the profiling hook (never cached), and
-	// trace-carrying specs bypass the cache inside Memo.Run; everything
-	// else goes through the memo so -store can answer without simulating.
 	memo, merr := campaign.OpenMemo(*storeDir)
 	if merr != nil {
 		fmt.Fprintln(os.Stderr, "svmsim:", merr)
 		os.Exit(1)
 	}
+	closeTrace := func() {
+		if chrome != nil {
+			if cerr := chrome.Close(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "svmsim: writing trace:", cerr)
+			}
+		}
+	}
 
+	if *jsonOut {
+		// The canonical single-cell document, a campaign's fingerprinted
+		// bytes; a failed cell or baseline prints its structured error
+		// document alongside the stderr message. The -hot profile is a
+		// text report, so -hot has no effect here.
+		body, err := harness.CellBody(memo, spec, *speedup)
+		closeTrace()
+		os.Stdout.Write(body)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "svmsim:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
+	// Execution path: -hot needs the profiling hook (never cached), and
+	// trace-carrying specs bypass the cache inside Memo.Run; everything
+	// else goes through the memo so -store can answer without simulating.
 	var run *stats.Run
 	var report string
 	var err error
@@ -102,44 +124,20 @@ func main() {
 	} else {
 		run, err = memo.Run(spec)
 	}
-	if chrome != nil {
-		if cerr := chrome.Close(); cerr != nil && err == nil {
-			fmt.Fprintln(os.Stderr, "svmsim: writing trace:", cerr)
-		}
-	}
+	closeTrace()
 	if err != nil {
-		if *jsonOut {
-			// Failed cells still produce parseable output: a structured
-			// error object on stdout, alongside the stderr message.
-			if out, jerr := harness.RunErrorJSON(spec, err); jerr == nil {
-				fmt.Printf("%s\n", out)
-			}
-		}
 		fmt.Fprintln(os.Stderr, "svmsim:", err)
 		os.Exit(1)
 	}
 
 	var spFactor float64
 	if *speedup {
-		base, err := memo.Run(harness.Spec{
-			App: *app, Version: core.OrigVersion(*app), Platform: *plat,
-			NumProcs: 1, Scale: *scale,
-		})
+		base, err := memo.Run(spec.Baseline())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "svmsim:", err)
 			os.Exit(1)
 		}
 		spFactor = float64(base.EndTime) / float64(run.EndTime)
-	}
-
-	if *jsonOut {
-		out, err := harness.RunJSON(spec, run, spFactor)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "svmsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s\n", out)
-		return
 	}
 
 	fmt.Print(run.BreakdownTable())

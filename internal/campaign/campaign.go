@@ -13,9 +13,8 @@
 // byte-identical manifest summary.
 //
 // The cell bytes a campaign fingerprints are the canonical single-cell
-// document (server.CellBody — the exact bytes `svmsim -json` prints and
-// serve's GET /run returns), so a cell fingerprints the same whichever
-// tool produced it.
+// document (harness.CellBody — the exact bytes `svmsim -json` prints), so
+// a cell fingerprints the same whichever tool produced it.
 package campaign
 
 import (

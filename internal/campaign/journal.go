@@ -33,7 +33,7 @@ type Entry struct {
 	// Status is "done" or "failed".
 	Status string `json:"status"`
 	// FP fingerprints the cell's canonical document bytes (the exact
-	// `svmsim -json` bytes, 422 failure documents included): the first 8
+	// `svmsim -json` bytes, failure documents included): the first 8
 	// bytes of their SHA-256, hex. Empty only for transient failures,
 	// which have no document.
 	FP string `json:"fp,omitempty"`

@@ -10,14 +10,12 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/server"
 )
 
 // Outcome is one executed cell's result, as reported by an Executor: the
-// canonical single-cell document bytes (200 results and 422 failure
-// documents alike, trailing newline included).
+// canonical single-cell document bytes (result and failure documents
+// alike, trailing newline included).
 type Outcome struct {
 	Cell Cell
 	Body []byte
@@ -40,12 +38,13 @@ type Local struct {
 }
 
 // Execute runs the cells through the memo, producing for each the exact
-// bytes `svmsim -json` and serve's GET /run return for it (server.CellBody).
+// bytes `svmsim -json` prints for it (harness.CellBody).
 // Once ctx is done no further cells start; in-flight cells finish and are
 // emitted, and the rest stay pending.
 func (l *Local) Execute(ctx context.Context, cells []Cell, emit func(Outcome)) {
 	harness.ForEach(ctx, l.Workers, cells, func(c Cell) {
-		body, _, _ := server.CellBody(l.Memo, c.Spec, false)
+		// A cell's failure is in its document, where entryFor reads it.
+		body, _ := harness.CellBody(l.Memo, c.Spec, false)
 		emit(Outcome{Cell: c, Body: body})
 	})
 }
@@ -59,7 +58,7 @@ func fingerprint(body []byte) string {
 
 // cellDocument is the subset of the single-cell JSON document the journal
 // needs: the simulated end time of a result, or the structured error of a
-// 422 failure document.
+// failure document.
 type cellDocument struct {
 	EndTime uint64 `json:"end_time"`
 	Error   *struct {
@@ -259,7 +258,6 @@ func (rep *Report) Manifest() string {
 func (s *Spec) Table(entries map[string]Entry) string {
 	var b strings.Builder
 	for _, am := range s.Apps {
-		orig := core.OrigVersion(am.App)
 		for _, v := range am.Versions {
 			for _, sc := range s.Scales {
 				fmt.Fprintf(&b, "%s/%s speedup vs uniprocessor original (scale %.2g)\n", am.App, v, sc)
@@ -271,8 +269,9 @@ func (s *Spec) Table(entries map[string]Entry) string {
 				for _, np := range s.Procs {
 					fmt.Fprintf(&b, "%6d", np)
 					for _, pl := range s.Platforms {
-						base, okB := entries[harness.Spec{App: am.App, Version: orig, Platform: pl, NumProcs: 1, Scale: sc, Check: s.Check}.MemoKey()]
-						e, okE := entries[harness.Spec{App: am.App, Version: v, Platform: pl, NumProcs: np, Scale: sc, Check: s.Check}.MemoKey()]
+						cell := harness.Spec{App: am.App, Version: v, Platform: pl, NumProcs: np, Scale: sc, Check: s.Check}
+						base, okB := entries[cell.Baseline().MemoKey()]
+						e, okE := entries[cell.MemoKey()]
 						switch {
 						case okE && e.Status == "failed", okB && base.Status == "failed":
 							fmt.Fprintf(&b, " %8s", "error")

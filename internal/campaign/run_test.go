@@ -188,7 +188,7 @@ func TestManifestShape(t *testing.T) {
 // TestEntryFor pins the outcome→entry derivation rules.
 func TestEntryFor(t *testing.T) {
 	c := Cell{Key: "k"}
-	// 422 failure document settles with its kind.
+	// A failure document settles with its kind.
 	doc := []byte(`{"error":{"kind":"verify","message":"bad sum"}}` + "\n")
 	e := entryFor(Outcome{Cell: c, Body: doc})
 	if e.Status != "failed" || e.Kind != "verify" || e.Msg != "bad sum" || e.FP == "" || !e.Complete() {

@@ -1,5 +1,6 @@
 // Package clitest runs a command's main in a child copy of the command's
-// test binary, so tests see exit codes and standard error as a shell does.
+// test binary, so tests see exit codes, standard output and standard error
+// as a shell does.
 //
 // A command's test file hands its main to Main from TestMain, then calls Run
 // with the arguments to try.
@@ -26,31 +27,32 @@ func Main(m *testing.M, main func()) {
 	os.Exit(m.Run())
 }
 
-// Run runs main with args in a child process and returns its exit code and
-// standard error.
-func Run(t *testing.T, args ...string) (code int, stderr string) {
+// Run runs main with args in a child process and returns its exit code,
+// standard output and standard error.
+func Run(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), childEnv+"=1")
-	var eb strings.Builder
+	var ob, eb strings.Builder
+	cmd.Stdout = &ob
 	cmd.Stderr = &eb
 	err := cmd.Run()
 	var ee *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, eb.String()
+		return 0, ob.String(), eb.String()
 	case errors.As(err, &ee):
-		return ee.ExitCode(), eb.String()
+		return ee.ExitCode(), ob.String(), eb.String()
 	}
 	t.Fatalf("running %q: %v", args, err)
-	return 0, ""
+	return 0, "", ""
 }
 
 // WantUsageError runs main with args and requires exit status 2 with
 // standard error naming want.
 func WantUsageError(t *testing.T, want string, args ...string) {
 	t.Helper()
-	code, stderr := Run(t, args...)
+	code, _, stderr := Run(t, args...)
 	if code != 2 || !strings.Contains(stderr, want) {
 		t.Errorf("%q: exit %d, stderr %q; want exit 2 naming %q", args, code, stderr, want)
 	}

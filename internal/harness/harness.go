@@ -80,6 +80,18 @@ func (s Spec) memoKey() string {
 // cache entry.
 func (s Spec) MemoKey() string { return s.withDefaults().memoKey() }
 
+// Baseline is the spec of s's speedup baseline, the paper's convention:
+// the application's original version on one processor, on the same
+// platform, scale, checking and quantum. It drops the FreeCSFaults
+// diagnostic and every observability hook, so the baseline run never
+// writes into s's trace.
+func (s Spec) Baseline() Spec {
+	return Spec{
+		App: s.App, Version: core.OrigVersion(s.App), Platform: s.Platform,
+		NumProcs: 1, Scale: s.Scale, Check: s.Check, Quantum: s.Quantum,
+	}
+}
+
 // envCheck force-enables invariant checking for the whole process (the CI
 // checker leg). Read once: a value that flipped mid-process would let a
 // checked result alias an unchecked memo key.
@@ -260,7 +272,7 @@ func executeCell(s Spec, profile bool) (*stats.Run, string, core.Instance, error
 // and failures are memoized alongside results so a bad cell is not retried.
 //
 // All execution flows through a Memo, which can carry a persistent store
-// tier (figures/sweep -store, cmd/serve) and can be shared between runners
+// tier (figures/sweep/svmsim -store, campaign) and can be shared between runners
 // so they cache and coalesce together.
 type Runner struct {
 	NumProcs int
@@ -303,13 +315,18 @@ func (r *Runner) CacheStats() CacheStats { return r.memo.Stats() }
 // Run executes (and memoizes) an experiment for this runner's processor
 // count and scale.
 func (r *Runner) Run(app, version, plat string) (*stats.Run, error) {
-	return r.memo.Run(Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check})
+	return r.memo.Run(r.spec(app, version, plat))
+}
+
+// spec is the runner's spec for one cell.
+func (r *Runner) spec(app, version, plat string) Spec {
+	return Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check}
 }
 
 // Record inserts an externally-executed run into the memo cache (used by the
 // CLI to avoid re-running the experiment it just printed).
 func (r *Runner) Record(app, version, plat string, run *stats.Run) {
-	r.memo.Record(Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check}, run)
+	r.memo.Record(r.spec(app, version, plat), run)
 }
 
 // Baseline returns the uniprocessor execution time of the original version
@@ -317,7 +334,7 @@ func (r *Runner) Record(app, version, plat string, run *stats.Run) {
 // memoized like any other spec, so a parallel figure run executes each one
 // exactly once no matter how many cells divide by it.
 func (r *Runner) Baseline(app, plat string) (uint64, error) {
-	run, err := r.memo.Run(Spec{App: app, Version: core.OrigVersion(app), Platform: plat, NumProcs: 1, Scale: r.scaleFor(app), Check: r.Check})
+	run, err := r.memo.Run(r.spec(app, "", plat).Baseline())
 	if err != nil {
 		return 0, err
 	}

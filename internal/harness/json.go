@@ -9,7 +9,7 @@ import (
 )
 
 // runJSON is the machine-readable form of one experiment, produced by
-// RunJSON for `svmsim -json` and scripted figure pipelines.
+// RunJSON for CellBody and the engine goldens.
 type runJSON struct {
 	App      string  `json:"app"`
 	Version  string  `json:"version"`
@@ -54,6 +54,43 @@ func RunJSON(s Spec, run *stats.Run, speedup float64) ([]byte, error) {
 		out.Phases = run.PhaseTimes
 	}
 	return json.MarshalIndent(out, "", "  ")
+}
+
+// CellBody renders one cell through memo into the canonical single-cell
+// document, trailing newline included: the RunJSON document, carrying the
+// speedup over spec.Baseline() when speedup is set. A failed cell, or a
+// failed baseline, renders as that spec's RunErrorJSON document, and the
+// failure is returned beside it. CellBody is the one producer of these
+// bytes: `svmsim -json` prints them and a campaign fingerprints them, so a
+// cell fingerprints the same whichever tool produced it.
+func CellBody(memo *Memo, spec Spec, speedup bool) ([]byte, error) {
+	run, err := memo.Run(spec)
+	if err != nil {
+		return errorBody(spec, err)
+	}
+	var spFactor float64
+	if speedup {
+		base := spec.Baseline()
+		brun, err := memo.Run(base)
+		if err != nil {
+			return errorBody(base, err)
+		}
+		spFactor = float64(brun.EndTime) / float64(run.EndTime)
+	}
+	b, err := RunJSON(spec, run, spFactor)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// errorBody is CellBody's document for a failed spec.
+func errorBody(s Spec, err error) ([]byte, error) {
+	b, jerr := RunErrorJSON(s, err)
+	if jerr != nil {
+		return nil, jerr
+	}
+	return append(b, '\n'), err
 }
 
 // runErrorJSON is the machine-readable form of a FAILED experiment: the same

@@ -14,8 +14,8 @@ import (
 // through: an in-memory singleflight tier (concurrent requests for the same
 // cold cell wait for exactly one execution) over an optional persistent
 // store tier (results survive the process; see internal/store). Runner is a
-// figure-oriented view over a Memo; the serving layer shares one Memo across
-// requests and runners so all of them coalesce and cache together.
+// figure-oriented view over a Memo; several runners can share one Memo so
+// all of them coalesce and cache together.
 //
 // The simulator is deterministic, so failures are cached like results, in
 // both tiers: a bad cell is computed once, not retried on every lookup.

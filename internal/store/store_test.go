@@ -234,8 +234,7 @@ func TestGCEvictsOldestAndReapsTemps(t *testing.T) {
 	if _, ok := s.Get("k0"); ok {
 		t.Error("oldest entry survived MaxEntries=2")
 	}
-	// The sweep and its evictions are surfaced (the serving layer exports
-	// them at /metrics as svmstore_gc_runs_total / svmstore_gc_evicted_total).
+	// The sweep and its evictions are surfaced in Stats.
 	st := s.Stats()
 	if st.GCRuns != 1 || st.GCEvicted != 3 {
 		t.Errorf("GC stats = %d runs / %d evicted, want 1 / 3", st.GCRuns, st.GCEvicted)
