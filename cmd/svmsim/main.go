@@ -8,10 +8,11 @@
 //	svmsim -app lu -version 4da -platform svm -p 16 -scale 1.0 [-speedup] [-freecs]
 //	svmsim -app lu -version 4d -platform svm -trace out.json   # Perfetto timeline
 //	svmsim -app radix -json                                    # the canonical cell document
+//	svmsim -app raytrace -platform smp -hot                    # hot pages and locks, any preset
 //
-// An unknown app, version or platform, -p below 1, or a scale that is not
-// positive is a usage error: exit 2 before anything is simulated, with the
-// message on stderr only (also under -json).
+// An unknown app, version or platform, -p below 1, a scale that is not
+// positive, or -sample without -trace is a usage error: exit 2 before
+// anything is simulated, with the message on stderr only (also under -json).
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/platform"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -37,14 +37,14 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "problem size scale factor")
 	speedup := flag.Bool("speedup", false, "also compute speedup vs uniprocessor original")
 	freecs := flag.Bool("freecs", false, "paper diagnostic: page faults inside critical sections are free")
-	hot := flag.Bool("hot", false, "print the SVM hot-page / hot-lock profile (paper §6's performance tool; no effect with -json)")
+	hot := flag.Bool("hot", false, "print the hot-page / hot-lock profile (paper §6's performance tool; no effect with -json)")
 	list := flag.Bool("list", false, "list applications and versions")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of protocol events to this file")
 	traceBuf := flag.Int("trace-buffer", 0, "keep the last N protocol events for post-mortem dumps on simulation errors")
 	sample := flag.Uint64("sample", 0, "sample the breakdown every N cycles into the trace (default 100000 with -trace)")
 	jsonOut := flag.Bool("json", false, "print the result as machine-readable JSON instead of tables")
 	check := flag.Bool("check", false, "enable runtime invariant checking (scheduler, protocol state, accounting)")
-	storeDir := flag.String("store", "", "persistent result store directory; a cached cell is loaded instead of simulated (not with -trace/-sample, nor with -hot outside -json)")
+	storeDir := flag.String("store", "", "persistent result store directory; a cached cell is loaded instead of simulated (not with -trace, nor with -hot outside -json)")
 	flag.Parse()
 
 	if *list {
@@ -67,6 +67,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "svmsim:", err)
 		os.Exit(2)
 	}
+	if *sample > 0 && *traceOut == "" {
+		fmt.Fprintln(os.Stderr, "svmsim: -sample needs -trace (samples go into the trace file)")
+		os.Exit(2)
+	}
 	var chrome *trace.Chrome
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -81,8 +85,6 @@ func main() {
 		if spec.SampleInterval == 0 {
 			spec.SampleInterval = 100000
 		}
-	} else if *sample > 0 {
-		spec.SampleInterval = *sample
 	}
 
 	memo, merr := campaign.OpenMemo(*storeDir)
@@ -113,17 +115,15 @@ func main() {
 		return
 	}
 
-	// Execution path: -hot needs the profiling hook (never cached), and
-	// trace-carrying specs bypass the cache inside Memo.Run; everything
-	// else goes through the memo so -store can answer without simulating.
-	var run *stats.Run
-	var report string
-	var err error
+	// -hot profiles through a counting trace sink; a spec carrying a sink
+	// bypasses the memo and the store inside Memo.Run, so the profiled run
+	// is always simulated.
+	var counting *trace.Counting
 	if *hot {
-		run, report, err = harness.ExecuteProfiled(spec)
-	} else {
-		run, err = memo.Run(spec)
+		counting = trace.NewCounting(spec.NumProcs)
+		spec.TraceSink = trace.Tee(counting, spec.TraceSink)
 	}
+	run, err := memo.Run(spec)
 	closeTrace()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "svmsim:", err)
@@ -141,8 +141,8 @@ func main() {
 	}
 
 	fmt.Print(run.BreakdownTable())
-	if report != "" {
-		fmt.Print(report)
+	if counting != nil {
+		fmt.Print(counting.Report(10))
 	}
 	c := run.AggregateCounters()
 	fmt.Printf("counters: reads=%d writes=%d faults=%d fetches=%d twins=%d diffs=%d inval=%d locks=%d remote=%d bus=%d tasks=%d stolen=%d\n",

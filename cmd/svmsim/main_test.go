@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/clitest"
@@ -94,4 +95,53 @@ func TestSpeedupLeavesTraceUnchanged(t *testing.T) {
 			t.Errorf("%q: trace differs from the plain run's (%d vs %d bytes)", extra, len(got), len(plain))
 		}
 	}
+}
+
+// hotRows returns the data rows of the -hot table headed by title ("hot
+// pages" or "hot locks"): the indented lines after its column header.
+func hotRows(stdout, title string) []string {
+	_, rest, ok := strings.Cut(stdout, title+" (top 10):\n")
+	if !ok {
+		return nil
+	}
+	var rows []string
+	for _, line := range strings.Split(rest, "\n")[1:] {
+		if !strings.HasPrefix(line, " ") {
+			break
+		}
+		rows = append(rows, line)
+	}
+	return rows
+}
+
+// TestHotOnEveryPreset: -hot profiles through a counting trace sink, so a
+// hardware-coherent preset prints its hot-lock rows (raytrace's work-queue
+// lock) and SVM prints both tables.
+func TestHotOnEveryPreset(t *testing.T) {
+	for _, c := range []struct {
+		plat         string
+		pages, locks bool
+	}{
+		{"smp", false, true},
+		{"svm", true, true},
+	} {
+		code, stdout, stderr := clitest.Run(t, "-app", "raytrace", "-platform", c.plat,
+			"-p", "4", "-scale", "0.125", "-hot")
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", c.plat, code, stderr)
+		}
+		if !strings.Contains(stdout, "hot pages (top 10):") || !strings.Contains(stdout, "hot locks (top 10):") {
+			t.Fatalf("%s: no -hot report:\n%s", c.plat, stdout)
+		}
+		if got := len(hotRows(stdout, "hot pages")) > 0; got != c.pages {
+			t.Errorf("%s: hot-page rows present = %v, want %v:\n%s", c.plat, got, c.pages, stdout)
+		}
+		if got := len(hotRows(stdout, "hot locks")) > 0; got != c.locks {
+			t.Errorf("%s: hot-lock rows present = %v, want %v:\n%s", c.plat, got, c.locks, stdout)
+		}
+	}
+}
+
+func TestSampleWithoutTraceIsUsageError(t *testing.T) {
+	clitest.WantUsageError(t, "-sample needs -trace", "-app", "radix", "-p", "4", "-scale", "0.125", "-sample", "1000")
 }

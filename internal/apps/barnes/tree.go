@@ -242,7 +242,7 @@ func (t *tree) force(idx int32, bodies []body, bi int32, acc *[3]float64, v forc
 	dy := c.com[1] - b.pos[1]
 	dz := c.com[2] - b.pos[2]
 	dist := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	if (2*c.half)/ (dist + 1e-12) < theta {
+	if (2*c.half)/(dist+1e-12) < theta {
 		addPoint(dx, dy, dz, dist, c.mass, acc)
 		return
 	}

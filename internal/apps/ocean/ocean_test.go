@@ -69,8 +69,8 @@ func TestOceanColumnOwnersImbalanced(t *testing.T) {
 	// column-oriented boundaries fetch more remote pages than those with
 	// one. With a 4x4 grid, interior-column owners have two.
 	run := runOcean(t, "4d", "svm", 16, 0.5)
-	interior := run.Procs[5].Counters.PageFetches  // grid position (1,1)
-	corner := run.Procs[0].Counters.PageFetches    // grid position (0,0)
+	interior := run.Procs[5].Counters.PageFetches // grid position (1,1)
+	corner := run.Procs[0].Counters.PageFetches   // grid position (0,0)
 	if interior <= corner {
 		t.Errorf("interior proc fetches %d <= corner proc %d; want imbalance", interior, corner)
 	}

@@ -63,7 +63,7 @@ type instance struct {
 
 	srcAdr, dstAdr uint64 // simulated base addresses (swapped per pass)
 	histAdr        uint64
-	histStride     uint64 // bytes per proc histogram row
+	histStride     uint64   // bytes per proc histogram row
 	bufAdr         []uint64 // per-proc local gather buffers (local version)
 }
 

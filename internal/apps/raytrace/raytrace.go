@@ -62,10 +62,10 @@ func (app) Versions() []core.Version {
 
 type vec struct{ x, y, z float64 }
 
-func (a vec) sub(b vec) vec      { return vec{a.x - b.x, a.y - b.y, a.z - b.z} }
-func (a vec) add(b vec) vec      { return vec{a.x + b.x, a.y + b.y, a.z + b.z} }
+func (a vec) sub(b vec) vec       { return vec{a.x - b.x, a.y - b.y, a.z - b.z} }
+func (a vec) add(b vec) vec       { return vec{a.x + b.x, a.y + b.y, a.z + b.z} }
 func (a vec) scale(s float64) vec { return vec{a.x * s, a.y * s, a.z * s} }
-func (a vec) dot(b vec) float64  { return a.x*b.x + a.y*b.y + a.z*b.z }
+func (a vec) dot(b vec) float64   { return a.x*b.x + a.y*b.y + a.z*b.z }
 func (a vec) norm() vec {
 	l := math.Sqrt(a.dot(a))
 	if l == 0 {
@@ -82,10 +82,10 @@ type sphere struct {
 }
 
 type group struct {
-	c      vec
-	r      float64
-	first  int
-	count  int
+	c     vec
+	r     float64
+	first int
+	count int
 }
 
 type instance struct {

@@ -88,7 +88,7 @@ func TestVolrendNoStealRunsEverything(t *testing.T) {
 	if c.TasksStolen != 0 {
 		t.Errorf("nosteal stole %d tasks", c.TasksStolen)
 	}
-	nt := 64 / 4 // image 64 at scale 0.5, tile 4
+	nt := 64 / 4                                         // image 64 at scale 0.5, tile 4
 	if want := uint64(nt * nt * 4); c.TasksRun != want { // 4 frames
 		t.Errorf("tasks run = %d, want %d", c.TasksRun, want)
 	}

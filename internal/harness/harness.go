@@ -152,17 +152,8 @@ func (e *VerifyError) Unwrap() error { return e.Err }
 
 // Execute runs one experiment and returns its statistics.
 func Execute(s Spec) (*stats.Run, error) {
-	run, _, _, err := execute(s, false)
+	run, _, err := execute(s)
 	return run, err
-}
-
-// ExecuteProfiled runs one experiment with the SVM hot-page/hot-lock
-// profiler enabled (§6's wished-for performance tool) and returns the
-// profile report alongside the statistics. On the hardware platforms the
-// report is empty.
-func ExecuteProfiled(s Spec) (*stats.Run, string, error) {
-	run, report, _, err := execute(s, true)
-	return run, report, err
 }
 
 // ExecuteFingerprint runs one experiment and additionally returns the
@@ -170,7 +161,7 @@ func ExecuteProfiled(s Spec) (*stats.Run, string, error) {
 // (ok=false otherwise). The determinism harness compares fingerprints
 // across repetitions, platforms and processor counts.
 func ExecuteFingerprint(s Spec) (run *stats.Run, fp uint64, ok bool, err error) {
-	run, _, inst, err := execute(s, false)
+	run, inst, err := execute(s)
 	if err != nil {
 		return run, 0, false, err
 	}
@@ -196,38 +187,31 @@ func buildInstance(a core.App, version string, scale float64, as *mem.AddressSpa
 // execute runs one cell under pprof labels naming it (app, version,
 // platform, procs), so one host CPU profile of many cells splits by cell
 // with `go tool pprof -tagfocus`. The labels touch no simulated state.
-func execute(s Spec, profile bool) (run *stats.Run, report string, inst core.Instance, err error) {
+func execute(s Spec) (run *stats.Run, inst core.Instance, err error) {
 	s = s.withDefaults()
 	labels := pprof.Labels("app", s.App, "version", s.Version, "platform", s.Platform, "procs", strconv.Itoa(s.NumProcs))
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		run, report, inst, err = executeCell(s, profile)
+		run, inst, err = executeCell(s)
 	})
-	return run, report, inst, err
+	return run, inst, err
 }
 
-func executeCell(s Spec, profile bool) (*stats.Run, string, core.Instance, error) {
+func executeCell(s Spec) (*stats.Run, core.Instance, error) {
 	a, err := core.Lookup(s.App)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	if _, err := core.FindVersion(a, s.Version); err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	as := mem.NewAddressSpace(platform.PageSize, s.NumProcs)
 	inst, err := buildInstance(a, s.Version, s.Scale, as, s.NumProcs)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("%s: %w", s.label(), err)
+		return nil, nil, fmt.Errorf("%s: %w", s.label(), err)
 	}
 	pl, err := platform.Make(s.Platform, as, s.NumProcs)
 	if err != nil {
-		return nil, "", nil, err
-	}
-	prof, _ := pl.(interface {
-		EnableProfiling()
-		ProfileReport(n int) string
-	})
-	if profile && prof != nil {
-		prof.EnableProfiling()
+		return nil, nil, err
 	}
 	k := sim.New(pl, sim.Config{
 		NumProcs:       s.NumProcs,
@@ -251,18 +235,14 @@ func executeCell(s Spec, profile bool) (*stats.Run, string, core.Instance, error
 		// come back as structured errors; label the cell and pass them
 		// through so a figure run can print an error row instead of
 		// crashing.
-		return nil, "", nil, fmt.Errorf("%s: %w", s.label(), err)
+		return nil, nil, fmt.Errorf("%s: %w", s.label(), err)
 	}
 	if !s.SkipVerify {
 		if err := inst.Verify(); err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", s.label(), &VerifyError{Err: err})
+			return nil, nil, fmt.Errorf("%s: %w", s.label(), &VerifyError{Err: err})
 		}
 	}
-	report := ""
-	if profile && prof != nil {
-		report = prof.ProfileReport(10)
-	}
-	return run, report, inst, nil
+	return run, inst, nil
 }
 
 // Runner executes experiments with a cache of uniprocessor baselines. Scale
@@ -321,12 +301,6 @@ func (r *Runner) Run(app, version, plat string) (*stats.Run, error) {
 // spec is the runner's spec for one cell.
 func (r *Runner) spec(app, version, plat string) Spec {
 	return Spec{App: app, Version: version, Platform: plat, NumProcs: r.NumProcs, Scale: r.scaleFor(app), Check: r.Check}
-}
-
-// Record inserts an externally-executed run into the memo cache (used by the
-// CLI to avoid re-running the experiment it just printed).
-func (r *Runner) Record(app, version, plat string, run *stats.Run) {
-	r.memo.Record(r.spec(app, version, plat), run)
 }
 
 // Baseline returns the uniprocessor execution time of the original version

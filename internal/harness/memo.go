@@ -116,19 +116,6 @@ func (m *Memo) Run(s Spec) (*stats.Run, error) {
 	return e.run, e.err
 }
 
-// Record inserts an externally-executed result for s into the in-memory
-// tier (not the store: the caller may have run s with observability hooks,
-// whose timing-neutral guarantee we trust but whose provenance we do not
-// persist).
-func (m *Memo) Record(s Spec, run *stats.Run) {
-	s = s.withDefaults()
-	e := &memoEntry{done: make(chan struct{}), run: run}
-	close(e.done)
-	m.mu.Lock()
-	m.runs[s.memoKey()] = e
-	m.mu.Unlock()
-}
-
 func (m *Memo) exec(s Spec) (*stats.Run, error) {
 	if m.Exec != nil {
 		return m.Exec(s)

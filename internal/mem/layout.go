@@ -51,11 +51,11 @@ func (m *Array2D) Size() int { return m.Rows * int(m.Pitch) }
 // each block is contiguous in the address space. With page-aligned blocks this
 // is the layout of the SPLASH-2 "contiguous" LU and Ocean versions.
 type Array4D struct {
-	Base      uint64
-	Rows, Cols int
+	Base         uint64
+	Rows, Cols   int
 	BRows, BCols int
-	Elem      int
-	blockSize uint64 // bytes per block, including any alignment padding
+	Elem         int
+	blockSize    uint64 // bytes per block, including any alignment padding
 	blocksPerRow int
 }
 

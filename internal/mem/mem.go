@@ -34,12 +34,6 @@ func NewAddressSpace(pageSize uint64, numNodes int) *AddressSpace {
 // PageSize returns the page size in bytes.
 func (a *AddressSpace) PageSize() uint64 { return a.pageSize }
 
-// NumNodes returns the number of nodes sharing the address space.
-func (a *AddressSpace) NumNodes() int { return a.numNodes }
-
-// Brk returns the current top of the allocated region.
-func (a *AddressSpace) Brk() uint64 { return a.next }
-
 // PageOf returns the page number containing addr.
 func (a *AddressSpace) PageOf(addr uint64) uint64 { return addr / a.pageSize }
 

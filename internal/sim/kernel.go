@@ -150,12 +150,11 @@ type Kernel struct {
 
 	// Tracing. tr is the active sink for the current run (nil when tracing
 	// is off — the fast path every event site branches on); it is rebuilt
-	// each run as the Tee of the persistent user sink, the post-mortem
-	// ring, and any sinks the platform installed during Attach.
+	// each run as the Tee of the persistent user sink and the post-mortem
+	// ring.
 	tr          trace.Sink
 	userSink    trace.Sink
 	ring        *trace.Ring
-	runSinks    []trace.Sink
 	sampler     trace.Sampler
 	sampleEvery uint64
 	nextSample  uint64
@@ -206,15 +205,6 @@ func (k *Kernel) SetTraceRing(n int) *trace.Ring {
 // per-processor breakdown categories. 0 disables sampling.
 func (k *Kernel) SetSampleInterval(cycles uint64) { k.sampleEvery = cycles }
 
-// AddRunSink installs an event sink for the current run only. It is meant
-// to be called from a Platform's Attach (e.g. the SVM profiler's counting
-// sink); run sinks are discarded when the next run starts.
-func (k *Kernel) AddRunSink(s trace.Sink) {
-	if s != nil {
-		k.runSinks = append(k.runSinks, s)
-	}
-}
-
 // Tracing reports whether any event sink is active for the current run.
 func (k *Kernel) Tracing() bool { return k.tr != nil }
 
@@ -254,9 +244,6 @@ func (k *Kernel) Config() Config { return k.cfg }
 
 // Counters returns processor p's event counters for platform updates.
 func (k *Kernel) Counters(p int) *stats.Counters { return &k.run.Procs[p].Counters }
-
-// LocksHeld returns how many locks processor p currently holds.
-func (k *Kernel) LocksHeld(p int) int { return k.locksHeld[p] }
 
 // ChargeHandler charges protocol handler work performed on behalf of others
 // to processor node (e.g. a home node applying a diff or serving a page).
@@ -313,16 +300,11 @@ func (k *Kernel) RunErr(name string, body func(p *Proc)) (*stats.Run, error) {
 	} else {
 		k.run = stats.NewRun(name, np)
 	}
-	k.runSinks = k.runSinks[:0]
 	if k.ring != nil {
 		k.ring.Reset()
 	}
-	k.plat.Attach(k) // may install per-run sinks via AddRunSink
-	if k.userSink == nil && k.ring == nil && len(k.runSinks) == 0 {
-		k.tr = nil
-	} else {
-		k.tr = trace.Tee(append([]trace.Sink{k.userSink, ringSink(k.ring)}, k.runSinks...)...)
-	}
+	k.plat.Attach(k)
+	k.tr = trace.Tee(k.userSink, ringSink(k.ring))
 	k.sampler = nil
 	if k.sampleEvery > 0 && k.tr != nil {
 		if sp, ok := k.tr.(trace.Sampler); ok {

@@ -54,42 +54,6 @@ func TestKernelEmitsLockAndBarrierEvents(t *testing.T) {
 	}
 }
 
-// attachSinkPlatform installs a fresh counting sink each Attach, the way the
-// SVM profiler does.
-type attachSinkPlatform struct {
-	NopPlatform
-	sinks []*trace.Counting
-}
-
-func (a *attachSinkPlatform) Attach(k *Kernel) {
-	a.NopPlatform.Attach(k)
-	c := trace.NewCounting(k.NumProcs())
-	a.sinks = append(a.sinks, c)
-	k.AddRunSink(c)
-}
-
-func TestRunSinksClearedBetweenRuns(t *testing.T) {
-	pl := &attachSinkPlatform{}
-	k := New(pl, Config{NumProcs: 2})
-	body := func(p *Proc) { p.Lock(1); p.Unlock(1); p.Barrier() }
-	if _, err := k.RunErr("a", body); err != nil {
-		t.Fatal(err)
-	}
-	if got := pl.sinks[0].Count(trace.LockGrant); got != 2 {
-		t.Fatalf("first run grants = %d, want 2", got)
-	}
-	// Run sinks are per-run: the second run feeds only its own sink.
-	if _, err := k.RunErr("b", body); err != nil {
-		t.Fatal(err)
-	}
-	if got := pl.sinks[0].Count(trace.LockGrant); got != 2 {
-		t.Errorf("first run's sink leaked into next run: grants now %d", got)
-	}
-	if got := pl.sinks[1].Count(trace.LockGrant); got != 2 {
-		t.Errorf("second run grants = %d, want 2", got)
-	}
-}
-
 func TestDeadlockErrorCarriesRecentEvents(t *testing.T) {
 	k := New(&NopPlatform{}, Config{NumProcs: 2})
 	k.SetTraceRing(16)

@@ -67,18 +67,18 @@ type Counters struct {
 	L2Misses uint64
 
 	// SVM counters.
-	PageFaults   uint64 // read or write faults taken on invalid pages
-	PageFetches  uint64 // whole pages fetched from a home node
-	TwinsMade    uint64 // copy-on-first-write twins created
-	DiffsCreated uint64 // diffs computed at releases/flushes
-	DiffsApplied uint64 // diffs applied at this node (as home)
-	PagesServed  uint64 // page fetch requests served by this node (as home)
+	PageFaults    uint64 // read or write faults taken on invalid pages
+	PageFetches   uint64 // whole pages fetched from a home node
+	TwinsMade     uint64 // copy-on-first-write twins created
+	DiffsCreated  uint64 // diffs computed at releases/flushes
+	DiffsApplied  uint64 // diffs applied at this node (as home)
+	PagesServed   uint64 // page fetch requests served by this node (as home)
 	Invalidations uint64 // pages invalidated at acquires/barriers
 
 	// Directory / bus counters.
-	LocalMisses   uint64 // L2 misses satisfied by local memory
-	RemoteMisses  uint64 // L2 misses requiring remote/coherence transactions
-	ThreeHopMisses uint64
+	LocalMisses     uint64 // L2 misses satisfied by local memory
+	RemoteMisses    uint64 // L2 misses requiring remote/coherence transactions
+	ThreeHopMisses  uint64
 	BusTransactions uint64
 
 	// Synchronization counters.

@@ -1,15 +1,18 @@
 package trace
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 )
 
 // Counting aggregates the event stream into per-kind, per-page and per-lock
-// totals. It is the trace-backed successor of the svm package's original
-// hot-page profiler: the svm platform installs one per run when profiling is
-// enabled and renders HotPages/HotLocks from it, and any caller can install
-// their own to get the same totals for any platform.
+// totals, and renders them as the hot-page / hot-lock report (Report) — the
+// performance-debugging view the paper wishes real SVM systems had (§6).
+// It is an ordinary Sink, so installing one through Kernel.SetTraceSink
+// (harness.Spec.TraceSink) profiles a run on any platform: page rows come
+// from the page-grained protocol's events, lock rows from the kernel's.
 type Counting struct {
 	np        int
 	kindCount [NumKinds]uint64
@@ -17,7 +20,8 @@ type Counting struct {
 
 	pageFetch   map[uint64][]uint64 // page -> per-proc fetch counts
 	pageDiff    map[uint64]uint64   // page -> diffs created against its home copy
-	pageWriters map[uint64]uint64   // page -> bitmask of writer procs
+	pageWriters map[uint64][]uint64 // page -> bit set of writer procs, np bits
+	pageHome    map[uint64]int      // page -> home domain, from NICOccupy
 	lockAcq     map[uint64]uint64   // lock -> grants
 	lockXfer    map[uint64]uint64   // lock -> grants from a different holder
 }
@@ -28,10 +32,21 @@ func NewCounting(np int) *Counting {
 		np:          np,
 		pageFetch:   map[uint64][]uint64{},
 		pageDiff:    map[uint64]uint64{},
-		pageWriters: map[uint64]uint64{},
+		pageWriters: map[uint64][]uint64{},
+		pageHome:    map[uint64]int{},
 		lockAcq:     map[uint64]uint64{},
 		lockXfer:    map[uint64]uint64{},
 	}
+}
+
+// slot returns m[k], creating it as n zero words on first use.
+func slot(m map[uint64][]uint64, k uint64, n int) []uint64 {
+	v := m[k]
+	if v == nil {
+		v = make([]uint64, n)
+		m[k] = v
+	}
+	return v
 }
 
 // Emit implements Sink.
@@ -41,22 +56,22 @@ func (c *Counting) Emit(e Event) {
 	}
 	c.kindCount[e.Kind]++
 	c.kindCost[e.Kind] += e.Cost
+	inRange := e.Proc >= 0 && int(e.Proc) < c.np
 	switch e.Kind {
 	case PageFetch:
-		v := c.pageFetch[e.Arg]
-		if v == nil {
-			v = make([]uint64, c.np)
-			c.pageFetch[e.Arg] = v
-		}
-		if int(e.Proc) >= 0 && int(e.Proc) < len(v) {
+		v := slot(c.pageFetch, e.Arg, c.np)
+		if inRange {
 			v[e.Proc]++
 		}
 	case DiffCreate:
 		c.pageDiff[e.Arg]++
 	case WriteTrap:
-		if e.Proc >= 0 && e.Proc < 64 {
-			c.pageWriters[e.Arg] |= 1 << uint(e.Proc)
+		w := slot(c.pageWriters, e.Arg, (c.np+63)/64)
+		if inRange {
+			w[e.Proc/64] |= 1 << uint(e.Proc%64)
 		}
+	case NICOccupy:
+		c.pageHome[e.Arg] = int(e.Proc)
 	case LockGrant:
 		c.lockAcq[e.Arg]++
 	case LockTransfer:
@@ -83,6 +98,7 @@ func (c *Counting) Cost(k Kind) uint64 {
 // PageTotals summarizes the traffic to one page over a run.
 type PageTotals struct {
 	Page    uint64
+	Home    int    // home domain: a node on svm, a cluster on svmsmp
 	Fetches uint64 // remote fetches of this page, all processors
 	Diffs   uint64 // diffs created against its home copy
 	Writers int    // distinct processors that dirtied it
@@ -101,7 +117,10 @@ type LockTotals struct {
 func (c *Counting) PageTotals() []PageTotals {
 	out := make([]PageTotals, 0, len(c.pageFetch))
 	for pg, per := range c.pageFetch {
-		pt := PageTotals{Page: pg, Diffs: c.pageDiff[pg], Writers: bits.OnesCount64(c.pageWriters[pg])}
+		pt := PageTotals{Page: pg, Home: c.pageHome[pg], Diffs: c.pageDiff[pg]}
+		for _, w := range c.pageWriters[pg] {
+			pt.Writers += bits.OnesCount64(w)
+		}
 		for _, n := range per {
 			pt.Fetches += n
 			if n > pt.MaxProc {
@@ -133,6 +152,31 @@ func (c *Counting) LockTotals() []LockTotals {
 		return out[i].Lock < out[j].Lock
 	})
 	return out
+}
+
+// Report renders the top-n hot pages and locks as text (svmsim -hot); n <= 0
+// renders every row. A platform without page-grained events gets an empty
+// page table.
+func (c *Counting) Report(n int) string {
+	pages, locks := c.PageTotals(), c.LockTotals()
+	if n > 0 && len(pages) > n {
+		pages = pages[:n]
+	}
+	if n > 0 && len(locks) > n {
+		locks = locks[:n]
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "hot pages (top %d):\n", n)
+	fmt.Fprintf(&b, "%10s %5s %8s %8s %8s %8s\n", "page", "home", "fetches", "diffs", "writers", "maxproc")
+	for _, p := range pages {
+		fmt.Fprintf(&b, "%10d %5d %8d %8d %8d %8d\n", p.Page, p.Home, p.Fetches, p.Diffs, p.Writers, p.MaxProc)
+	}
+	fmt.Fprintf(&b, "hot locks (top %d):\n", n)
+	fmt.Fprintf(&b, "%10s %10s %10s\n", "lock", "acquires", "transfers")
+	for _, l := range locks {
+		fmt.Fprintf(&b, "%10d %10d %10d\n", l.Lock, l.Acquires, l.Transfers)
+	}
+	return b.String()
 }
 
 var _ Sink = (*Counting)(nil)

@@ -10,8 +10,9 @@
 // costs one branch and zero allocations. Three sinks cover the paper's §6
 // wished-for "performance debugging tool" roles:
 //
-//   - Counting: an aggregator of per-kind, per-page and per-lock totals (the
-//     trace-backed successor of the old svm hot-page profiler);
+//   - Counting: an aggregator of per-kind, per-page and per-lock totals,
+//     rendered as the hot-page / hot-lock report of svmsim -hot on any
+//     platform;
 //   - Ring: a bounded buffer of the most recent events, dumped into
 //     ProcPanicError/DeadlockError so contained failures are self-diagnosing;
 //   - Chrome: a Chrome trace-event JSON exporter (one track per simulated
@@ -82,8 +83,9 @@ const (
 
 	// BusOccupy is a bus occupancy episode (resource kind; Proc: bus id).
 	BusOccupy
-	// NICOccupy is a NIC/protocol-handler occupancy episode at a node
-	// (resource kind; Proc: node).
+	// NICOccupy is a NIC/protocol-handler occupancy episode at a page's
+	// home (resource kind; Proc: home domain — a node on svm, a cluster on
+	// svmsmp; Arg: page).
 	NICOccupy
 	// DirOccupy is a home directory controller occupancy episode
 	// (resource kind; Proc: home node).
