@@ -93,7 +93,7 @@ func runMicro() map[string]Micro {
 		as := mem.NewAddressSpace(platform.PageSize, 1)
 		a := as.AllocPages(1 << 16)
 		as.SetHome(a, 1<<16, 0)
-		pl := svm.New(as, svm.DefaultParams(), 1)
+		pl := svm.New(as, protocol.DefaultHLRCParams(), 1)
 		k := sim.New(pl, sim.Config{NumProcs: 1})
 		pl.Attach(k)
 		pl.Prevalidate(a, 1<<16, 0)
@@ -115,7 +115,7 @@ func runMicro() map[string]Micro {
 		as := mem.NewAddressSpace(platform.PageSize, 1)
 		a := as.AllocPages(1 << 20)
 		as.SetHome(a, 1<<20, 0)
-		pl := svm.New(as, svm.DefaultParams(), 1)
+		pl := svm.New(as, protocol.DefaultHLRCParams(), 1)
 		k := sim.New(pl, sim.Config{NumProcs: 1})
 		body := func(p *sim.Proc) {
 			for off := uint64(0); off < 1<<20; off += platform.PageSize {
@@ -135,7 +135,7 @@ func runMicro() map[string]Micro {
 		as := mem.NewAddressSpace(platform.PageSize, 1)
 		a := as.AllocPages(1 << 20)
 		as.SetHome(a, 1<<20, 0)
-		pl := svm.New(as, svm.DefaultParams(), 1)
+		pl := svm.New(as, protocol.DefaultHLRCParams(), 1)
 		k := sim.New(pl, sim.Config{NumProcs: 1})
 		body := func(p *sim.Proc) {
 			for off := uint64(0); off < 1<<20; off += 32 {
@@ -156,7 +156,7 @@ func runMicro() map[string]Micro {
 		as := mem.NewAddressSpace(platform.PageSize, 1)
 		a := as.AllocPages(1 << 16)
 		as.SetHome(a, 1<<16, 0)
-		pl := svm.New(as, svm.DefaultParams(), 1)
+		pl := svm.New(as, protocol.DefaultHLRCParams(), 1)
 		k := sim.New(pl, sim.Config{NumProcs: 1})
 		pl.Attach(k)
 		pl.Prevalidate(a, 1<<16, 0)
@@ -181,7 +181,7 @@ func runMicro() map[string]Micro {
 		as := mem.NewAddressSpace(platform.PageSize, 2)
 		a := as.AllocPages(1 << 16)
 		as.SetHome(a, 1<<16, 1)
-		pl := svm.New(as, svm.DefaultParams(), 2)
+		pl := svm.New(as, protocol.DefaultHLRCParams(), 2)
 		k := sim.New(pl, sim.Config{NumProcs: 2})
 		if _, err := k.RunErr("attach", func(*sim.Proc) {}); err != nil {
 			b.Fatal(err)
@@ -207,7 +207,7 @@ func runMicro() map[string]Micro {
 
 	m["emit_nilsink"] = microBench(func(b *testing.B) {
 		as := mem.NewAddressSpace(platform.PageSize, 1)
-		pl := svm.New(as, svm.DefaultParams(), 1)
+		pl := svm.New(as, protocol.DefaultHLRCParams(), 1)
 		k := sim.New(pl, sim.Config{NumProcs: 1})
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -1,11 +1,8 @@
 package barnes
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter over the step-0 accelerations
+// Fingerprint implements core.Instance over the step-0 accelerations
 // and position snapshot — the data Verify checks. The freshly built tree's
 // structure is canonical (a region is split iff it holds more than leafCap
 // bodies, regardless of insertion interleaving) and leaf body lists are kept
@@ -22,5 +19,3 @@ func (in *instance) Fingerprint() uint64 {
 	}
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

@@ -1,11 +1,8 @@
 package bfs
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the distance array in vertex
+// Fingerprint implements core.Instance: the distance array in vertex
 // order. Distances are a pure function of the graph — the two-phase
 // owner-claim protocol makes them independent of interleaving, platform,
 // processor count, and version.
@@ -16,5 +13,3 @@ func (in *instance) Fingerprint() uint64 {
 	}
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

@@ -1,11 +1,8 @@
 package kvstore
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the final table contents in
+// Fingerprint implements core.Instance: the final table contents in
 // key order. Puts are commutative additions applied atomically with respect
 // to simulated yields, so the values are identical across platforms,
 // processor counts, interleavings, and table layouts.
@@ -16,5 +13,3 @@ func (in *instance) Fingerprint() uint64 {
 	}
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

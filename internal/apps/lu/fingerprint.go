@@ -1,11 +1,8 @@
 package lu
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the in-place LU factors, the
+// Fingerprint implements core.Instance: the in-place LU factors, the
 // same data Verify multiplies back. Every processor updates disjoint blocks
 // in a fixed order, so the factors are bit-identical across platforms and
 // processor counts.
@@ -14,5 +11,3 @@ func (in *instance) Fingerprint() uint64 {
 	h.Floats(in.data)
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

@@ -1,11 +1,8 @@
 package ocean
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the final grid plus the
+// Fingerprint implements core.Instance: the final grid plus the
 // convergence sum. Each point is relaxed by exactly one processor per
 // iteration and errSum folds in processor-id order, so both are
 // bit-identical across platforms and processor counts.
@@ -19,5 +16,3 @@ func (in *instance) Fingerprint() uint64 {
 	h.Float64(in.errSum)
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

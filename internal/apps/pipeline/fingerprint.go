@@ -1,11 +1,8 @@
 package pipeline
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the output array in item
+// Fingerprint implements core.Instance: the output array in item
 // order. Each item passes through each stage exactly once and the
 // transform ignores which processor ran it, so the values are identical
 // across platforms, processor counts, interleavings, and versions.
@@ -16,5 +13,3 @@ func (in *instance) Fingerprint() uint64 {
 	}
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

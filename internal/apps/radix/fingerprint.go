@@ -1,11 +1,8 @@
 package radix
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the sorted keys. The sort is a
+// Fingerprint implements core.Instance: the sorted keys. The sort is a
 // stable counting sort over deterministic input, so the output permutation
 // is identical across platforms and processor counts.
 func (in *instance) Fingerprint() uint64 {
@@ -19,5 +16,3 @@ func (in *instance) Fingerprint() uint64 {
 	}
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

@@ -1,11 +1,8 @@
 package raytrace
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the rendered image plus the
+// Fingerprint implements core.Instance: the rendered image plus the
 // global ray counter. Each pixel belongs to exactly one task, and the ray
 // count is a plain sum of per-pixel integer counts, so both are identical
 // across platforms, processor counts and queue organizations.
@@ -15,5 +12,3 @@ func (in *instance) Fingerprint() uint64 {
 	h.Uint64(in.statRays)
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

@@ -1,11 +1,8 @@
 package shearwarp
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the warped final image and the
+// Fingerprint implements core.Instance: the warped final image and the
 // intermediate (sheared) image, the two buffers Verify checks. Compositing
 // walks each scanline front-to-back in a fixed order regardless of which
 // processor owns it, so both images are bit-identical across platforms and
@@ -16,5 +13,3 @@ func (in *instance) Fingerprint() uint64 {
 	h.Floats(in.inter)
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

@@ -1,11 +1,8 @@
 package volrend
 
-import (
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-)
+import "repro/internal/apps/apputil"
 
-// Fingerprint implements core.Fingerprinter: the rendered image. Each pixel
+// Fingerprint implements core.Instance: the rendered image. Each pixel
 // is written by exactly one task and ray casting is pure integer/float math
 // over the deterministic volume, so the image is identical no matter which
 // processor ran (or stole) which tile.
@@ -16,5 +13,3 @@ func (in *instance) Fingerprint() uint64 {
 	}
 	return h.Sum()
 }
-
-var _ core.Fingerprinter = (*instance)(nil)

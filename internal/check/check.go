@@ -16,7 +16,7 @@
 //   - the computed RESULT of an application version must not depend on
 //     which platform simulated it or (for order-independent computations)
 //     on the processor count — compared by result fingerprints
-//     (core.Fingerprinter);
+//     (core.Instance.Fingerprint);
 //   - result verification must hold across processor counts, including
 //     ones that do not divide the problem evenly.
 //

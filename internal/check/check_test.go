@@ -54,17 +54,13 @@ func TestResultsAgreeAcrossPlatforms(t *testing.T) {
 		var first uint64
 		var firstPlat string
 		for _, plat := range []string{"svm", "smp", "dsm", "svmsmp"} {
-			_, fp, ok, err := harness.ExecuteFingerprint(harness.Spec{
+			_, fp, err := harness.ExecuteFingerprint(harness.Spec{
 				App: app, Version: ver, Platform: plat,
 				NumProcs: sweepProcs, Scale: sweepScale, Check: true,
 			})
 			if err != nil {
 				t.Errorf("%s/%s on %s: %v", app, ver, plat, err)
 				continue
-			}
-			if !ok {
-				t.Errorf("%s does not implement core.Fingerprinter", app)
-				break
 			}
 			if firstPlat == "" {
 				first, firstPlat = fp, plat
@@ -90,16 +86,13 @@ func TestResultsStableAcrossProcCounts(t *testing.T) {
 		var first uint64
 		var firstNP int
 		for _, np := range []int{4, 8} {
-			_, fp, ok, err := harness.ExecuteFingerprint(harness.Spec{
+			_, fp, err := harness.ExecuteFingerprint(harness.Spec{
 				App: app, Version: ver, Platform: "svm",
 				NumProcs: np, Scale: sweepScale, Check: true,
 			})
 			if err != nil {
 				t.Errorf("%s/%s P=%d: %v", app, ver, np, err)
 				continue
-			}
-			if !ok {
-				break // reported by the cross-platform test
 			}
 			if firstNP == 0 {
 				first, firstNP = fp, np

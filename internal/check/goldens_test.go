@@ -27,7 +27,7 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/engine_goldens.
 // a pure refactor).
 type goldenCell struct {
 	End uint64 `json:"end"`
-	FP  string `json:"fp,omitempty"` // empty when the app has no Fingerprinter
+	FP  string `json:"fp"`
 }
 
 const goldensPath = "testdata/engine_goldens.json"
@@ -92,15 +92,12 @@ func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			run, fp, ok, err := harness.ExecuteFingerprint(spec)
+			run, fp, err := harness.ExecuteFingerprint(spec)
 			if err != nil {
 				t.Errorf("%s: %v", key, err)
 				return
 			}
-			cell := goldenCell{End: run.EndTime}
-			if ok {
-				cell.FP = fmt.Sprintf("%016x", fp)
-			}
+			cell := goldenCell{End: run.EndTime, FP: fmt.Sprintf("%016x", fp)}
 			mu.Lock()
 			got[key] = cell
 			mu.Unlock()

@@ -68,17 +68,13 @@ type Instance interface {
 	// Verify checks the computed result against a sequential reference
 	// after the run completes.
 	Verify() error
-}
-
-// Fingerprinter is optionally implemented by instances that can reduce their
-// computed result to one canonical 64-bit hash. The determinism harness
-// compares fingerprints across repeated runs, platforms, restructured
-// versions and processor counts, so an instance must only implement it when
-// its result is bit-identical across those dimensions — in particular, every
-// floating-point reduction must fold in a fixed order independent of the
-// simulated interleaving. Fingerprint is called after the run, alongside
-// Verify.
-type Fingerprinter interface {
+	// Fingerprint reduces the computed result to one canonical 64-bit
+	// hash, called after the run alongside Verify. The determinism
+	// harness compares fingerprints across repeated runs, platforms,
+	// restructured versions and processor counts, so the result must be
+	// bit-identical across those dimensions — in particular, every
+	// floating-point reduction must fold in a fixed order independent of
+	// the simulated interleaving.
 	Fingerprint() uint64
 }
 

@@ -157,18 +157,14 @@ func Execute(s Spec) (*stats.Run, error) {
 }
 
 // ExecuteFingerprint runs one experiment and additionally returns the
-// result fingerprint when the application implements core.Fingerprinter
-// (ok=false otherwise). The determinism harness compares fingerprints
-// across repetitions, platforms and processor counts.
-func ExecuteFingerprint(s Spec) (run *stats.Run, fp uint64, ok bool, err error) {
+// instance's result fingerprint. The determinism harness compares
+// fingerprints across repetitions, platforms and processor counts.
+func ExecuteFingerprint(s Spec) (run *stats.Run, fp uint64, err error) {
 	run, inst, err := execute(s)
 	if err != nil {
-		return run, 0, false, err
+		return run, 0, err
 	}
-	if f, has := inst.(core.Fingerprinter); has {
-		return run, f.Fingerprint(), true, nil
-	}
-	return run, 0, false, nil
+	return run, inst.Fingerprint(), nil
 }
 
 // buildInstance contains panics from application Build (layout constraints
@@ -284,9 +280,6 @@ func NewRunner(np int, scale float64) *Runner {
 func NewRunnerWith(np int, scale float64, memo *Memo) *Runner {
 	return &Runner{NumProcs: np, Scale: scale, memo: memo}
 }
-
-// Memo returns the cache this runner executes through.
-func (r *Runner) Memo() *Memo { return r.memo }
 
 // CacheStats returns the cumulative cache counters of this runner's memo
 // (shared with other runners over the same memo).

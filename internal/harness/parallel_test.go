@@ -43,7 +43,8 @@ func (boomInstance) Body(p *sim.Proc) {
 	p.Barrier()
 }
 
-func (boomInstance) Verify() error { return nil }
+func (boomInstance) Verify() error       { return nil }
+func (boomInstance) Fingerprint() uint64 { return 0 }
 
 func init() { core.Register(boomApp{}) }
 

@@ -41,7 +41,8 @@ func (labelInstance) Body(p *sim.Proc) {
 	p.Barrier()
 }
 
-func (labelInstance) Verify() error { return nil }
+func (labelInstance) Verify() error       { return nil }
+func (labelInstance) Fingerprint() uint64 { return 0 }
 
 func init() { core.Register(labelApp{}) }
 

@@ -37,9 +37,6 @@ func (a *AddressSpace) PageSize() uint64 { return a.pageSize }
 // PageOf returns the page number containing addr.
 func (a *AddressSpace) PageOf(addr uint64) uint64 { return addr / a.pageSize }
 
-// PageBase returns the first address of the page containing addr.
-func (a *AddressSpace) PageBase(addr uint64) uint64 { return addr &^ (a.pageSize - 1) }
-
 // NumPages returns the number of pages allocated so far.
 func (a *AddressSpace) NumPages() uint64 { return (a.next + a.pageSize - 1) / a.pageSize }
 

@@ -41,14 +41,14 @@ type preset struct {
 // paper order.
 var presets = []preset{
 	{"svm", false, true, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
-		return svm.New(as, svm.DefaultParams(), np)
+		return svm.New(as, protocol.DefaultHLRCParams(), np)
 	}},
 	{"smp", true, true, busMachine(protocol.MESI)},
 	{"dsm", true, true, dirMachine(protocol.MESI)},
 	// The paper's §7 future-work hierarchy: SMP nodes of four processors
 	// connected by SVM.
 	{"svmsmp", false, false, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
-		return svmsmp.New(as, svmsmp.DefaultParams(), np)
+		return svmsmp.New(as, np)
 	}},
 	// The hardware machines with the MESI axis swapped for plain MSI: every
 	// read fills Shared, so read-then-write pays an upgrade even with no

@@ -57,9 +57,6 @@ type SnoopBus struct {
 // Reset implements Transport.
 func (b *SnoopBus) Reset() { b.Res.Reset() }
 
-// Kind implements Transport.
-func (b *SnoopBus) Kind() string { return "bus" }
-
 // SlowLine implements Transport: one bus transaction for member m of engine
 // e (gp is the global processor id for counters and per-processor trace
 // events; on a machine-wide bus m == gp). Fills from memory are charged to

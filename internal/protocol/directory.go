@@ -25,9 +25,6 @@ type Directory struct {
 // Reset implements Transport.
 func (t *Directory) Reset() { t.dirOcc = make([]sim.Resource, t.NP) }
 
-// Kind implements Transport.
-func (t *Directory) Kind() string { return "directory" }
-
 // SlowLine implements Transport: a directory transaction for a miss or
 // upgrade by member m (== gp: the directory engine is always machine-wide).
 // Accounting: fills satisfied entirely by local home memory are CacheStall;

@@ -11,8 +11,6 @@ import (
 // Directory are the two implementations; a limited-directory or CXL-style
 // transport would slot in here without touching the state machine.
 type Transport interface {
-	// Kind names the interconnect model ("bus", "directory").
-	Kind() string
 	// Reset clears per-run occupancy state before a run.
 	Reset()
 	// SlowLine performs one coherence transaction for member m of engine e.
@@ -82,12 +80,6 @@ func NewDirMachine(name string, sts StateKind, cfg cache.Config, as *mem.Address
 
 // Name implements sim.Platform.
 func (w *HW) Name() string { return w.name }
-
-// States returns the composition's coherence state machine.
-func (w *HW) States() StateKind { return w.sts }
-
-// Transport returns the composition's interconnect model.
-func (w *HW) Transport() Transport { return w.tr }
 
 // LineSize reports the coherence line size for range accesses.
 func (w *HW) LineSize() int { return w.cfg.Line }

@@ -56,11 +56,18 @@ func TestStateMachineTransportCompositions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		name := tc.pl.Name()
-		if got := tc.pl.States(); got != tc.sts {
-			t.Errorf("%s: States() = %v, want %v", name, got, tc.sts)
+		if tc.pl.sts != tc.sts {
+			t.Errorf("%s: state machine = %v, want %v", name, tc.pl.sts, tc.sts)
 		}
-		if got := tc.pl.Transport().Kind(); got != tc.trKind {
-			t.Errorf("%s: Transport().Kind() = %q, want %q", name, got, tc.trKind)
+		var trKind string
+		switch tc.pl.tr.(type) {
+		case *SnoopBus:
+			trKind = "bus"
+		case *Directory:
+			trKind = "directory"
+		}
+		if trKind != tc.trKind {
+			t.Errorf("%s: transport %T, want %s", name, tc.pl.tr, tc.trKind)
 		}
 		if got := slowTransactions(t, tc.pl); got != tc.wantTxns {
 			t.Errorf("%s (%s × %s): read-then-write took %d transactions, want %d",

@@ -67,9 +67,6 @@ func NewLineEngine(sts StateKind, cfg cache.Config, np int) *LineEngine {
 	return e
 }
 
-// LineSize returns the coherence granularity in bytes.
-func (e *LineEngine) LineSize() int { return int(e.lineSz) }
-
 // Lookup returns the line entry for la without creating one: nil when no
 // line of la's chunk was ever touched. A line never touched in an allocated
 // chunk reads as ownerless with no sharers, exactly like a fresh Entry.

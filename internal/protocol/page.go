@@ -120,9 +120,6 @@ func NewPageEngine(cfg PageConfig) *PageEngine {
 	}
 }
 
-// Domains returns the number of coherence domains.
-func (e *PageEngine) Domains() int { return e.nd }
-
 // Init resets all protocol state for a run over npages pages. An engine
 // re-initialized with a fitting shape resets its domains in place — vector
 // clocks and page tables are cleared, not reallocated — so a repeated run
@@ -165,10 +162,7 @@ func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 		e.npagesAlloc = npages
 	}
 	for pg := 0; pg < npages; pg++ {
-		h := e.Cfg.Host.HomeDomain(uint64(pg) * e.P.PageSize)
-		if h < e.nd {
-			e.Doms[h].Valid[pg] = true
-		}
+		e.Doms[e.Cfg.Host.HomeDomain(uint64(pg)*e.P.PageSize)].Valid[pg] = true
 	}
 	return reused
 }
@@ -185,9 +179,6 @@ func (e *PageEngine) EnsurePage(dom int, pg uint64) {
 // Prevalidate gives dom a valid (clean) copy of every page overlapping
 // [addr, addr+nbytes), modelling data placed during untimed setup.
 func (e *PageEngine) Prevalidate(addr uint64, nbytes int, dom int) {
-	if dom < 0 || dom >= e.nd {
-		return
-	}
 	first := addr >> e.pageShift
 	last := (addr + uint64(nbytes) - 1) >> e.pageShift
 	d := e.Doms[dom]

@@ -100,8 +100,10 @@ func DefaultDirParams() DirParams {
 }
 
 // HLRCParams are the cycle costs of the home-based lazy release consistency
-// page engine (the paper's all-software SVM over Myrinet at 200 MHz; see
-// internal/svm for the calibration rationale).
+// page engine, in 200 MHz processor cycles (5 ns). They are chosen to match
+// the paper's mid-90s all-software SVM over Myrinet: ~65 µs unloaded page
+// fetches, ~25 µs unloaded lock acquires, barriers costing tens of
+// microseconds plus flush work.
 type HLRCParams struct {
 	PageSize uint64
 

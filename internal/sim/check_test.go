@@ -33,14 +33,14 @@ func TestResourceOccupancyNeverExceedsWallTime(t *testing.T) {
 		if start < now {
 			t.Fatalf("iteration %d: start %d before request time %d", i, start, now)
 		}
-		if r.Occupancy() > r.BusyUntil() {
-			t.Fatalf("iteration %d: occupancy %d exceeds busy-until %d", i, r.Occupancy(), r.BusyUntil())
+		if r.occ > r.busyUntil {
+			t.Fatalf("iteration %d: occupancy %d exceeds busy-until %d", i, r.occ, r.busyUntil)
 		}
 		if err := r.CheckOccupancy("resource"); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
-	if r.Occupancy() == 0 {
+	if r.occ == 0 {
 		t.Fatal("property test charged no occupancy at all")
 	}
 }

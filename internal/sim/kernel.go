@@ -98,7 +98,7 @@ type lockState struct {
 	holder     int
 	prevHolder int
 	freeAt     uint64 // earliest grantable time once released
-	queue      []*lockWaiter
+	queue      []lockWaiter
 }
 
 type lockWaiter struct {
@@ -205,9 +205,6 @@ func (k *Kernel) SetTraceRing(n int) *trace.Ring {
 // per-processor breakdown categories. 0 disables sampling.
 func (k *Kernel) SetSampleInterval(cycles uint64) { k.sampleEvery = cycles }
 
-// Tracing reports whether any event sink is active for the current run.
-func (k *Kernel) Tracing() bool { return k.tr != nil }
-
 // Emit records one protocol event. With no sink installed this is a single
 // branch and allocates nothing, so platforms call it unconditionally from
 // event sites.
@@ -250,9 +247,6 @@ func (k *Kernel) Counters(p int) *stats.Counters { return &k.run.Procs[p].Counte
 // The debt is folded into node's clock and Handler time the next time it
 // runs, modelling interrupt-style message handling.
 func (k *Kernel) ChargeHandler(node int, cycles uint64) {
-	if node < 0 || node >= k.cfg.NumProcs {
-		return
-	}
 	k.pendingHandler[node] += cycles
 }
 

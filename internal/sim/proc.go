@@ -199,28 +199,15 @@ func (p *Proc) Lock(id int) {
 	k := p.k
 	l := k.lockFor(id)
 	reqCost := k.plat.LockRequest(p.id, p.clock, id)
-	c := p.stp
-	c.Counters.LockAcquires++
+	p.stp.Counters.LockAcquires++
 	k.Emit(trace.LockRequest, p.id, start, uint64(id), reqCost)
+	w := lockWaiter{p: p, reqStart: start, reqReady: start + reqCost}
 	if l.held {
-		l.queue = append(l.queue, &lockWaiter{p: p, reqStart: start, reqReady: start + reqCost})
+		l.queue = append(l.queue, w)
 		p.park()
 		// grantLock set our clock and charged LockWait before waking us.
 	} else {
-		xfer := l.prevHolder >= 0 && l.prevHolder != p.id
-		granted := start + reqCost
-		if l.freeAt > granted {
-			granted = l.freeAt
-		}
-		granted += k.plat.LockGrant(p.id, granted, id, l.prevHolder)
-		l.held = true
-		l.holder = p.id
-		p.clock = granted
-		c.Cycles[stats.LockWait] += granted - start
-		k.Emit(trace.LockGrant, p.id, start, uint64(id), granted-start)
-		if xfer {
-			k.Emit(trace.LockTransfer, p.id, granted, uint64(id), 0)
-		}
+		k.grantLock(l, id, w)
 	}
 	k.locksHeld[p.id]++
 	p.checkpoint()
@@ -249,14 +236,15 @@ func (p *Proc) Unlock(id int) {
 		copy(l.queue, l.queue[1:])
 		l.queue = l.queue[:len(l.queue)-1]
 		k.grantLock(l, id, w)
+		k.noteReady(w.p)
 	}
 	p.checkpoint()
 }
 
 // grantLock hands lock id to waiter w: computes the grant time, performs the
-// platform's acquire-side consistency actions, charges the waiter's Lock
-// Wait, and makes it ready.
-func (k *Kernel) grantLock(l *lockState, id int, w *lockWaiter) {
+// platform's acquire-side consistency actions, sets the waiter's clock and
+// charges its Lock Wait. A parked waiter is made ready by the caller.
+func (k *Kernel) grantLock(l *lockState, id int, w lockWaiter) {
 	xfer := l.prevHolder >= 0 && l.prevHolder != w.p.id
 	granted := w.reqReady
 	if l.freeAt > granted {
@@ -266,12 +254,11 @@ func (k *Kernel) grantLock(l *lockState, id int, w *lockWaiter) {
 	l.held = true
 	l.holder = w.p.id
 	w.p.clock = granted
-	k.run.Procs[w.p.id].Cycles[stats.LockWait] += granted - w.reqStart
+	w.p.stp.Cycles[stats.LockWait] += granted - w.reqStart
 	k.Emit(trace.LockGrant, w.p.id, w.reqStart, uint64(id), granted-w.reqStart)
 	if xfer {
 		k.Emit(trace.LockTransfer, w.p.id, granted, uint64(id), 0)
 	}
-	k.noteReady(w.p)
 }
 
 // Barrier joins the global barrier across all processors. The last arrival

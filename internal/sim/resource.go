@@ -25,15 +25,9 @@ func (r *Resource) Acquire(now, dur uint64) (start uint64) {
 	return start
 }
 
-// BusyUntil returns the time the resource becomes free.
-func (r *Resource) BusyUntil() uint64 { return r.busyUntil }
-
-// Occupancy returns the total busy cycles charged to the resource. Since
-// reservations never overlap, occupancy can never exceed BusyUntil — the
-// invariant platform checkers and the sim property tests assert.
-func (r *Resource) Occupancy() uint64 { return r.occ }
-
 // CheckOccupancy verifies the occupancy-bounded-by-wall-time invariant.
+// Reservations never overlap, so the total busy cycles charged can never
+// exceed the busy-until time.
 func (r *Resource) CheckOccupancy(name string) error {
 	if r.occ > r.busyUntil {
 		return fmt.Errorf("%s: occupancy %d exceeds busy-until time %d", name, r.occ, r.busyUntil)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -123,9 +124,26 @@ func TestNoRingMeansNoRecentEvents(t *testing.T) {
 	}
 }
 
+// timeline is a trace.Sampler recording each interval sample's time and
+// the sum of every processor's cumulative breakdown at that time.
+type timeline struct{ times, totals []uint64 }
+
+func (*timeline) Emit(trace.Event) {}
+
+func (tl *timeline) Sample(now uint64, procs []stats.Proc) {
+	var total uint64
+	for i := range procs {
+		for _, c := range procs[i].Cycles {
+			total += c
+		}
+	}
+	tl.times = append(tl.times, now)
+	tl.totals = append(tl.totals, total)
+}
+
 func TestSampleIntervalFeedsTimeline(t *testing.T) {
 	k := New(&NopPlatform{}, Config{NumProcs: 2})
-	tl := &trace.Timeline{}
+	tl := &timeline{}
 	k.SetTraceSink(tl)
 	k.SetSampleInterval(1000)
 	run, err := k.RunErr("sampled", func(p *Proc) {
@@ -137,23 +155,16 @@ func TestSampleIntervalFeedsTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tl.Samples) < 2 {
-		t.Fatalf("got %d samples over a %d-cycle run at interval 1000", len(tl.Samples), run.EndTime)
+	if len(tl.times) < 2 {
+		t.Fatalf("got %d samples over a %d-cycle run at interval 1000", len(tl.times), run.EndTime)
 	}
-	for i := 1; i < len(tl.Samples); i++ {
-		if tl.Samples[i].Time <= tl.Samples[i-1].Time {
-			t.Errorf("sample times not increasing: %d then %d", tl.Samples[i-1].Time, tl.Samples[i].Time)
+	for i := 1; i < len(tl.times); i++ {
+		if tl.times[i] <= tl.times[i-1] {
+			t.Errorf("sample times not increasing: %d then %d", tl.times[i-1], tl.times[i])
 		}
 	}
 	// The final sample is taken at run end with the complete breakdown.
-	last := tl.Samples[len(tl.Samples)-1]
-	var total uint64
-	for _, per := range last.Cycles {
-		for _, c := range per {
-			total += c
-		}
-	}
-	if total == 0 {
+	if tl.totals[len(tl.totals)-1] == 0 {
 		t.Error("final sample has an all-zero breakdown")
 	}
 }

@@ -181,18 +181,6 @@ func (r *Run) AggregateCounters() Counters {
 	return t
 }
 
-// MaxProcTotal returns the largest per-processor total time; with the
-// cooperative kernel this matches EndTime up to final-barrier rounding.
-func (r *Run) MaxProcTotal() uint64 {
-	var m uint64
-	for i := range r.Procs {
-		if t := r.Procs[i].Total(); t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // CheckAccounting verifies the accounting identity against the processors'
 // final virtual clocks: every breakdown category sum must equal the clock
 // it claims to explain (nothing double-charged, nothing dropped), no clock

@@ -40,9 +40,6 @@ func TestRunAggregation(t *testing.T) {
 	if got := r.AggregateCounters().PageFaults; got != 3 {
 		t.Errorf("aggregate faults = %d, want 3", got)
 	}
-	if got := r.MaxProcTotal(); got != 300 {
-		t.Errorf("max proc total = %d, want 300", got)
-	}
 }
 
 func TestShareSumsToOne(t *testing.T) {

@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -39,7 +37,7 @@ const schemaVersion = 1
 // hex SHA-256 of the payload that follows the newline.
 const magic = "svmstore1"
 
-// tempPrefix marks in-flight writes; Get never looks at them and GC reaps
+// tempPrefix marks in-flight writes; Get never looks at them and Open reaps
 // stale ones (a crash between create and rename leaves one behind).
 const tempPrefix = ".tmp-"
 
@@ -54,20 +52,11 @@ type Result struct {
 
 // entry is the on-disk payload: the full logical key is embedded so a read
 // can verify it got the entry it asked for (paranoia against file renames
-// and truncated-hash collisions), and so GC/inspection tools can list what
-// a store holds without reversing hashes.
+// and truncated-hash collisions), and so inspection tools can list what a
+// store holds without reversing hashes.
 type entry struct {
 	Key    string `json:"key"`
 	Result Result `json:"result"`
-}
-
-// Stats are the store's cumulative counters since Open. Corrupt counts
-// entries that failed checksum/decode verification and were healed —
-// treated as misses and removed so the next Put rewrites them. GCRuns
-// and GCEvicted count GC sweeps and the entries they removed.
-type Stats struct {
-	Hits, Misses, Corrupt, Puts uint64
-	GCRuns, GCEvicted           uint64
 }
 
 // Store is a content-addressed result store rooted at one directory. It is
@@ -84,21 +73,32 @@ type Store struct {
 	fingerprint string
 	// schema mirrors schemaVersion; a field so tests can simulate a bump.
 	schema int
-
-	hits, misses, corrupt, puts atomic.Uint64
-	gcRuns, gcEvicted           atomic.Uint64
 }
 
-// Open creates (if needed) and opens a store rooted at dir.
+// Open creates (if needed) and opens a store rooted at dir, removing temp
+// files that crashed writers left behind.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	reapTemps(dir)
 	return &Store{dir: dir, fingerprint: Fingerprint(), schema: schemaVersion}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
+// reapTemps removes temp files older than an hour. A writer holds its temp
+// file only for the duration of one Put, so anything older is a crash
+// leftover. Best-effort: a directory that cannot be listed is left alone.
+func reapTemps(dir string) {
+	ents, _ := os.ReadDir(dir)
+	for _, de := range ents {
+		if !strings.HasPrefix(de.Name(), tempPrefix) {
+			continue
+		}
+		if info, err := de.Info(); err == nil && time.Since(info.ModTime()) > time.Hour {
+			os.Remove(filepath.Join(dir, de.Name()))
+		}
+	}
+}
 
 // logicalKey binds a harness memo key to this build and schema; it is the
 // string that is hashed into the entry filename and embedded in the payload.
@@ -121,7 +121,6 @@ func (s *Store) Get(key string) (Result, bool) {
 	p := s.path(logical)
 	raw, err := os.ReadFile(p)
 	if err != nil {
-		s.misses.Add(1)
 		return Result{}, false
 	}
 	e, ok := decode(raw, logical)
@@ -129,14 +128,8 @@ func (s *Store) Get(key string) (Result, bool) {
 		// Corrupt, torn, or foreign: drop it so it is rewritten rather
 		// than re-verified (and re-failed) on every lookup.
 		os.Remove(p)
-		s.corrupt.Add(1)
-		s.misses.Add(1)
 		return Result{}, false
 	}
-	s.hits.Add(1)
-	// Touch for LRU-ish GC ordering; best-effort.
-	now := time.Now()
-	_ = os.Chtimes(p, now, now)
 	return e.Result, true
 }
 
@@ -200,96 +193,5 @@ func (s *Store) Put(key string, res Result) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: writing %q: %w", key, werr)
 	}
-	s.puts.Add(1)
 	return nil
-}
-
-// Stats returns the cumulative counters since Open.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Corrupt:   s.corrupt.Load(),
-		Puts:      s.puts.Load(),
-		GCRuns:    s.gcRuns.Load(),
-		GCEvicted: s.gcEvicted.Load(),
-	}
-}
-
-// GCPolicy bounds a store. Zero fields mean "no bound on this axis".
-type GCPolicy struct {
-	// MaxEntries keeps at most this many entries, evicting the least
-	// recently used (Get touches entries) first.
-	MaxEntries int
-	// MaxAge evicts entries not written or hit within this duration.
-	MaxAge time.Duration
-}
-
-// GC sweeps the store: stale temp files from crashed writers are removed,
-// then entries are evicted per the policy, oldest first. It returns the
-// number of entries evicted (not counting temp files).
-func (s *Store) GC(p GCPolicy) (evicted int, err error) {
-	s.gcRuns.Add(1)
-	defer func() { s.gcEvicted.Add(uint64(evicted)) }()
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	type aged struct {
-		name string
-		mod  time.Time
-	}
-	var files []aged
-	now := time.Now()
-	for _, de := range ents {
-		if de.IsDir() {
-			continue
-		}
-		info, ierr := de.Info()
-		if ierr != nil {
-			continue // deleted underneath us
-		}
-		if strings.HasPrefix(de.Name(), tempPrefix) {
-			// A writer holds its temp file only for the duration of one
-			// Put; anything older than an hour is a crash leftover.
-			if now.Sub(info.ModTime()) > time.Hour {
-				os.Remove(filepath.Join(s.dir, de.Name()))
-			}
-			continue
-		}
-		if !strings.HasSuffix(de.Name(), ".json") {
-			continue
-		}
-		files = append(files, aged{de.Name(), info.ModTime()})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	evict := func(name string) {
-		if os.Remove(filepath.Join(s.dir, name)) == nil {
-			evicted++
-		}
-	}
-	n := len(files)
-	for _, f := range files {
-		over := p.MaxEntries > 0 && n-evicted > p.MaxEntries
-		old := p.MaxAge > 0 && now.Sub(f.mod) > p.MaxAge
-		if over || old {
-			evict(f.name)
-		}
-	}
-	return evicted, nil
-}
-
-// Len returns the number of (fully-written) entries currently in the store.
-func (s *Store) Len() (int, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	n := 0
-	for _, de := range ents {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".json") && !strings.HasPrefix(de.Name(), tempPrefix) {
-			n++
-		}
-	}
-	return n, nil
 }

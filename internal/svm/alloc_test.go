@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -15,7 +16,7 @@ func TestAllocFreeFastAccess(t *testing.T) {
 	as := mem.NewAddressSpace(4096, 1)
 	a := as.AllocPages(1 << 16)
 	as.SetHome(a, 1<<16, 0)
-	pl := New(as, DefaultParams(), 1)
+	pl := New(as, protocol.DefaultHLRCParams(), 1)
 	k := sim.New(pl, sim.Config{NumProcs: 1})
 	pl.Attach(k)
 	pl.Prevalidate(a, 1<<16, 0)

@@ -1,14 +1,6 @@
 package svm
 
-import (
-	"repro/internal/protocol"
-	"repro/internal/sim"
-)
-
-// IntervalOverflowError reports that a node's uint32 interval counter was
-// about to wrap; see protocol.IntervalOverflowError. The svmsmp platform
-// reuses this error with Node naming the cluster.
-type IntervalOverflowError = protocol.IntervalOverflowError
+import "repro/internal/sim"
 
 // CheckInvariants implements sim.InvariantChecked: the HLRC protocol
 // invariants, audited once by the page engine for every composition (see

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
 func setupChecked(np int) (*mem.AddressSpace, *Platform, *sim.Kernel) {
 	as := mem.NewAddressSpace(4096, np)
-	p := New(as, DefaultParams(), np)
+	p := New(as, protocol.DefaultHLRCParams(), np)
 	k := sim.New(p, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager, Check: true})
 	return as, p, k
 }
@@ -64,7 +65,7 @@ func TestAcquireInvalidationFlushesDiff(t *testing.T) {
 // processor panic.
 func TestIntervalOverflowFailsLoudly(t *testing.T) {
 	as := mem.NewAddressSpace(4096, 2)
-	pl := New(as, DefaultParams(), 2)
+	pl := New(as, protocol.DefaultHLRCParams(), 2)
 	k := sim.New(pl, sim.Config{NumProcs: 2, BarrierManager: sim.AutoBarrierManager})
 	_, err := k.RunErr("wrap", func(p *sim.Proc) {
 		if p.ID() == 0 {
@@ -81,9 +82,9 @@ func TestIntervalOverflowFailsLoudly(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want contained ProcPanicError", err)
 	}
-	ioe, ok := pe.Value.(*IntervalOverflowError)
+	ioe, ok := pe.Value.(*protocol.IntervalOverflowError)
 	if !ok {
-		t.Fatalf("panic value = %#v, want *IntervalOverflowError", pe.Value)
+		t.Fatalf("panic value = %#v, want *protocol.IntervalOverflowError", pe.Value)
 	}
 	if ioe.Node != 0 {
 		t.Errorf("overflow reported for node %d, want 0", ioe.Node)

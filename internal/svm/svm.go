@@ -1,3 +1,19 @@
+// Package svm models the paper's shared virtual memory platform: an
+// all-software home-based lazy release consistency (HLRC) protocol over a
+// Myrinet-like commodity interconnect (paper §2.1.1). Nodes are 200 MHz
+// 1-CPI processors with an 8 KB direct-mapped write-through L1 and a 512 KB
+// 2-way L2 (32 B lines); pages are 4 KB; the memory bus peaks at 400 MB/s and
+// the I/O bus carrying network packets at 100 MB/s.
+//
+// Protocol mechanics follow HLRC: every page has a home; writers make a twin
+// on the first write in an interval, compute diffs against the twin at
+// releases, and propagate diffs to the home (only); acquirers receive write
+// notices and lazily invalidate their stale copies; a fault after a causally
+// related acquire fetches the whole page from the home.
+//
+// The protocol engine itself lives in internal/protocol (PageEngine); this
+// package composes it with one coherence domain per node and the paper's
+// node cache hierarchy.
 package svm
 
 import (
@@ -20,7 +36,7 @@ var CacheConfig = cache.Config{
 // in internal/protocol; this package wires it to flat node-grained homes and
 // keeps the existing API for harness specs, figure cells and memo keys.
 type Platform struct {
-	P  Params
+	P  protocol.HLRCParams
 	as *mem.AddressSpace
 	k  *sim.Kernel
 	np int
@@ -38,7 +54,7 @@ type Platform struct {
 // New creates an SVM platform over the given address space for np nodes.
 // The page size must be a power of two (it always has been: page-grained
 // protocols inherit it from the MMU).
-func New(as *mem.AddressSpace, p Params, np int) *Platform {
+func New(as *mem.AddressSpace, p protocol.HLRCParams, np int) *Platform {
 	s := &Platform{
 		P: p, as: as, np: np,
 		pageShift: protocol.PageShift(p.PageSize),

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 func setup(np int) (*mem.AddressSpace, *Platform, *sim.Kernel) {
 	as := mem.NewAddressSpace(4096, np)
-	p := New(as, DefaultParams(), np)
+	p := New(as, protocol.DefaultHLRCParams(), np)
 	k := sim.New(p, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
 	return as, p, k
 }
@@ -266,7 +267,7 @@ func TestFreeCSFaultsDiagnostic(t *testing.T) {
 		as := mem.NewAddressSpace(4096, 2)
 		a := as.AllocPages(4096)
 		as.SetHome(a, 4096, 0)
-		plat := New(as, DefaultParams(), 2)
+		plat := New(as, protocol.DefaultHLRCParams(), 2)
 		k := sim.New(plat, sim.Config{NumProcs: 2, FreeCSFaults: free})
 		run := k.Run("x", func(p *sim.Proc) {
 			if p.ID() == 1 {
@@ -286,7 +287,7 @@ func TestFreeCSFaultsDiagnostic(t *testing.T) {
 func TestBarrierManagerChargedHandlerTime(t *testing.T) {
 	np := 16
 	as, _, _ := setup(np)
-	plat := New(as, DefaultParams(), np)
+	plat := New(as, protocol.DefaultHLRCParams(), np)
 	k := sim.New(plat, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
 	run := k.Run("mgr", func(p *sim.Proc) {
 		p.Barrier()

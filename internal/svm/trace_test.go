@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -16,7 +17,7 @@ func TestCountingMatchesAggregateCounters(t *testing.T) {
 	as := mem.NewAddressSpace(4096, 4)
 	data := as.AllocPages(16 * 4096)
 	as.DistributeBlocked(data, 16*4096)
-	k := sim.New(New(as, DefaultParams(), 4), sim.Config{NumProcs: 4})
+	k := sim.New(New(as, protocol.DefaultHLRCParams(), 4), sim.Config{NumProcs: 4})
 	c := trace.NewCounting(4)
 	k.SetTraceSink(c)
 	run := k.Run("match", func(p *sim.Proc) {

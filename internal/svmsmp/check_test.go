@@ -16,7 +16,7 @@ import (
 // upgrade for a line it already owned.
 func TestWriteUpgradeLeavesOwnerModified(t *testing.T) {
 	as := mem.NewAddressSpace(4096, 8)
-	pl := New(as, DefaultParams(), 8)
+	pl := New(as, 8)
 	k := sim.New(pl, sim.Config{NumProcs: 8, Check: true})
 	a := as.AllocPages(4096)
 	as.SetHome(a, 4096, 0)
@@ -48,7 +48,7 @@ func TestWriteUpgradeLeavesOwnerModified(t *testing.T) {
 // sharer/owner entries for lines no cache held.
 func TestDiffApplyDropsHomeClusterLines(t *testing.T) {
 	as := mem.NewAddressSpace(4096, 8)
-	pl := New(as, DefaultParams(), 8)
+	pl := New(as, 8)
 	k := sim.New(pl, sim.Config{NumProcs: 8, Check: true})
 	a := as.AllocPages(4096)
 	as.SetHome(a, 4096, 0)

@@ -25,41 +25,27 @@ import (
 	"repro/internal/mem"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/svm"
 )
 
-// DefaultClusterSize is the paper's envisioned PC-SMP node size.
-const DefaultClusterSize = 4
-
-// Params combines the inter-cluster SVM cost model with intra-cluster
-// bus-coherence costs.
-type Params struct {
-	SVM svm.Params
-	Bus protocol.BusParams
-	// ClusterSize is the number of processors per SMP node.
-	ClusterSize int
-}
-
-// DefaultParams returns SVM costs across clusters and Challenge-class costs
-// inside them.
-func DefaultParams() Params {
-	return Params{SVM: svm.DefaultParams(), Bus: protocol.DefaultBusParams(), ClusterSize: DefaultClusterSize}
-}
+// clusterSize is the number of processors per SMP node: the paper's
+// envisioned PC-SMP node size.
+const clusterSize = 4
 
 // Platform is the two-level machine model.
 type Platform struct {
-	P      Params
+	hlrc   protocol.HLRCParams // inter-cluster SVM costs
+	bus    protocol.BusParams  // intra-cluster Challenge-class costs
 	as     *mem.AddressSpace
 	k      *sim.Kernel
 	np, nc int
-	// pageShift is log2(SVM.PageSize); page-number extraction is on the
+	// pageShift is log2(hlrc.PageSize); page-number extraction is on the
 	// access fast path (see internal/svm).
 	pageShift uint
 
 	eng *protocol.PageEngine // inter-cluster HLRC, one domain per cluster
 	// lineEng/buses are the intra-cluster layer, one {MESI × SnoopBus} pair
 	// per cluster; caches is the flat per-processor view into the engines'
-	// member caches (caches[p] == lineEng[clusterOf(p)].Caches[p%ClusterSize]).
+	// member caches (caches[p] == lineEng[clusterOf(p)].Caches[p%clusterSize]).
 	lineEng []*protocol.LineEngine
 	buses   []*protocol.SnoopBus
 	caches  []*cache.Hierarchy
@@ -67,15 +53,17 @@ type Platform struct {
 	lockCl map[int]int // lock -> cluster of last holder
 }
 
-// New creates a two-level platform for np processors grouped into clusters.
-func New(as *mem.AddressSpace, p Params, np int) *Platform {
-	if p.ClusterSize <= 0 {
-		p.ClusterSize = DefaultClusterSize
+// New creates a two-level platform for np processors grouped into clusters,
+// with SVM costs across clusters and Challenge-class costs inside them.
+func New(as *mem.AddressSpace, np int) *Platform {
+	hlrc := protocol.DefaultHLRCParams()
+	nc := (np + clusterSize - 1) / clusterSize
+	s := &Platform{
+		hlrc: hlrc, bus: protocol.DefaultBusParams(),
+		as: as, np: np, nc: nc, pageShift: protocol.PageShift(hlrc.PageSize),
 	}
-	nc := (np + p.ClusterSize - 1) / p.ClusterSize
-	s := &Platform{P: p, as: as, np: np, nc: nc, pageShift: protocol.PageShift(p.SVM.PageSize)}
 	s.eng = protocol.NewPageEngine(protocol.PageConfig{
-		Params: p.SVM, Domains: nc, Host: s,
+		Params: hlrc, Domains: nc, Host: s,
 		Scope: "svmsmp", Noun: "cluster",
 	})
 	return s
@@ -87,7 +75,7 @@ func (s *Platform) Name() string { return "svmsmp" }
 // LineSize reports the intra-cluster coherence granularity.
 func (s *Platform) LineSize() int { return protocol.ChallengeCache.Line }
 
-func (s *Platform) clusterOf(p int) int { return p / s.P.ClusterSize }
+func (s *Platform) clusterOf(p int) int { return p / clusterSize }
 
 // HomeDomain implements protocol.PageHost: a page's home cluster is the
 // cluster of its home processor.
@@ -97,12 +85,12 @@ func (s *Platform) HomeDomain(addr uint64) int {
 
 // HandlerProc implements protocol.PageHost: protocol handlers run on a
 // cluster's first processor.
-func (s *Platform) HandlerProc(dom int) int { return dom * s.P.ClusterSize }
+func (s *Platform) HandlerProc(dom int) int { return dom * clusterSize }
 
 // MemberRange implements protocol.PageHost.
 func (s *Platform) MemberRange(dom int) (int, int) {
-	lo := dom * s.P.ClusterSize
-	hi := lo + s.P.ClusterSize
+	lo := dom * clusterSize
+	hi := lo + clusterSize
 	if hi > s.np {
 		hi = s.np
 	}
@@ -114,12 +102,12 @@ func (s *Platform) MemberRange(dom int) (int, int) {
 // contents changed (fetch or applied diff), so sharer/owner entries would
 // otherwise survive for copies no cache holds.
 func (s *Platform) dropPageLines(cid int, pg uint64) {
-	base := pg * s.P.SVM.PageSize
+	base := pg * s.hlrc.PageSize
 	for _, h := range s.lineEng[cid].Caches {
-		h.InvalidateRange(base, int(s.P.SVM.PageSize))
+		h.InvalidateRange(base, int(s.hlrc.PageSize))
 	}
 	lineSz := uint64(s.LineSize())
-	s.lineEng[cid].DropLines(base/lineSz, (base+s.P.SVM.PageSize-1)/lineSz+1)
+	s.lineEng[cid].DropLines(base/lineSz, (base+s.hlrc.PageSize-1)/lineSz+1)
 }
 
 // PageArrived implements protocol.PageHost.
@@ -137,23 +125,23 @@ func (s *Platform) Attach(k *sim.Kernel) {
 	s.lineEng = make([]*protocol.LineEngine, s.nc)
 	s.buses = make([]*protocol.SnoopBus, s.nc)
 	for c := 0; c < s.nc; c++ {
-		members := s.P.ClusterSize
-		if rest := s.np - c*s.P.ClusterSize; rest < members {
+		members := clusterSize
+		if rest := s.np - c*clusterSize; rest < members {
 			members = rest
 		}
 		s.lineEng[c] = protocol.NewLineEngine(protocol.MESI, protocol.ChallengeCache, members)
 		for _, h := range s.lineEng[c].Caches {
-			h.FilterPages(int(s.P.SVM.PageSize), npages)
+			h.FilterPages(int(s.hlrc.PageSize), npages)
 		}
 		// Short intra-cluster buses: broadcast upgrade accounting, no
 		// per-transaction miss classification (the page layer above owns
 		// miss accounting), BusOccupy stamped with the cluster id.
 		s.buses[c] = &protocol.SnoopBus{
-			P:       s.P.Bus,
+			P:       s.bus,
 			Upgrade: protocol.UpgradeBroadcast,
 			Acct:    protocol.BusAccounting{TraceID: c},
 		}
-		copy(s.caches[c*s.P.ClusterSize:], s.lineEng[c].Caches)
+		copy(s.caches[c*clusterSize:], s.lineEng[c].Caches)
 	}
 	s.lockCl = map[int]int{}
 }
@@ -181,7 +169,7 @@ func (s *Platform) FastAccess(p int, now uint64, addr uint64, write bool) (uint6
 	if lvl == cache.L1Hit {
 		return 0, true
 	}
-	return s.P.Bus.L2HitCost, true
+	return s.bus.L2HitCost, true
 }
 
 // SlowAccess implements sim.Platform: inter-cluster page faults and write
@@ -200,7 +188,7 @@ func (s *Platform) SlowAccess(p int, now uint64, addr uint64, write bool) sim.Ac
 	if write && !d.Dirty[pg] {
 		cost.Handler += s.eng.Trap(p, cid, now, addr)
 	}
-	bc := s.buses[cid].SlowLine(s.k, s.lineEng[cid], p%s.P.ClusterSize, p, now, addr, write)
+	bc := s.buses[cid].SlowLine(s.k, s.lineEng[cid], p%clusterSize, p, now, addr, write)
 	cost.CacheStall += bc.CacheStall
 	cost.DataWait += bc.DataWait
 	cost.Handler += bc.Handler
@@ -213,7 +201,7 @@ func (s *Platform) LockRequest(p int, now uint64, lock int) uint64 {
 	if last, ok := s.lockCl[lock]; ok && last == s.clusterOf(p) {
 		return 0
 	}
-	return s.P.SVM.MsgSend + s.P.SVM.NetLatency
+	return s.hlrc.MsgSend + s.hlrc.NetLatency
 }
 
 // LockGrant implements sim.Platform: an intra-cluster handoff is a hardware
@@ -224,11 +212,11 @@ func (s *Platform) LockGrant(p int, now uint64, lock int, prevHolder int) uint64
 	sameCluster := prevHolder >= 0 && s.clusterOf(prevHolder) == cid
 	var cost uint64
 	if sameCluster {
-		cost = s.P.Bus.LockAcquire
+		cost = s.bus.LockAcquire
 	} else {
-		cost = s.P.SVM.NetLatency + s.P.SVM.MsgRecv
+		cost = s.hlrc.NetLatency + s.hlrc.MsgRecv
 		if prevHolder >= 0 {
-			cost += s.P.SVM.MsgSend + s.P.SVM.NetLatency + s.P.SVM.MsgRecv
+			cost += s.hlrc.MsgSend + s.hlrc.NetLatency + s.hlrc.MsgRecv
 		}
 	}
 	cost += s.eng.AcquireApply(lock, cid, p, now)
@@ -241,14 +229,14 @@ func (s *Platform) LockRelease(p int, now uint64, lock int) (uint64, uint64, uin
 	cid := s.clusterOf(p)
 	handler := s.eng.Flush(cid, p, now)
 	s.eng.SaveLockVC(lock, cid)
-	return s.P.Bus.LockRelease, handler, 0
+	return s.bus.LockRelease, handler, 0
 }
 
 // BarrierArrive implements sim.Platform: gather on the cluster bus, then one
 // message per cluster to the manager.
 func (s *Platform) BarrierArrive(p int, now uint64) (uint64, uint64) {
 	handler := s.eng.Flush(s.clusterOf(p), p, now)
-	return s.P.Bus.BarrierLeaf + s.P.SVM.MsgSend/uint64(s.P.ClusterSize) + s.P.SVM.NetLatency/2, handler
+	return s.bus.BarrierLeaf + s.hlrc.MsgSend/clusterSize + s.hlrc.NetLatency/2, handler
 }
 
 // BarrierRelease implements sim.Platform: the manager handles one arrival
@@ -259,7 +247,7 @@ func (s *Platform) BarrierRelease(arrivals []uint64, manager int) uint64 {
 
 // BarrierDepart implements sim.Platform.
 func (s *Platform) BarrierDepart(p int, releaseTime uint64) uint64 {
-	return s.P.Bus.BarrierLeaf/3 + s.eng.DepartApply(s.clusterOf(p), p, releaseTime)
+	return s.bus.BarrierLeaf/3 + s.eng.DepartApply(s.clusterOf(p), p, releaseTime)
 }
 
 // CheckInvariants implements sim.InvariantChecked: the page engine's HLRC

@@ -10,7 +10,7 @@ import (
 
 func setup(np int) (*mem.AddressSpace, *sim.Kernel) {
 	as := mem.NewAddressSpace(4096, np)
-	p := New(as, DefaultParams(), np)
+	p := New(as, np)
 	return as, sim.New(p, sim.Config{NumProcs: np})
 }
 
@@ -122,7 +122,7 @@ func TestWriteNoticesCrossClusters(t *testing.T) {
 
 func TestClusterCountRounding(t *testing.T) {
 	as := mem.NewAddressSpace(4096, 6)
-	p := New(as, DefaultParams(), 6)
+	p := New(as, 6)
 	if p.nc != 2 {
 		t.Errorf("6 procs -> %d clusters, want 2", p.nc)
 	}

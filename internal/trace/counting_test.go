@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/svm"
@@ -16,7 +17,7 @@ import (
 func runSVM(t *testing.T, as *mem.AddressSpace, np int, body func(p *sim.Proc)) (*trace.Counting, *stats.Run) {
 	t.Helper()
 	c := trace.NewCounting(np)
-	k := sim.New(svm.New(as, svm.DefaultParams(), np), sim.Config{NumProcs: np})
+	k := sim.New(svm.New(as, protocol.DefaultHLRCParams(), np), sim.Config{NumProcs: np})
 	k.SetTraceSink(c)
 	run, err := k.RunErr(t.Name(), body)
 	if err != nil {

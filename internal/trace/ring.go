@@ -1,16 +1,13 @@
 package trace
 
-import "repro/internal/stats"
-
 // Ring keeps the most recent events in a fixed-size buffer. The kernel
 // installs one (sim.Kernel.SetTraceRing) so that when a simulated run dies —
 // a processor body panic or a synchronization deadlock — the error carries
 // the protocol events leading up to the failure, making contained failures
 // self-diagnosing.
 type Ring struct {
-	buf   []Event
-	next  int
-	total uint64
+	buf  []Event
+	next int
 }
 
 // NewRing creates a ring holding the last n events (n >= 1).
@@ -29,15 +26,7 @@ func (r *Ring) Emit(e Event) {
 		r.buf[r.next] = e
 	}
 	r.next = (r.next + 1) % cap(r.buf)
-	r.total++
 }
-
-// Len returns how many events the ring currently holds.
-func (r *Ring) Len() int { return len(r.buf) }
-
-// Total returns how many events were emitted over the ring's lifetime,
-// including those already overwritten.
-func (r *Ring) Total() uint64 { return r.total }
 
 // Snapshot returns the buffered events oldest first.
 func (r *Ring) Snapshot() []Event {
@@ -55,37 +44,6 @@ func (r *Ring) Snapshot() []Event {
 func (r *Ring) Reset() {
 	r.buf = r.buf[:0]
 	r.next = 0
-	r.total = 0
 }
 
 var _ Sink = (*Ring)(nil)
-
-// Timeline records the kernel's interval samples of the per-processor
-// breakdown categories, for programmatic over-time analysis (the Chrome sink
-// renders the same samples as counter tracks).
-type Timeline struct {
-	Samples []TimelineSample
-}
-
-// TimelineSample is one snapshot of every processor's cumulative breakdown.
-type TimelineSample struct {
-	Time   uint64
-	Cycles [][stats.NumCategories]uint64 // per processor, cumulative
-}
-
-// Emit implements Sink (the timeline only consumes samples).
-func (t *Timeline) Emit(Event) {}
-
-// Sample implements Sampler.
-func (t *Timeline) Sample(now uint64, procs []stats.Proc) {
-	s := TimelineSample{Time: now, Cycles: make([][stats.NumCategories]uint64, len(procs))}
-	for i := range procs {
-		s.Cycles[i] = procs[i].Cycles
-	}
-	t.Samples = append(t.Samples, s)
-}
-
-var (
-	_ Sink    = (*Timeline)(nil)
-	_ Sampler = (*Timeline)(nil)
-)

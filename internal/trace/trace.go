@@ -34,9 +34,9 @@ import (
 type Kind uint8
 
 // Event kinds. Processor kinds describe work attributed to a simulated
-// processor; resource kinds (see IsResource) describe occupancy episodes of
-// a shared resource — the bus, a node's NIC/protocol handler, or a home
-// directory controller.
+// processor; resource kinds (BusOccupy, NICOccupy, DirOccupy) describe
+// occupancy episodes of a shared resource — the bus, a node's NIC/protocol
+// handler, or a home directory controller.
 const (
 	// KindNone is the zero Kind; it is never emitted.
 	KindNone Kind = iota
@@ -123,13 +123,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// IsResource reports whether events of this kind describe occupancy of a
-// shared resource (bus, NIC, directory controller) rather than processor
-// activity; exporters render them on separate resource tracks.
-func (k Kind) IsResource() bool {
-	return k == BusOccupy || k == NICOccupy || k == DirOccupy
 }
 
 // ArgName names the Arg field of events of this kind ("page", "line",

@@ -17,16 +17,6 @@ func TestKindStrings(t *testing.T) {
 	if got := Kind(200).String(); !strings.HasPrefix(got, "Kind(") {
 		t.Errorf("out-of-range kind = %q, want Kind(200)", got)
 	}
-	for _, k := range []Kind{BusOccupy, NICOccupy, DirOccupy} {
-		if !k.IsResource() {
-			t.Errorf("%v.IsResource() = false, want true", k)
-		}
-	}
-	for _, k := range []Kind{PageFault, LockGrant, Barrier} {
-		if k.IsResource() {
-			t.Errorf("%v.IsResource() = true, want false", k)
-		}
-	}
 	if PageFetch.ArgName() != "page" || BusTxn.ArgName() != "line" ||
 		LockGrant.ArgName() != "lock" || Barrier.ArgName() != "epoch" {
 		t.Error("ArgName mapping wrong")
@@ -48,20 +38,17 @@ func TestRingWrapsAndSnapshotsInOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Emit(Event{Time: uint64(i)})
 	}
-	if r.Total() != 10 {
-		t.Errorf("Total = %d, want 10", r.Total())
-	}
-	if r.Len() != 4 {
-		t.Errorf("Len = %d, want 4", r.Len())
-	}
 	snap := r.Snapshot()
+	if len(snap) != 4 {
+		t.Errorf("snapshot holds %d events, want 4", len(snap))
+	}
 	for i, e := range snap {
 		if want := uint64(6 + i); e.Time != want {
 			t.Errorf("snapshot[%d].Time = %d, want %d (oldest-first)", i, e.Time, want)
 		}
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 {
+	if len(r.Snapshot()) != 0 {
 		t.Error("Reset did not clear the ring")
 	}
 }
@@ -155,29 +142,6 @@ func TestTee(t *testing.T) {
 	sp.Sample(0, nil)
 	if a.samples != 1 || b.samples != 1 {
 		t.Errorf("sample fan-out failed: a=%d b=%d", a.samples, b.samples)
-	}
-}
-
-func TestTimelineSampling(t *testing.T) {
-	tl := &Timeline{}
-	procs := make([]stats.Proc, 2)
-	procs[0].Cycles[stats.Compute] = 100
-	tl.Sample(1000, procs)
-	procs[0].Cycles[stats.Compute] = 250
-	procs[1].Cycles[stats.DataWait] = 50
-	tl.Sample(2000, procs)
-	if len(tl.Samples) != 2 {
-		t.Fatalf("got %d samples, want 2", len(tl.Samples))
-	}
-	// Snapshots must be value copies, not aliases of the live array.
-	if tl.Samples[0].Cycles[0][stats.Compute] != 100 {
-		t.Errorf("first sample mutated: %d", tl.Samples[0].Cycles[0][stats.Compute])
-	}
-	if tl.Samples[1].Cycles[0][stats.Compute] != 250 || tl.Samples[1].Cycles[1][stats.DataWait] != 50 {
-		t.Errorf("second sample wrong: %+v", tl.Samples[1])
-	}
-	if tl.Samples[0].Time != 1000 || tl.Samples[1].Time != 2000 {
-		t.Error("sample times wrong")
 	}
 }
 

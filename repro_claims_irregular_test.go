@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
-	"repro/internal/svm"
+	"repro/internal/protocol"
 )
 
 // irregularClaimApps maps each irregular app to its version ladder in
@@ -139,7 +139,7 @@ func TestClaimsIrregularPortabilityAchieved(t *testing.T) {
 // trails the SMP, so the farBehind predicate is demonstrably sensitive to
 // the cost model on these workloads too.
 func TestClaimsIrregularSuiteDetectsPerturbation(t *testing.T) {
-	free := svm.DefaultParams()
+	free := protocol.DefaultHLRCParams()
 	free.FaultOverhead = 0
 	free.WriteTrap = 0
 	free.TwinCost = 0

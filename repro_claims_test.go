@@ -19,6 +19,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/svm"
@@ -204,7 +205,7 @@ func TestClaimsBarnesSpatialBestTreeBuild(t *testing.T) {
 // perturbedSVMRun executes app/version on an SVM platform with a DOCTORED
 // cost model, bypassing the harness (whose memo must never see non-default
 // parameters).
-func perturbedSVMRun(t *testing.T, app, version string, np int, p svm.Params) *stats.Run {
+func perturbedSVMRun(t *testing.T, app, version string, np int, p protocol.HLRCParams) *stats.Run {
 	t.Helper()
 	a, err := core.Lookup(app)
 	if err != nil {
@@ -230,7 +231,7 @@ func perturbedSVMRun(t *testing.T, app, version string, np int, p svm.Params) *s
 // ever finds the claim still holding under the perturbation, the suite has
 // gone vacuous and is no longer guarding the cost model.
 func TestClaimsSuiteDetectsPerturbation(t *testing.T) {
-	free := svm.DefaultParams()
+	free := protocol.DefaultHLRCParams()
 	free.FaultOverhead = 0
 	free.WriteTrap = 0
 	free.TwinCost = 0
