@@ -1,10 +1,11 @@
 // Command bench is the kernel performance gate: it measures the simulator's
 // host-side speed on the hot paths a figure run lives in, with
-// testing.Benchmark over cache tag-array access, fused hit-access, the SVM
-// fast path, the HLRC page path's PageArrived and Flush, a full kernel
-// access stream, and tracing-off Emit, and emits a machine-readable report
-// of ns/op and allocs/op (BENCH_kernel.json at the repo root is the
-// committed reference for this container class).
+// testing.Benchmark over cache tag-array access, fused hit-access (L1 hits,
+// and L1-miss/L2-hits on the SVM and DASH hierarchies), the SVM fast path,
+// the HLRC page path's PageArrived and Flush, a full kernel access stream,
+// and tracing-off Emit, and emits a machine-readable report of ns/op and
+// allocs/op (BENCH_kernel.json at the repo root is the committed reference
+// for this container class).
 //
 // With -compare FILE the run becomes a regression gate: ns/op worse than the
 // reference by more than -tolerance, or ANY allocs/op increase, fails with
@@ -88,6 +89,33 @@ func runMicro() map[string]Micro {
 			h.HitAccess(64, i&1 == 0)
 		}
 	})
+
+	// One op = one L1-miss/L2-hit HitAccess, read-streaming over three
+	// quarters of the L2: every reference misses the direct-mapped L1 and
+	// hits L2. Each DASH set holds three of the stream's lines, so the way
+	// touched is never the most recent and every op reorders the 4-way set's
+	// ranks; half the SVM sets hold two lines and alternate their 2 ways.
+	for name, cfg := range map[string]cache.Config{
+		"cache_l2hit_dash": protocol.DASHCache,
+		"cache_l2hit_svm":  svm.CacheConfig,
+	} {
+		m[name] = microBench(func(b *testing.B) {
+			h := cache.New(cfg)
+			span, line := uint64(cfg.L2Size)*3/4, uint64(cfg.Line)
+			for a := uint64(0); a < span; a += line {
+				h.Access(a, false, cache.Exclusive)
+			}
+			var addr uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.HitAccess(addr, false)
+				if addr += line; addr == span {
+					addr = 0
+				}
+			}
+		})
+	}
 
 	m["svm_fastaccess"] = microBench(func(b *testing.B) {
 		as := mem.NewAddressSpace(platform.PageSize, 1)

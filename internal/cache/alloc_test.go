@@ -10,7 +10,7 @@ import "testing"
 // across hundreds of millions of references per figure run.
 
 func allocTestConfig() Config {
-	return Config{L1Size: 8 << 10, L1Assoc: 1, L2Size: 64 << 10, L2Assoc: 2, Line: 32}
+	return Config{L1Size: 8 << 10, L2Size: 64 << 10, L2Assoc: 2, Line: 32}
 }
 
 func TestAllocFreeProbe(t *testing.T) {

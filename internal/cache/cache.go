@@ -4,20 +4,20 @@
 // configurations: SVM nodes have an 8 KB direct-mapped write-through L1 and a
 // 512 KB 2-way L2 with 32 B lines; the DSM nodes a 16 KB L1 and a 1 MB 4-way
 // L2 with 64 B lines; the SGI Challenge a 16 KB L1 and 1 MB L2 with 128 B
-// lines.
+// lines. Every L1 is direct-mapped, and New accepts no other L1 shape.
 //
 // Tag-array layout: each level keeps its ways in ONE contiguous, set-major
-// slice of 8-byte way records. A record packs the tag (the line-address bits
-// above the set index) and the MESI state into one uint32 key, next to a
-// uint32 LRU stamp. Every simulated memory reference of every application
-// flows through lookup, so this layout is the simulator's hottest data
-// structure: a probe is one predictable indexed load per way, eight records
-// share one host cache line, and building a hierarchy is two allocations. The
-// replacement decisions (way scan order, LRU victim choice) are bit-for-bit
-// those of the earlier slices-per-set and 16-byte-record layouts, so
-// simulated timing is unchanged. A line address whose tag does not fit the
-// key is rejected with a panic carrying an error, never truncated into an
-// alias of another line.
+// slice of 4-byte way records. A record packs the tag (the line-address bits
+// above the set index), the way's LRU rank within its set (log2(assoc) bits,
+// none for a direct-mapped level) and the MESI state into one uint32. Every
+// simulated memory reference of every application flows through these
+// arrays, so this layout is the simulator's hottest data structure: a probe
+// is one predictable indexed load per way, sixteen records share one host
+// cache line, and each level is one allocation. The ranks keep exact LRU
+// order, so hits, victims and evictions are bit-for-bit those of the earlier
+// layouts and simulated timing is unchanged. A line address whose tag does
+// not fit its record is rejected with a panic carrying an error, never
+// truncated into an alias of another line.
 package cache
 
 import (
@@ -51,10 +51,10 @@ func (s State) String() string {
 	return "?"
 }
 
-// Config describes a two-level hierarchy. Sizes in bytes; all powers of two.
+// Config describes a two-level hierarchy over a direct-mapped L1. Sizes in
+// bytes; all powers of two.
 type Config struct {
 	L1Size  int
-	L1Assoc int
 	L2Size  int
 	L2Assoc int
 	Line    int // line size shared by both levels
@@ -69,29 +69,45 @@ const (
 	Miss // must go to memory / coherence protocol
 )
 
-// way is one 8-byte tag-array entry. key is the tag (the line address with
-// its set-index bits shifted out) shifted left stateBits, OR'd with the MESI
-// state. An Invalid way (state 0) keeps its stale tag but never matches, as
-// the earlier layouts' valid-flag-plus-tag compare did.
+// way is one 4-byte tag-array record: tag<<(stateBits+rb) |
+// rank<<stateBits | state, where rb = log2(assoc) is the level's rank width
+// and the tag is the line address with its set-index bits shifted out. An
+// Invalid way (state 0) keeps its stale tag and its rank but never matches.
+//
+// The ranks order a set's ways by last touch (a fill or a hit), the most
+// recent at rank 0. Touching a way adds 1 to every other way of its set
+// ranked at or below it and gives it rank 0. From the all-zero start (New,
+// Reset) the t ways touched so far therefore hold ranks 0..t-1 and the
+// untouched rest hold t. A valid way has been filled, so a set whose ways are
+// all valid holds a permutation, and its rank assoc-1 is the least recently
+// touched way.
 type way struct {
 	key uint32
-	lru uint32
 }
 
 const (
 	stateBits = 2
 	stateMask = 1<<stateBits - 1
-	// tagBits is the width of the packed tag: a level with 2^s sets holds
-	// line addresses below 2^(s+tagBits).
-	tagBits = 32 - stateBits
+	// rank1 is rank 1 of a 2-way set, which is its whole rank field.
+	rank1 = 1 << stateBits
 )
 
 func (w *way) state() State { return State(w.key & stateMask) }
 
-// holds reports whether w is valid and carries tag key tk (state bits 0):
+// holds reports whether w is valid and carries tag key tk (rank and state
+// bits 0) in a level whose rank field is rm: with the rank masked out,
 // key^tk is then the state, 1..3, so one unsigned compare decides both.
-func (w *way) holds(tk uint32) bool {
-	return (w.key^tk)-1 < stateMask
+func (w *way) holds(tk, rm uint32) bool {
+	return (w.key&^rm^tk)-1 < stateMask
+}
+
+// hitState applies the silent Exclusive->Modified upgrade of a write hit and
+// returns the way's resulting state.
+func (w *way) hitState(write bool) State {
+	if write && w.state() == Exclusive {
+		w.key = w.key&^stateMask | uint32(Modified)
+	}
+	return w.state()
 }
 
 // level is one cache level: nSets*assoc ways, set-major — set si occupies
@@ -99,93 +115,122 @@ func (w *way) holds(tk uint32) bool {
 type level struct {
 	ways     []way
 	setMask  uint64
-	setShift uint // log2(nSets) < 64: the tag is lineAddr >> setShift
+	setShift uint   // log2(nSets) < 64: the tag is lineAddr >> setShift
+	tagShift uint   // stateBits + log2(assoc): the tag's place in a key
+	rankMask uint32 // the rank field of a key; 0 when direct-mapped
 	assoc    int
 }
 
-func newLevel(size, assoc, line int) *level {
-	nLines := size / line
-	nSets := nLines / assoc
-	if nSets == 0 || nSets&(nSets-1) != 0 {
-		panic(fmt.Sprintf("cache: %d sets is not a power of two", nSets))
+func newLevel(field string, size, assoc, line int) level {
+	nSets := size / line / assoc
+	if !pow2(nSets) {
+		panic(configError(field, size, fmt.Sprintf("a power-of-two number of %d-way sets of %d B lines", assoc, line)))
 	}
-	return &level{
+	return level{
 		ways:     make([]way, nSets*assoc),
 		assoc:    assoc,
 		setMask:  uint64(nSets - 1),
 		setShift: uint(bits.TrailingZeros(uint(nSets))),
+		tagShift: stateBits + uint(bits.TrailingZeros(uint(assoc))),
+		rankMask: uint32(assoc-1) << stateBits,
 	}
 }
 
-// tagKey returns lineAddr's packed key with the state bits clear. The caller
-// has checked lineAddr against the hierarchy's lineLimit, so no tag bit is
-// lost.
+// limit is the first line address whose tag does not fit the level's keys.
+func (l *level) limit() uint64 {
+	return 1 << (l.setShift + 32 - l.tagShift)
+}
+
+// tagKey returns lineAddr's packed key with the rank and state bits clear.
+// The caller has checked lineAddr against the hierarchy's lineLimit, so no
+// tag bit is lost.
 func (l *level) tagKey(lineAddr uint64) uint32 {
-	return uint32(lineAddr>>(l.setShift&63)) << stateBits
+	return uint32(lineAddr>>(l.setShift&63)) << (l.tagShift & 31)
 }
 
 // lineAt reconstructs the line address held by way i from its tag and set.
 func (l *level) lineAt(i int) uint64 {
-	return uint64(l.ways[i].key>>stateBits)<<(l.setShift&63) | uint64(i/l.assoc)
+	return uint64(l.ways[i].key>>(l.tagShift&31))<<(l.setShift&63) | uint64(i/l.assoc)
 }
 
 // lookup returns the base index of lineAddr's set and the way index holding
-// it (wi == -1 when absent). Ways are scanned in ascending order, as the
-// previous layout did; the scan order is part of run determinism because it
-// decides LRU ties.
+// it (wi == -1 when absent).
 func (l *level) lookup(lineAddr uint64) (base, wi int, ok bool) {
 	base = int(lineAddr&l.setMask) * l.assoc
-	tk := l.tagKey(lineAddr)
+	tk, rm := l.tagKey(lineAddr), l.rankMask
 	ws := l.ways[base : base+l.assoc]
 	for w := range ws {
-		if ws[w].holds(tk) {
+		if ws[w].holds(tk, rm) {
 			return base, w, true
 		}
 	}
 	return base, -1, false
 }
 
-// insert places lineAddr in its set with the given state, evicting LRU if
-// needed. Victim selection (first invalid way, else lowest LRU stamp, ties
-// to the lowest way index) matches the previous layout exactly. It is used
-// only for L1 fills, whose evictions nobody observes.
-func (l *level) insert(lineAddr uint64, st State, clock uint32) {
-	base := int(lineAddr&l.setMask) * l.assoc
+// scan walks lineAddr's set once, returning the set's base index, the way
+// holding lineAddr (hit == -1 when absent) and, for the miss case, the
+// victim: the first invalid way, else the least recently used (rank
+// assoc-1). victim is only meaningful when hit == -1.
+func (l *level) scan(lineAddr uint64) (base, hit, victim int) {
+	base = int(lineAddr&l.setMask) * l.assoc
+	tk, rm := l.tagKey(lineAddr), l.rankMask
 	ws := l.ways[base : base+l.assoc]
-	victim := 0
-	best := ^uint32(0)
+	invalid, oldest := -1, -1
 	for w := range ws {
-		if ws[w].state() == Invalid {
-			victim = w
-			break
-		}
-		if ws[w].lru < best {
-			best = ws[w].lru
-			victim = w
+		switch k := ws[w].key; {
+		case ws[w].holds(tk, rm):
+			return base, w, -1
+		case k&stateMask == uint32(Invalid):
+			if invalid < 0 {
+				invalid = w
+			}
+		case k&rm == rm:
+			oldest = w
 		}
 	}
-	ws[victim] = way{key: l.tagKey(lineAddr) | uint32(st), lru: clock}
+	if invalid >= 0 {
+		return base, -1, invalid
+	}
+	return base, -1, oldest
+}
+
+// touch records a touch of way w of the set at base: every other way ranked
+// at or below w moves down one rank and w takes rank 0. w's own rank is
+// never incremented: at assoc-1 that would carry into the tag.
+func (l *level) touch(base, w int) {
+	ws := l.ways[base : base+l.assoc]
+	rm := l.rankMask
+	r := ws[w].key & rm
+	for i := range ws {
+		if i != w && ws[i].key&rm <= r {
+			ws[i].key += 1 << stateBits
+		}
+	}
+	ws[w].key &^= rm
+}
+
+// hit touches the valid way w of the set at base and applies a write hit's
+// upgrade, returning the way's state. A valid way has been touched, so at
+// rank 0 it is already the most recent and the touch changes nothing.
+func (l *level) hit(base, w int, write bool) State {
+	if l.ways[base+w].key&l.rankMask != 0 {
+		l.touch(base, w)
+	}
+	return l.ways[base+w].hitState(write)
 }
 
 // Hierarchy is one processor's L1+L2.
 type Hierarchy struct {
-	cfg       Config
-	l1, l2    *level
+	cfg Config
+	// l1 is direct-mapped: one slot per set, no rank bits.
+	l1, l2    level
 	lineShift uint
 	// lineLimit bounds the line addresses both levels' packed tags can
 	// represent; see checkLine.
 	lineLimit uint64
-	clock     uint32
-	// fast12 selects the unrolled Access path for the direct-mapped-L1,
-	// 2-way-L2 shape (the SVM node hierarchy, the hottest in figure runs).
-	// w1arr/w2arr/m1/m2/s1/s2 mirror the levels' fields so that path loads
-	// them without chasing the level pointers; the backing arrays are
-	// allocated once in New and never reallocated, so the aliases stay
-	// valid.
-	fast12       bool
-	w1arr, w2arr []way
-	m1, m2       uint64
-	s1, s2       uint
+	// fast12 selects the unrolled Access path for a 2-way L2 (the SVM node
+	// hierarchy, the hottest in figure runs).
+	fast12 bool
 
 	// fill is the per-page fill filter (nil unless FilterPages attached
 	// one): bit g of fill[pg] is set by every L2 fill of a line in group g of
@@ -209,19 +254,32 @@ type Hierarchy struct {
 	Accesses, L1Misses, L2Misses uint64
 }
 
-// New builds a hierarchy from cfg.
+// New builds a hierarchy from cfg. A shape it cannot model — a line size or
+// L2 associativity that is not a power of two, a level whose set count is
+// not a power of two — panics with an error naming the Config field.
 func New(cfg Config) *Hierarchy {
-	if cfg.Line == 0 || cfg.Line&(cfg.Line-1) != 0 {
-		panic("cache: line size must be a power of two")
+	switch {
+	case !pow2(cfg.Line):
+		panic(configError("Line", cfg.Line, "a power of two"))
+	case !pow2(cfg.L2Assoc):
+		panic(configError("L2Assoc", cfg.L2Assoc, "a power of two"))
 	}
-	h := &Hierarchy{cfg: cfg, lineShift: uint(bits.TrailingZeros(uint(cfg.Line)))}
-	h.l1 = newLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line)
-	h.l2 = newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line)
-	h.lineLimit = uint64(1) << (min(h.l1.setShift, h.l2.setShift) + tagBits)
-	h.fast12 = cfg.L1Assoc == 1 && cfg.L2Assoc == 2
-	h.w1arr, h.m1, h.s1 = h.l1.ways, h.l1.setMask, h.l1.setShift
-	h.w2arr, h.m2, h.s2 = h.l2.ways, h.l2.setMask, h.l2.setShift
+	h := &Hierarchy{
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.Line))),
+		l1:        newLevel("L1Size", cfg.L1Size, 1, cfg.Line),
+		l2:        newLevel("L2Size", cfg.L2Size, cfg.L2Assoc, cfg.Line),
+		fast12:    cfg.L2Assoc == 2,
+	}
+	h.lineLimit = min(h.l1.limit(), h.l2.limit())
 	return h
+}
+
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// configError is New's panic value for a Config it cannot model.
+func configError(field string, v int, want string) error {
+	return fmt.Errorf("cache: Config.%s = %d, want %s", field, v, want)
 }
 
 // FilterPages gives the hierarchy a fill filter over pages 0..npages-1 of
@@ -243,10 +301,16 @@ func (h *Hierarchy) FilterPages(pageSize, npages int) {
 // fillGroups is the number of line groups a page's fill word tracks.
 const fillGroups = 16
 
+// fillBit returns line la's page and its group's bit in that page's fill
+// word; the page is filtered when it is below len(h.fill).
+func (h *Hierarchy) fillBit(la uint64) (uint64, uint16) {
+	return la >> (h.fillPage & 63), 1 << ((la >> (h.fillGroup & 63)) & h.fillMask)
+}
+
 // filled records an L2 fill of line la in the fill filter.
 func (h *Hierarchy) filled(la uint64) {
-	if pg := la >> (h.fillPage & 63); pg < uint64(len(h.fill)) {
-		h.fill[pg] |= 1 << ((la >> (h.fillGroup & 63)) & h.fillMask)
+	if pg, bit := h.fillBit(la); pg < uint64(len(h.fill)) {
+		h.fill[pg] |= bit
 	}
 }
 
@@ -272,57 +336,29 @@ func (h *Hierarchy) Line() int { return h.cfg.Line }
 // LineOf returns the line address (addr / line size).
 func (h *Hierarchy) LineOf(addr uint64) uint64 { return addr >> h.lineShift }
 
+// slot1 returns line la's L1 slot and la's L1 tag key. The L1 is
+// direct-mapped, so its keys have no rank field.
+func (h *Hierarchy) slot1(la uint64) (*way, uint32) {
+	return &h.l1.ways[la&h.l1.setMask], uint32(la>>(h.l1.setShift&63)) << stateBits
+}
+
 // Probe reports the level at which the line containing addr currently
 // resides and its L2 state, without modifying the cache.
 func (h *Hierarchy) Probe(addr uint64) (Level, State) {
 	la := addr >> h.lineShift
 	h.checkLine(la)
-	if _, _, ok := h.l1.lookup(la); ok {
-		if b2, w2, ok2 := h.l2.lookup(la); ok2 {
-			return L1Hit, h.l2.ways[b2+w2].state()
-		}
+	w1, t1 := h.slot1(la)
+	in1 := w1.holds(t1, 0)
+	b2, w2, in2 := h.l2.lookup(la)
+	switch {
+	case in1 && in2:
+		return L1Hit, h.l2.ways[b2+w2].state()
+	case in1:
 		return L1Hit, Exclusive
-	}
-	if b2, w2, ok := h.l2.lookup(la); ok {
+	case in2:
 		return L2Hit, h.l2.ways[b2+w2].state()
 	}
 	return Miss, Invalid
-}
-
-// scan walks lineAddr's set once, returning the set's base index, the way
-// holding lineAddr (hit == -1 when absent) and, for the miss case, the
-// insertion victim chosen exactly as insert does: first invalid way, else
-// lowest LRU stamp, ties to the lowest way index. The scan stops at a hit,
-// like lookup, so LRU observation order is unchanged; victim is only
-// meaningful when hit == -1 (the full set was scanned).
-func (l *level) scan(lineAddr uint64) (base, hit, victim int) {
-	base = int(lineAddr&l.setMask) * l.assoc
-	tk := l.tagKey(lineAddr)
-	ws := l.ways[base : base+l.assoc]
-	victim = -1
-	haveInvalid := false
-	best := ^uint32(0)
-	for w := range ws {
-		if ws[w].state() == Invalid {
-			if !haveInvalid {
-				// First invalid way wins outright, as insert's break does.
-				haveInvalid = true
-				victim = w
-			}
-			continue
-		}
-		if ws[w].key&^stateMask == tk {
-			return base, w, -1
-		}
-		if !haveInvalid && ws[w].lru < best {
-			best = ws[w].lru
-			victim = w
-		}
-	}
-	if victim < 0 {
-		victim = 0 // all valid at the maximum stamp: insert's default
-	}
-	return base, -1, victim
 }
 
 // Access performs a load or store of the line containing addr, updating tag
@@ -331,11 +367,8 @@ func (l *level) scan(lineAddr uint64) (base, hit, victim int) {
 // level that satisfied the access and the line's resulting L2 state.
 //
 // Every simulated memory reference of every application funnels through
-// here, so the miss path is fused: each level's hit probe and victim choice
-// share one tag-array walk instead of lookup-then-insert walking the set
-// twice. The decisions (scan order, first-invalid-else-LRU victim, tie to
-// the lowest way) are bit-for-bit those of the unfused path, so simulated
-// timing is unchanged.
+// here, so the miss path is fused: the L2 hit probe and victim choice share
+// one tag-array walk.
 //
 // Coherence upgrades (write to a Shared line) are NOT handled here: the
 // caller must Probe first and drive the protocol; Access then applies the
@@ -344,7 +377,7 @@ func (h *Hierarchy) Access(addr uint64, write bool, fillState State) (Level, Sta
 	if h.fast12 {
 		return h.access12(addr, write, fillState)
 	}
-	return h.accessGeneric(addr, write, fillState)
+	return h.accessN(addr, write, fillState)
 }
 
 // writeFill is the state a missing line is installed in: a write fills
@@ -356,181 +389,152 @@ func writeFill(st State, write bool) State {
 	return st
 }
 
+// touch2 is level.touch unrolled for a 2-way set: the touched way takes
+// rank 0 and the other rank 1, stored only when that changes a rank.
+func touch2(hit, other *way) {
+	if other.key&rank1 == 0 {
+		hit.key &^= rank1
+		other.key |= rank1
+	}
+}
+
 // access12 is Access unrolled for a direct-mapped L1 over a 2-way L2 — the
 // SVM node hierarchy, which every simulated SVM reference walks. Probe,
-// victim choice and back-invalidation are the literal expansions of the
-// generic path at assoc 1 and 2, so the two produce identical state.
+// ranks, victim choice and back-invalidation are the literal expansions of
+// accessN at assoc 2, so the two produce identical state.
 func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, State) {
 	la := addr >> h.lineShift
 	h.checkLine(la)
-	h.clock++
 	h.Accesses++
-	// Shift counts are masked (they are < 64) so no over-shift check is
-	// compiled into the hottest path.
-	sh1, sh2 := h.s1&63, h.s2&63
-	t1 := uint32(la>>sh1) << stateBits
-	t2 := uint32(la>>sh2) << stateBits
-	w1 := &h.w1arr[la&h.m1]
-	s2 := h.w2arr[int(la&h.m2)*2:]
-	wa := &s2[0]
-	wb := &s2[1]
-	if w1.holds(t1) {
+	w1, t1 := h.slot1(la)
+	s2 := h.l2.ways[int(la&h.l2.setMask)*2:]
+	wa, wb := &s2[0], &s2[1]
+	t2 := uint32(la>>(h.l2.setShift&63)) << (stateBits + 1)
+	hit, other := (*way)(nil), (*way)(nil)
+	if wa.holds(t2, rank1) {
+		hit, other = wa, wb
+	} else if wb.holds(t2, rank1) {
+		hit, other = wb, wa
+	}
+	if w1.holds(t1, 0) {
 		// L1 hit; L1 is write-through, so line state lives in L2.
-		w1.lru = h.clock
-		if wa.holds(t2) {
-			wa.lru = h.clock
-			if write && wa.state() == Exclusive {
-				wa.key = t2 | uint32(Modified)
-			}
-			return L1Hit, wa.state()
+		if hit == nil {
+			return L1Hit, Exclusive
 		}
-		if wb.holds(t2) {
-			wb.lru = h.clock
-			if write && wb.state() == Exclusive {
-				wb.key = t2 | uint32(Modified)
-			}
-			return L1Hit, wb.state()
-		}
-		return L1Hit, Exclusive
+		touch2(hit, other)
+		return L1Hit, hit.hitState(write)
 	}
 	h.L1Misses++
-	hit := (*way)(nil)
-	if wa.holds(t2) {
-		hit = wa
-	} else if wb.holds(t2) {
-		hit = wb
-	}
 	if hit != nil {
-		hit.lru = h.clock
-		if write && hit.state() == Exclusive {
-			hit.key = t2 | uint32(Modified)
-		}
-		st := hit.state()
-		*w1 = way{key: t1 | uint32(st), lru: h.clock}
+		touch2(hit, other)
+		st := hit.hitState(write)
+		*w1 = way{t1 | uint32(st)}
 		return L2Hit, st
 	}
 	h.L2Misses++
 	st := writeFill(fillState, write)
-	// Victim: first invalid way, else lower LRU stamp, ties to way 0.
-	v := wa
-	if wa.state() != Invalid && (wb.state() == Invalid || wb.lru < wa.lru) {
-		v = wb
+	// Victim: first invalid way, else the one at rank 1.
+	v, o := wa, wb
+	if wa.state() != Invalid && (wb.state() == Invalid || wb.key&rank1 != 0) {
+		v, o = wb, wa
 	}
 	h.filled(la)
-	ev, evSt := uint64(v.key>>stateBits)<<sh2|la&h.m2, v.state()
-	*v = way{key: t2 | uint32(st), lru: h.clock}
+	ev, evSt := uint64(v.key>>(stateBits+1))<<(h.l2.setShift&63)|la&h.l2.setMask, v.state()
+	*v = way{t2 | uint32(st)}
+	o.key |= rank1
 	if evSt != Invalid {
 		// Inclusion: a line leaving L2 must also leave L1.
-		we := &h.w1arr[ev&h.m1]
-		if we.holds(uint32(ev>>sh1) << stateBits) {
-			we.key &^= stateMask
-		}
+		h.dropL1(ev)
 		if h.OnL2Evict != nil {
 			h.OnL2Evict(ev, evSt)
 		}
 	}
 	// Direct-mapped L1: la's slot is the victim no matter what the eviction
 	// callback touched.
-	*w1 = way{key: t1 | uint32(st), lru: h.clock}
+	*w1 = way{t1 | uint32(st)}
 	return Miss, st
 }
 
-func (h *Hierarchy) accessGeneric(addr uint64, write bool, fillState State) (Level, State) {
+// accessN is Access for a direct-mapped L1 over an L2 of any associativity.
+func (h *Hierarchy) accessN(addr uint64, write bool, fillState State) (Level, State) {
 	la := addr >> h.lineShift
 	h.checkLine(la)
-	h.clock++
 	h.Accesses++
-	b1, hit1, vic1 := h.l1.scan(la)
-	if hit1 >= 0 {
-		h.l1.ways[b1+hit1].lru = h.clock
+	w1, t1 := h.slot1(la)
+	if w1.holds(t1, 0) {
 		// L1 is write-through: line state lives in L2.
-		if b2, w2, ok2 := h.l2.lookup(la); ok2 {
-			return L1Hit, h.l2.touch(b2+w2, write, h.clock)
+		if b2, w2, ok := h.l2.lookup(la); ok {
+			return L1Hit, h.l2.hit(b2, w2, write)
 		}
 		return L1Hit, Exclusive
 	}
 	h.L1Misses++
 	b2, hit2, vic2 := h.l2.scan(la)
 	if hit2 >= 0 {
-		st := h.l2.touch(b2+hit2, write, h.clock)
-		h.l1.ways[b1+vic1] = way{key: h.l1.tagKey(la) | uint32(st), lru: h.clock}
+		st := h.l2.hit(b2, hit2, write)
+		*w1 = way{t1 | uint32(st)}
 		return L2Hit, st
 	}
 	h.L2Misses++
 	st := writeFill(fillState, write)
 	ev, evSt := h.l2.lineAt(b2+vic2), h.l2.ways[b2+vic2].state()
-	h.l2.ways[b2+vic2] = way{key: h.l2.tagKey(la) | uint32(st), lru: h.clock}
+	h.l2.touch(b2, vic2)
+	h.l2.ways[b2+vic2] = way{h.l2.tagKey(la) | uint32(st)}
 	h.filled(la)
 	if evSt != Invalid {
-		// Inclusion: a line leaving L2 must also leave L1. This can free a
-		// way in la's own L1 set, so the L1 victim must be re-chosen below
-		// rather than taken from the pre-eviction scan.
-		if b1, w1, ok := h.l1.lookup(ev); ok {
-			h.l1.ways[b1+w1].key &^= stateMask
-		}
+		// Inclusion: a line leaving L2 must also leave L1.
+		h.dropL1(ev)
 		if h.OnL2Evict != nil {
 			h.OnL2Evict(ev, evSt)
 		}
 	}
-	h.l1.insert(la, st, h.clock)
+	*w1 = way{t1 | uint32(st)}
 	return Miss, st
 }
 
-// touch stamps the L2 way at index i with clock, applies the silent
-// Exclusive->Modified upgrade of a write hit, and returns the way's state.
-func (l *level) touch(i int, write bool, clock uint32) State {
-	w := &l.ways[i]
-	w.lru = clock
-	if write && w.state() == Exclusive {
-		w.key = w.key&^stateMask | uint32(Modified)
+// dropL1 invalidates line la's L1 copy, if there is one.
+func (h *Hierarchy) dropL1(la uint64) {
+	if w, t := h.slot1(la); w.holds(t, 0) {
+		w.key &^= stateMask
 	}
-	return w.state()
 }
 
 // HitAccess is Probe followed by Access, fused into one tag-array walk, for
 // the platforms' FastAccess hot path: it performs the access ONLY if the
 // line hits and (for writes) the MESI state grants write permission
 // (Modified or Exclusive). On a miss or an insufficient state it mutates
-// nothing — not even the LRU clock — exactly as the unfused Probe-then-
-// return-false path did, so SlowAccess still performs the one and only
-// Access of the reference. The mutations of the hit path (clock, counters,
-// LRU stamps, the silent Exclusive->Modified write upgrade) are identical to
-// Access's, so fused and unfused runs are cycle-identical.
+// nothing, so SlowAccess still performs the one and only Access of the
+// reference. The mutations of the hit path (counters, L2 ranks, the L1 fill
+// of an L2 hit, the silent Exclusive->Modified write upgrade) are identical
+// to Access's, so fused and unfused runs are cycle-identical.
 func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 	la := addr >> h.lineShift
 	h.checkLine(la)
-	if b1, w1, ok := h.l1.lookup(la); ok {
-		// L1 hit; authoritative state lives in L2 (write-through L1).
-		b2, w2, ok2 := h.l2.lookup(la)
-		st := Exclusive
-		if ok2 {
-			st = h.l2.ways[b2+w2].state()
+	w1, t1 := h.slot1(la)
+	b2, w2, in2 := h.l2.lookup(la)
+	lvl, st := L1Hit, Exclusive
+	if !w1.holds(t1, 0) {
+		if !in2 {
+			return Miss, Invalid, false
 		}
-		if write && st != Modified && st != Exclusive {
-			return L1Hit, st, false
-		}
-		h.clock++
-		h.Accesses++
-		h.l1.ways[b1+w1].lru = h.clock
-		if ok2 {
-			return L1Hit, h.l2.touch(b2+w2, write, h.clock), true
-		}
-		return L1Hit, Exclusive, true
+		lvl = L2Hit
 	}
-	b2, w2, ok := h.l2.lookup(la)
-	if !ok {
-		return Miss, Invalid, false
+	if in2 {
+		// Authoritative state lives in L2 (write-through L1).
+		st = h.l2.ways[b2+w2].state()
 	}
-	st := h.l2.ways[b2+w2].state()
 	if write && st != Modified && st != Exclusive {
-		return L2Hit, st, false
+		return lvl, st, false
 	}
-	h.clock++
 	h.Accesses++
-	h.L1Misses++
-	st = h.l2.touch(b2+w2, write, h.clock)
-	h.l1.insert(la, st, h.clock)
-	return L2Hit, st, true
+	if in2 {
+		st = h.l2.hit(b2, w2, write)
+	}
+	if lvl == L2Hit {
+		h.L1Misses++
+		*w1 = way{t1 | uint32(st)}
+	}
+	return lvl, st, true
 }
 
 // SetState forces the L2 (and implicitly L1) state of the line containing
@@ -548,9 +552,7 @@ func (h *Hierarchy) setLine(la uint64, st State) {
 		w.key = w.key&^stateMask | uint32(st)
 	}
 	if st == Invalid {
-		if b1, w1, ok := h.l1.lookup(la); ok {
-			h.l1.ways[b1+w1].key &^= stateMask
-		}
+		h.dropL1(la)
 	}
 }
 
@@ -576,8 +578,7 @@ func (h *Hierarchy) InvalidateRange(addr uint64, n int) {
 	span := uint64(1) << h.fillGroup
 	for la < end {
 		stop := min((la|(span-1))+1, end)
-		if pg := la >> (h.fillPage & 63); pg < uint64(len(h.fill)) {
-			bit := uint16(1) << ((la >> (h.fillGroup & 63)) & h.fillMask)
+		if pg, bit := h.fillBit(la); pg < uint64(len(h.fill)) {
 			if h.fill[pg]&bit == 0 {
 				la = stop
 				continue
@@ -603,32 +604,80 @@ func (h *Hierarchy) LinesL2(f func(lineAddr uint64, st State)) {
 	}
 }
 
-// CheckInclusion verifies the multilevel inclusion property: every valid L1
-// line must also be present in L2. Access maintains this by back-invalidating
-// L1 on L2 eviction; a violation means a protocol path mutated one level
-// without the other.
-func (h *Hierarchy) CheckInclusion() error {
+// Check audits the hierarchy and returns an error naming the first fault:
+//
+//   - inclusion: every valid L1 line is present in L2. Access keeps it by
+//     back-invalidating L1 on L2 eviction; the coherence protocols and
+//     InvalidateRange's group skip rely on it;
+//   - ranks: in every L2 set the t ways touched since Reset hold distinct
+//     ranks 0..t-1, the untouched rest hold t, and no valid way is among
+//     the untouched, so a full set holds a permutation and its LRU victim
+//     is the way at rank assoc-1;
+//   - fill filter: every L2-resident line on a filtered page has its
+//     group's bit set, which is what makes skipping a clear group sound.
+//
+// A fault means some path mutated one level or the filter outside the rules
+// Access, SetState and InvalidateRange keep.
+func (h *Hierarchy) Check() error {
 	for i := range h.l1.ways {
-		st := h.l1.ways[i].state()
-		if st == Invalid {
+		if st := h.l1.ways[i].state(); st != Invalid {
+			la := h.l1.lineAt(i)
+			if _, _, ok := h.l2.lookup(la); !ok {
+				return fmt.Errorf("cache: L1 line %#x (state %s) not present in L2 (inclusion violated)", la, st)
+			}
+		}
+	}
+	if err := h.l2.checkRanks(); err != nil {
+		return err
+	}
+	for i := range h.l2.ways {
+		if h.l2.ways[i].state() == Invalid {
 			continue
 		}
-		la := h.l1.lineAt(i)
-		if _, _, ok := h.l2.lookup(la); !ok {
-			return fmt.Errorf("cache: L1 line %#x (state %s) not present in L2 (inclusion violated)", la, st)
+		la := h.l2.lineAt(i)
+		if pg, bit := h.fillBit(la); pg < uint64(len(h.fill)) && h.fill[pg]&bit == 0 {
+			return fmt.Errorf("cache: L2 line %#x is resident but its fill-filter group bit %#x on page %d is clear", la, bit, pg)
 		}
 	}
 	return nil
 }
 
-// Reset returns the hierarchy to its exact post-New state — cold tag arrays,
-// an empty fill filter, zero LRU clock, zero counters — without reallocating
-// the way records, so a platform reattaching between runs allocates nothing.
+// checkRanks verifies the rank invariant (see way) of every set of l.
+func (l *level) checkRanks() error {
+	held := make([]int, l.assoc) // held[r] counts a set's ways at rank r
+	for base := 0; base < len(l.ways); base += l.assoc {
+		ws := l.ways[base : base+l.assoc]
+		clear(held)
+		for i := range ws {
+			held[(ws[i].key&l.rankMask)>>stateBits]++
+		}
+		t := 0 // the ways touched since Reset
+		for t < l.assoc && held[t] == 1 {
+			t++
+		}
+		if t == l.assoc {
+			continue
+		}
+		if held[t] != l.assoc-t {
+			return fmt.Errorf("cache: L2 set %d has rank counts %v, not an LRU order", base/l.assoc, held)
+		}
+		for i := range ws {
+			if ws[i].state() != Invalid && (ws[i].key&l.rankMask)>>stateBits == uint32(t) {
+				return fmt.Errorf("cache: L2 set %d: valid way %d holds rank %d, shared by the never-touched ways", base/l.assoc, i, t)
+			}
+		}
+	}
+	return nil
+}
+
+// Reset returns the hierarchy to its exact post-New state — all-zero tag
+// arrays (every set cold, no way touched), an empty fill filter, zero
+// counters — without reallocating the way records, so a platform
+// reattaching between runs allocates nothing.
 func (h *Hierarchy) Reset() {
 	clear(h.l1.ways)
 	clear(h.l2.ways)
 	clear(h.fill)
-	h.clock = 0
 	h.Accesses = 0
 	h.L1Misses = 0
 	h.L2Misses = 0

@@ -1,12 +1,13 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func testConfig() Config {
-	return Config{L1Size: 1 << 10, L1Assoc: 1, L2Size: 8 << 10, L2Assoc: 2, Line: 32}
+	return Config{L1Size: 1 << 10, L2Size: 8 << 10, L2Assoc: 2, Line: 32}
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -108,7 +109,7 @@ func TestDirectMappedConflictThrashing(t *testing.T) {
 	// The superlinear-speedup story in the paper depends on 2-d layouts
 	// thrashing direct-mapped caches: alternating accesses at a stride of
 	// the whole cache size always miss.
-	cfg := Config{L1Size: 1 << 10, L1Assoc: 1, L2Size: 2 << 10, L2Assoc: 1, Line: 32}
+	cfg := Config{L1Size: 1 << 10, L2Size: 2 << 10, L2Assoc: 1, Line: 32}
 	h := New(cfg)
 	h.Access(0x0000, false, Exclusive)
 	h.Access(0x0800, false, Exclusive) // conflicts in both levels
@@ -162,7 +163,7 @@ func TestFillFilterBits(t *testing.T) {
 	for _, c := range []struct {
 		line, groupLines int
 	}{{32, 8}, {128, 2}, {512, 1}} {
-		cfg := Config{L1Size: 8 << 10, L1Assoc: 1, L2Size: 64 << 10, L2Assoc: 2, Line: c.line}
+		cfg := Config{L1Size: 8 << 10, L2Size: 64 << 10, L2Assoc: 2, Line: c.line}
 		h := New(cfg)
 		h.FilterPages(4096, 4)
 		g := uint64(c.groupLines * c.line) // bytes per group
@@ -187,6 +188,69 @@ func TestFillFilterBits(t *testing.T) {
 		h.Reset()
 		if h.fill[2] != 0 {
 			t.Fatalf("line %d: Reset left fill word %#x", c.line, h.fill[2])
+		}
+	}
+}
+
+// New models only power-of-two line sizes, L2 associativities and set
+// counts, and rejects anything else with an error naming the Config field.
+func TestNewRejectsUnsupportedShapes(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"L2Assoc", func(c *Config) { c.L2Assoc = 3 }},
+		{"L2Assoc", func(c *Config) { c.L2Assoc = 0 }},
+		{"Line", func(c *Config) { c.Line = 48 }},
+		{"L2Size", func(c *Config) { c.L2Size = 24 << 10 }},
+	} {
+		cfg := testConfig()
+		c.edit(&cfg)
+		var err error
+		func() {
+			defer func() { err, _ = recover().(error) }()
+			New(cfg)
+		}()
+		if err == nil || !strings.Contains(err.Error(), "Config."+c.field+" ") {
+			t.Errorf("New(%+v) panicked with %v, want an error naming Config.%s", cfg, err, c.field)
+		}
+	}
+}
+
+// Check names each kind of fault: a line in L1 but not in L2, two ways of a
+// set at one rank, and a resident line whose fill-filter group bit is clear.
+func TestCheckNamesEachFault(t *testing.T) {
+	dash := Config{L1Size: 16 << 10, L2Size: 1 << 20, L2Assoc: 4, Line: 64}
+	// Four lines of one L2 set (and one L1 slot), 256 KB apart.
+	line := func(i int) uint64 { return 0x1000 + uint64(i)*(256<<10) }
+	for _, c := range []struct {
+		name, want string
+		fault      func(h *Hierarchy)
+	}{
+		{"L2 copy dropped under a valid L1 way", "inclusion", func(h *Hierarchy) {
+			b, w, _ := h.l2.lookup(h.LineOf(line(2)))
+			h.l2.ways[b+w].key &^= stateMask
+		}},
+		{"duplicated rank", "rank", func(h *Hierarchy) {
+			b, w, _ := h.l2.lookup(h.LineOf(line(0))) // rank 3
+			h.l2.ways[b+w].key -= 1 << stateBits      // now shares rank 2
+		}},
+		{"fill-filter bit cleared", "fill-filter", func(h *Hierarchy) {
+			h.fill[line(0)/4096] = 0
+		}},
+	} {
+		h := New(dash)
+		h.FilterPages(4096, 1024)
+		// Most recent first, the set ends as 2 3 1 0, and L1 holds line 2.
+		for _, i := range []int{0, 1, 2, 3, 1, 3, 2} {
+			h.Access(line(i), false, Exclusive)
+		}
+		if err := h.Check(); err != nil {
+			t.Fatalf("%s: healthy hierarchy: %v", c.name, err)
+		}
+		c.fault(h)
+		if err := h.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Check() = %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refHierarchy is the tag-array layout that preceded the packed 8-byte ways:
@@ -72,7 +74,7 @@ type refHierarchy struct {
 
 func newRef(cfg Config) *refHierarchy {
 	h := &refHierarchy{
-		l1:   newRefLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line),
+		l1:   newRefLevel(cfg.L1Size, 1, cfg.Line),
 		l2:   newRefLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line),
 		line: uint64(cfg.Line),
 	}
@@ -209,9 +211,9 @@ var platformShapes = []struct {
 	name string
 	cfg  Config
 }{
-	{"svm", Config{L1Size: 8 << 10, L1Assoc: 1, L2Size: 512 << 10, L2Assoc: 2, Line: 32}},
-	{"dsm", Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 4, Line: 64}},
-	{"smp", Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 1, Line: 128}},
+	{"svm", Config{L1Size: 8 << 10, L2Size: 512 << 10, L2Assoc: 2, Line: 32}},
+	{"dsm", Config{L1Size: 16 << 10, L2Size: 1 << 20, L2Assoc: 4, Line: 64}},
+	{"smp", Config{L1Size: 16 << 10, L2Size: 1 << 20, L2Assoc: 1, Line: 128}},
 }
 
 // TestPackedLayoutMatchesReference drives the packed tag arrays and the
@@ -318,7 +320,7 @@ func comparePackedToReference(t *testing.T, shape string, cfg Config, h *Hierarc
 			t.Fatalf("op %d: evictions %v, reference %v", i, evGot, evWant)
 		}
 		if i%20000 == 0 {
-			if err := h.CheckInclusion(); err != nil {
+			if err := h.Check(); err != nil {
 				t.Fatal(err)
 			}
 			sameContents(i)
@@ -367,4 +369,145 @@ func recoverError(f func()) (err error) {
 	}()
 	f()
 	return nil
+}
+
+// A way is one uint32: tag, LRU rank and state share it.
+func TestWayIsFourBytes(t *testing.T) {
+	if n := unsafe.Sizeof(way{}); n != 4 {
+		t.Fatalf("way is %d bytes, want 4", n)
+	}
+}
+
+// randomOp applies one random operation to h, drawing everything from rng,
+// and describes its result.
+func randomOp(h *Hierarchy, rng *rand.Rand) string {
+	a := 4096 + uint64(rng.Intn(4*h.cfg.L2Size))
+	write := rng.Intn(3) == 0
+	switch op := rng.Intn(10); {
+	case op < 6:
+		lvl, st := h.Access(a, write, State(1+rng.Intn(3)))
+		return fmt.Sprint("access ", lvl, st)
+	case op < 8:
+		lvl, st, ok := h.HitAccess(a, write)
+		return fmt.Sprint("hit ", lvl, st, ok)
+	case op < 9:
+		h.SetState(a, State(rng.Intn(4)))
+	default:
+		h.InvalidateRange(a&^4095, 4096)
+	}
+	return ""
+}
+
+// Reset must leave exactly what New builds: every way zero (no way of any
+// set touched yet), an empty fill filter, zero counters. A second stream then
+// runs identically on the reset hierarchy and on a fresh one.
+func TestResetMatchesNew(t *testing.T) {
+	for _, sh := range platformShapes {
+		h := New(sh.cfg)
+		h.FilterPages(4096, 512)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 50000; i++ {
+			randomOp(h, rng)
+		}
+		h.Reset()
+		for name, ws := range map[string][]way{"L1": h.l1.ways, "L2": h.l2.ways} {
+			for i, w := range ws {
+				if w.key != 0 {
+					t.Fatalf("%s: after Reset %s way %d holds %#x", sh.name, name, i, w.key)
+				}
+			}
+		}
+		for pg, f := range h.fill {
+			if f != 0 {
+				t.Fatalf("%s: after Reset fill word %d is %#x", sh.name, pg, f)
+			}
+		}
+		if h.Accesses != 0 || h.L1Misses != 0 || h.L2Misses != 0 {
+			t.Fatalf("%s: after Reset counters %d/%d/%d", sh.name, h.Accesses, h.L1Misses, h.L2Misses)
+		}
+
+		fresh := New(sh.cfg)
+		fresh.FilterPages(4096, 512)
+		r1, r2 := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2))
+		for i := 0; i < 50000; i++ {
+			if got, want := randomOp(h, r1), randomOp(fresh, r2); got != want {
+				t.Fatalf("%s: op %d: reset hierarchy %q, fresh %q", sh.name, i, got, want)
+			}
+		}
+		if !slices.Equal(h.l1.ways, fresh.l1.ways) || !slices.Equal(h.l2.ways, fresh.l2.ways) ||
+			!slices.Equal(h.fill, fresh.fill) || h.Accesses != fresh.Accesses ||
+			h.L1Misses != fresh.L1Misses || h.L2Misses != fresh.L2Misses {
+			t.Fatalf("%s: reset and fresh hierarchies diverged", sh.name)
+		}
+	}
+}
+
+// LRU order in readable steps. Every letter is a line of L2 set 0 (and of
+// L1 slot 0); "-X" invalidates X. Each step states the level the access is
+// satisfied at and the letter it evicts from L2.
+func TestLRUSequences(t *testing.T) {
+	type step struct {
+		op      string
+		lvl     Level
+		evicted string
+	}
+	for _, c := range []struct {
+		shape string
+		steps []step
+	}{
+		{"svm", []step{ // 2-way
+			{"A", Miss, ""}, {"B", Miss, ""},
+			{"A", L2Hit, ""}, {"A", L1Hit, ""}, // order A B
+			{"C", Miss, "B"}, // C A
+			{"A", L2Hit, ""}, // A C
+			{"D", Miss, "C"}, // D A
+			{"-D", 0, ""},    // D's way is invalid
+			{"E", Miss, ""},  // fills D's way: E A
+			{"B", Miss, "A"}, // B E
+		}},
+		{"dsm", []step{ // 4-way
+			{"A", Miss, ""}, {"B", Miss, ""}, {"C", Miss, ""}, {"D", Miss, ""},
+			{"B", L2Hit, ""}, // B D C A
+			{"E", Miss, "A"}, // E B D C
+			{"C", L2Hit, ""}, // C E B D
+			{"F", Miss, "D"}, // F C E B
+			{"A", Miss, "B"}, // A F C E
+			{"E", L2Hit, ""}, // E A F C
+			{"G", Miss, "C"}, // G E A F
+			{"-A", 0, ""},    // A's way (rank 2) is invalid
+			{"H", Miss, ""},  // fills A's way: H G E F
+			{"B", Miss, "F"}, // B H G E
+			{"G", L2Hit, ""}, // G B H E
+			{"G", L1Hit, ""}, // unchanged
+			{"C", Miss, "E"}, // C G B H
+		}},
+	} {
+		var cfg Config
+		for _, sh := range platformShapes {
+			if sh.name == c.shape {
+				cfg = sh.cfg
+			}
+		}
+		h := New(cfg)
+		span := uint64(cfg.L2Size / cfg.L2Assoc) // set 0 repeats at this stride
+		addrOf := func(letter byte) uint64 { return uint64(letter-'A'+1) * span }
+		var evicted string
+		h.OnL2Evict = func(la uint64, _ State) {
+			evicted = string(rune('A' - 1 + la<<h.lineShift/span))
+		}
+		for i, s := range c.steps {
+			evicted = ""
+			if s.op[0] == '-' {
+				h.SetState(addrOf(s.op[1]), Invalid)
+			} else if lvl, _ := h.Access(addrOf(s.op[0]), false, Exclusive); lvl != s.lvl {
+				t.Fatalf("%s step %d (%s): level %v, want %v", c.shape, i, s.op, lvl, s.lvl)
+			}
+			if evicted != s.evicted {
+				t.Fatalf("%s step %d (%s): evicted %q, want %q", c.shape, i, s.op, evicted, s.evicted)
+			}
+			if err := h.Check(); err != nil {
+				t.Fatalf("%s step %d (%s): %v", c.shape, i, s.op, err)
+			}
+		}
+	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 var testBusCfg = cache.Config{
-	L1Size: 16 << 10, L1Assoc: 1,
+	L1Size: 16 << 10,
 	L2Size: 1 << 20, L2Assoc: 1,
 	Line: 128,
 }

@@ -9,8 +9,8 @@ import (
 )
 
 var (
-	busCfg = cache.Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 1, Line: 128}
-	dirCfg = cache.Config{L1Size: 16 << 10, L1Assoc: 1, L2Size: 1 << 20, L2Assoc: 4, Line: 64}
+	busCfg = cache.Config{L1Size: 16 << 10, L2Size: 1 << 20, L2Assoc: 1, Line: 128}
+	dirCfg = cache.Config{L1Size: 16 << 10, L2Size: 1 << 20, L2Assoc: 4, Line: 64}
 )
 
 // slowTransactions runs a read-then-write by one processor on machine pl and

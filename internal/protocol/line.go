@@ -193,7 +193,7 @@ func (e *LineEngine) CheckInvariants(scope string) error {
 		}
 	}
 	for q := 0; q < e.NP; q++ {
-		if err := e.Caches[q].CheckInclusion(); err != nil {
+		if err := e.Caches[q].Check(); err != nil {
 			return fmt.Errorf("%s: member %d: %w", scope, q, err)
 		}
 		var lerr error

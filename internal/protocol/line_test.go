@@ -15,7 +15,7 @@ import (
 
 // lineTestCfg is small enough that a few hundred lines force L2 evictions,
 // so the eviction hook clears entries throughout the differential stream.
-var lineTestCfg = cache.Config{L1Size: 1 << 10, L1Assoc: 1, L2Size: 4 << 10, L2Assoc: 2, Line: 64}
+var lineTestCfg = cache.Config{L1Size: 1 << 10, L2Size: 4 << 10, L2Assoc: 2, Line: 64}
 
 // refLines is the map-backed line table the page-chunked table replaced,
 // kept as the reference model. Its engine supplies member caches and the
@@ -70,7 +70,7 @@ func (r *refLines) checkInvariants(scope string) error {
 		}
 	}
 	for q, h := range r.eng.Caches {
-		if err := h.CheckInclusion(); err != nil {
+		if err := h.Check(); err != nil {
 			return fmt.Errorf("%s: member %d: %w", scope, q, err)
 		}
 		var lerr error

@@ -11,7 +11,7 @@ import (
 // direct-mapped L2, 128 B second-level lines. The smp and smp-msi presets
 // and svmsmp's intra-cluster buses all use it.
 var ChallengeCache = cache.Config{
-	L1Size: 16 << 10, L1Assoc: 1,
+	L1Size: 16 << 10,
 	L2Size: 1 << 20, L2Assoc: 1,
 	Line: 128,
 }
@@ -20,7 +20,7 @@ var ChallengeCache = cache.Config{
 // 16 KB direct-mapped L1, 1 MB 4-way L2, 64 B lines. The dsm and dsm-msi
 // presets use it.
 var DASHCache = cache.Config{
-	L1Size: 16 << 10, L1Assoc: 1,
+	L1Size: 16 << 10,
 	L2Size: 1 << 20, L2Assoc: 4,
 	Line: 64,
 }

@@ -3,6 +3,7 @@ package svm
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -88,5 +89,26 @@ func TestIntervalOverflowFailsLoudly(t *testing.T) {
 	}
 	if ioe.Node != 0 {
 		t.Errorf("overflow reported for node %d, want 0", ioe.Node)
+	}
+}
+
+// The checker audits every node's caches: a fault in one surfaces as a
+// contained InvariantError naming the node. Here node 0 gets a fresh, empty
+// fill filter while a line of page a is resident, so the filter would let
+// an invalidation of a skip that line.
+func TestCacheFaultSurfacesAsInvariantError(t *testing.T) {
+	as, pl, k := setupChecked(2)
+	a := as.AllocPages(4096)
+	as.SetHome(a, 4096, 0)
+	_, err := k.RunErr("cache-fault", func(p *sim.Proc) {
+		if p.ID() == 0 {
+			p.Read(a)
+			pl.caches[0].FilterPages(4096, int(as.NumPages())+1)
+		}
+		p.Barrier()
+	})
+	var ie *sim.InvariantError
+	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "svm: node 0: cache:") || !strings.Contains(err.Error(), "fill-filter") {
+		t.Fatalf("err = %v, want an InvariantError naming node 0's fill filter", err)
 	}
 }

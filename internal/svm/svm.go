@@ -25,7 +25,7 @@ import (
 
 // CacheConfig is the paper's SVM node cache hierarchy.
 var CacheConfig = cache.Config{
-	L1Size: 8 << 10, L1Assoc: 1,
+	L1Size: 8 << 10,
 	L2Size: 512 << 10, L2Assoc: 2,
 	Line: 32,
 }
@@ -100,7 +100,7 @@ func (s *Platform) LineSize() int { return CacheConfig.Line }
 // Attach implements sim.Platform, resetting all protocol state. A platform
 // reattached to run again (micro-benchmarks, parameter sweeps on one
 // instance) resets its nodes in place — vector clocks, page tables, the
-// quarter-megabyte cache tag arrays and their page fill filters are
+// cache tag arrays (about 65 KB per node) and their page fill filters are
 // cleared, not reallocated — so a repeated run allocates nothing and starts
 // from the identical cold state a fresh platform would.
 func (s *Platform) Attach(k *sim.Kernel) {
