@@ -95,6 +95,8 @@ type instance struct {
 	slabRoot []int32 // spatial version: per-processor subtree roots
 	locRoot  []int32 // partree: local roots
 
+	fa forceArray // the current step's tree, flattened in phase 3
+
 	verifyAcc [][3]float64 // accelerations after the first force phase
 	posSnap   [][3]float64 // positions at that same point
 }
@@ -268,22 +270,6 @@ func (r *recorder) charge(p *sim.Proc, locks bool) {
 	}
 }
 
-// forceCharger charges force-traversal accesses.
-type forceCharger struct {
-	in *instance
-	p  *sim.Proc
-}
-
-func (fc *forceCharger) examine(n int32) {
-	fc.p.ReadRange(fc.in.cellAddr(n), 64)
-	fc.p.Compute(visitCost)
-}
-
-func (fc *forceCharger) interactBody(bi int32) {
-	fc.p.ReadRange(fc.in.bAddr(bi), 32)
-	fc.p.Compute(interCost)
-}
-
 // Body implements core.Instance.
 func (in *instance) Body(p *sim.Proc) {
 	id := p.ID()
@@ -307,12 +293,11 @@ func (in *instance) Body(p *sim.Proc) {
 		p.Barrier()
 		p.RecordPhase("treebuild", p.Now()-t0)
 
-		// Phase 3: centers of mass. Values are computed host-side once
-		// (deterministically, by the last processor to arrive at the
-		// barrier above via sync order: proc 0 does it here before any
-		// force work); each processor is charged for its own cells.
+		// Phase 3: centers of mass. Values are computed host-side once,
+		// by proc 0 before any force work, into the force array; each
+		// processor is charged for its own cells.
 		if id == 0 {
-			in.computeAllCOM()
+			in.flattenTree()
 		}
 		for ci := range in.t.nodes {
 			c := &in.t.nodes[ci]
@@ -326,13 +311,8 @@ func (in *instance) Body(p *sim.Proc) {
 
 		// Phase 4: force calculation on own bodies.
 		t0 = p.Now()
-		fc := &forceCharger{in: in, p: p}
 		for bi := lo; bi < hi; bi++ {
-			var acc [3]float64
-			in.forAllRoots(func(r int32) {
-				in.t.force(r, in.bodies, int32(bi), &acc, fc)
-			})
-			in.bodies[bi].acc = acc
+			in.bodies[bi].acc = in.accel(p, int32(bi))
 		}
 		p.Barrier()
 		p.RecordPhase("force", p.Now()-t0)
@@ -378,10 +358,63 @@ func (in *instance) forAllRoots(f func(r int32)) {
 	}
 }
 
-func (in *instance) computeAllCOM() {
+// flattenTree rebuilds the force array from the current tree, one root after
+// another in forAllRoots order. It is a snapshot: nothing changes the tree,
+// the body positions or the cell addresses between phase 3 and the end of
+// phase 4. Both slices keep their storage across steps; the records grow
+// only when a step's tree outgrows them (updatetree's step 1).
+func (in *instance) flattenTree() {
+	if cap(in.fa.recs) < len(in.t.nodes) {
+		in.fa.recs = make([]cellRec, 0, len(in.t.nodes))
+	}
+	if in.fa.bodies == nil {
+		in.fa.bodies = make([]leafBody, 0, in.n)
+	}
+	in.fa.recs, in.fa.bodies = in.fa.recs[:0], in.fa.bodies[:0]
 	in.forAllRoots(func(r int32) {
-		in.t.computeCOM(r, in.bodies)
+		in.t.flatten(r, in.bodies, in.nodeAddr, &in.fa)
 	})
+}
+
+// accel returns the Barnes-Hut acceleration on body bi, walking the force
+// array in preorder. Each cell examined is charged one line read and the
+// opening test; an empty cell or one far enough away is skipped past its
+// subtree, and an opened cell continues at its first child, so cells are
+// visited, charged and summed in the tree's child order.
+func (in *instance) accel(p *sim.Proc, bi int32) (acc [3]float64) {
+	recs, leaves := in.fa.recs, in.fa.bodies
+	pos := in.bodies[bi].pos
+	for i := 0; i < len(recs); {
+		r := &recs[i]
+		p.ReadRange(r.addr, 64)
+		p.Compute(visitCost)
+		next := int(r.skip)
+		switch {
+		case r.mass == 0:
+		case r.lo < r.hi: // a leaf
+			for j := r.lo; j < r.hi; j++ {
+				ob := &leaves[j]
+				if ob.idx == bi {
+					continue
+				}
+				p.ReadRange(in.bAddr(ob.idx), 32)
+				p.Compute(interCost)
+				addForce(pos, ob.pos, ob.mass, &acc)
+			}
+		default:
+			dx := r.com[0] - pos[0]
+			dy := r.com[1] - pos[1]
+			dz := r.com[2] - pos[2]
+			dist := math.Sqrt(dx*dx + dy*dy + dz*dz)
+			if r.size/(dist+1e-12) < theta {
+				addPoint(dx, dy, dz, dist, r.mass, &acc)
+			} else {
+				next = i + 1
+			}
+		}
+		i = next
+	}
+	return acc
 }
 
 // buildPhase dispatches to the version's tree construction.
@@ -565,11 +598,6 @@ func (in *instance) Verify() error {
 	// O(n^2) sum over the positions snapshotted at the same point. The
 	// tree approximation with theta=0.7 should agree within a few
 	// percent on average; a sampled subset keeps verification fast.
-	ref := make([]body, in.n)
-	for i := range ref {
-		ref[i].pos = in.posSnap[i]
-		ref[i].mass = in.bodies[i].mass
-	}
 	stride := in.n / 512
 	if stride < 1 {
 		stride = 1
@@ -577,7 +605,7 @@ func (in *instance) Verify() error {
 	var sumRel float64
 	var checked, outliers int
 	for i := 0; i < in.n; i += stride {
-		d := directForce(ref, i)
+		d := directForce(in.posSnap, in.bodies, i)
 		a := in.verifyAcc[i]
 		var dn, en float64
 		for k := 0; k < 3; k++ {
@@ -598,35 +626,22 @@ func (in *instance) Verify() error {
 	if float64(outliers) > 0.03*float64(checked) {
 		return fmt.Errorf("barnes: %d/%d force outliers (>25%% error)", outliers, checked)
 	}
-	count := 0
-	seen := make(map[int32]bool)
-	in.forAllRoots(func(r int32) {
-		var walk func(idx int32)
-		walk = func(idx int32) {
-			c := &in.t.nodes[idx]
-			if c.leafN {
-				for _, bi := range c.bodies {
-					if seen[bi] {
-						count = -1 << 30 // duplicate
-					}
-					seen[bi] = true
-					count++
-				}
-				return
-			}
-			for _, ch := range c.child {
-				if ch >= 0 {
-					walk(ch)
-				}
-			}
+	// The force array lists the bodies of every leaf the tree reaches, and
+	// its top-level records are the roots.
+	seen := make([]bool, in.n)
+	for _, lb := range in.fa.bodies {
+		if seen[lb.idx] {
+			return fmt.Errorf("barnes: body %d appears in two leaves", lb.idx)
 		}
-		walk(r)
-	})
-	if count != in.n {
-		return fmt.Errorf("barnes: tree holds %d bodies, want %d", count, in.n)
+		seen[lb.idx] = true
+	}
+	if len(in.fa.bodies) != in.n {
+		return fmt.Errorf("barnes: tree holds %d bodies, want %d", len(in.fa.bodies), in.n)
 	}
 	var mass float64
-	in.forAllRoots(func(r int32) { mass += in.t.nodes[r].mass })
+	for i := 0; i < len(in.fa.recs); i = int(in.fa.recs[i].skip) {
+		mass += in.fa.recs[i].mass
+	}
 	if math.Abs(mass-1.0) > 1e-9 {
 		return fmt.Errorf("barnes: root mass %g, want 1", mass)
 	}

@@ -24,9 +24,7 @@ type node struct {
 	half   float64
 	child  [8]int32 // children (internal nodes); -1 = empty
 	bodies []int32  // leaf payload; nil for internal nodes
-	com    [3]float64
-	mass   float64
-	owner  int32 // allocating processor
+	owner  int32    // allocating processor
 	leafN  bool
 	used   bool
 }
@@ -146,9 +144,9 @@ func (t *tree) insert(idx int32, bodies []body, bi int32, owner int, v insertVis
 // insertSorted adds bi to a leaf's body list keeping it sorted by index.
 // Which bodies land in a leaf is canonical (pure geometry), but the order
 // processors reach it depends on the simulated interleaving — and the
-// floating-point folds in computeCOM and force walk this list in order, so
-// an interleaving-dependent order would make results differ across
-// processor counts, versions and platforms that agree on the physics.
+// floating-point folds in flatten and the force walk follow this list, so an
+// interleaving-dependent order would make results differ across processor
+// counts, versions and platforms that agree on the physics.
 func insertSorted(bs []int32, bi int32) []int32 {
 	i := len(bs)
 	bs = append(bs, bi)
@@ -177,23 +175,58 @@ func (t *tree) placeInChild(idx int32, bodies []body, ob int32, owner int, v ins
 	t.insert(ch, bodies, ob, owner, v)
 }
 
-// computeCOM fills in masses and centers of mass bottom-up from idx.
-func (t *tree) computeCOM(idx int32, bodies []body) (mass float64, com [3]float64) {
+// cellRec is one cell of the force array: exactly what the force walk reads.
+// Records are in preorder, so a cell's subtree is recs[i:skip] and its first
+// child, if it has one, is recs[i+1].
+type cellRec struct {
+	com    [3]float64
+	size   float64 // 2*half, the cell width the opening test compares
+	mass   float64
+	addr   uint64 // the cell's simulated address
+	lo, hi int32  // the leaf's bodies, forceArray.bodies[lo:hi]; empty for internal cells
+	skip   int32  // index one past the cell's subtree
+}
+
+// leafBody is a body as the force walk reads it from a leaf.
+type leafBody struct {
+	pos  [3]float64
+	mass float64
+	idx  int32
+}
+
+// forceArray is the tree flattened for the force walk: cells in preorder and
+// the leaves' bodies in the same order, contiguous.
+type forceArray struct {
+	recs   []cellRec
+	bodies []leafBody
+}
+
+// flatten appends the subtree at idx to fa in preorder and fills in masses
+// and centers of mass bottom-up, folding leaf bodies and children in their
+// list order; it returns the subtree's mass and center of mass. addr maps
+// node indices to simulated addresses.
+func (t *tree) flatten(idx int32, bodies []body, addr []uint64, fa *forceArray) (mass float64, com [3]float64) {
 	c := &t.nodes[idx]
+	ri := len(fa.recs)
+	fa.recs = append(fa.recs, cellRec{size: 2 * c.half, addr: addr[idx]})
+	var lo, hi int32
 	if c.leafN {
+		lo = int32(len(fa.bodies))
 		for _, bi := range c.bodies {
 			b := &bodies[bi]
+			fa.bodies = append(fa.bodies, leafBody{pos: b.pos, mass: b.mass, idx: bi})
 			mass += b.mass
 			for d := 0; d < 3; d++ {
 				com[d] += b.mass * b.pos[d]
 			}
 		}
+		hi = int32(len(fa.bodies))
 	} else {
 		for _, ch := range c.child {
 			if ch < 0 {
 				continue
 			}
-			m, cc := t.computeCOM(ch, bodies)
+			m, cc := t.flatten(ch, bodies, addr, fa)
 			mass += m
 			for d := 0; d < 3; d++ {
 				com[d] += m * cc[d]
@@ -205,52 +238,9 @@ func (t *tree) computeCOM(idx int32, bodies []body) (mass float64, com [3]float6
 			com[d] /= mass
 		}
 	}
-	c.mass = mass
-	c.com = com
+	r := &fa.recs[ri]
+	r.com, r.mass, r.lo, r.hi, r.skip = com, mass, lo, hi, int32(len(fa.recs))
 	return mass, com
-}
-
-// forceVisitor is called on every node examined during a force traversal.
-type forceVisitor interface {
-	examine(n int32)       // node whose COM/children were read
-	interactBody(bi int32) // direct body-body interaction
-}
-
-// force accumulates the acceleration on body bi from the subtree at idx.
-func (t *tree) force(idx int32, bodies []body, bi int32, acc *[3]float64, v forceVisitor) {
-	c := &t.nodes[idx]
-	if v != nil {
-		v.examine(idx)
-	}
-	if c.mass == 0 {
-		return
-	}
-	b := &bodies[bi]
-	if c.leafN {
-		for _, ob := range c.bodies {
-			if ob == bi {
-				continue
-			}
-			if v != nil {
-				v.interactBody(ob)
-			}
-			addForce(b.pos, bodies[ob].pos, bodies[ob].mass, acc)
-		}
-		return
-	}
-	dx := c.com[0] - b.pos[0]
-	dy := c.com[1] - b.pos[1]
-	dz := c.com[2] - b.pos[2]
-	dist := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	if (2*c.half)/(dist+1e-12) < theta {
-		addPoint(dx, dy, dz, dist, c.mass, acc)
-		return
-	}
-	for _, ch := range c.child {
-		if ch >= 0 {
-			t.force(ch, bodies, bi, acc, v)
-		}
-	}
 }
 
 func addForce(p, q [3]float64, m float64, acc *[3]float64) {
@@ -267,15 +257,16 @@ func addPoint(dx, dy, dz, dist, m float64, acc *[3]float64) {
 	acc[2] += f * dz
 }
 
-// directForce computes the exact O(n^2) acceleration on body bi — the
-// verification reference for the Barnes-Hut approximation.
-func directForce(bodies []body, bi int) [3]float64 {
+// directForce computes the exact O(n^2) acceleration on body bi from
+// positions pos and the bodies' masses — the verification reference for the
+// Barnes-Hut approximation.
+func directForce(pos [][3]float64, bodies []body, bi int) [3]float64 {
 	var acc [3]float64
-	for j := range bodies {
+	for j := range pos {
 		if j == bi {
 			continue
 		}
-		addForce(bodies[bi].pos, bodies[j].pos, bodies[j].mass, &acc)
+		addForce(pos[bi], pos[j], bodies[j].mass, &acc)
 	}
 	return acc
 }

@@ -40,10 +40,15 @@ type Spec struct {
 	// sim.Config.Check. Also forced on process-wide by REPRO_CHECK=1.
 	Check bool
 	// Quantum overrides the scheduler's slice length in cycles (0 keeps the
-	// kernel default). Simulated results are quantum-invariant — the quantum
-	// decides only how often a processor yields between synchronization
-	// points, never what it charges (pinned by the quantum-edge determinism
-	// test) — but it is still part of the memo key out of caution.
+	// kernel default). The quantum is part of the model: it sets when SVM
+	// handler debt folds into a clock and where a hardware invalidation
+	// lands against a fast-path read, so it moves end times and even access
+	// counts of many cells (volrend/orig/svm at P=16 and figure scale ends
+	// 2.1% earlier at quantum 200 than at the default). Only
+	// TestPropertyQuantumInvariance's synthetic programs and
+	// TestQuantumEdgesByteIdentical's cells are pinned invariant, and the
+	// quantum stays part of the model until ROADMAP item 3 removes the
+	// drift. It is part of the memo key.
 	Quantum uint64
 
 	// TraceSink, when non-nil, receives every protocol event of the run
