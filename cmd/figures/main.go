@@ -9,8 +9,8 @@
 // a fully serial run regardless of -workers. A cell whose simulation fails
 // (panic, deadlock, verification) renders as an error row; the rest of the
 // figure still completes, failures are listed on stderr, and the exit code
-// is 1. A -p or -workers below 1 or a -scale that is not positive is a usage
-// error: exit 2 before anything is simulated.
+// is 1. An unknown -fig ID, a -p or -workers below 1 or a -scale that is
+// not positive is a usage error: exit 2 before anything is simulated.
 //
 // Usage:
 //
@@ -71,7 +71,7 @@ func main() {
 		f, err := harness.FindFigure(*fig)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		figs = []harness.Figure{f}
 	default:

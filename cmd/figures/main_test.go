@@ -14,3 +14,11 @@ func TestBadWorkersIsUsageError(t *testing.T) {
 		clitest.WantUsageError(t, "bad -workers "+w, "-fig", "fig2", "-p", "4", "-scale", "0.25", "-workers", w)
 	}
 }
+
+// An unknown -fig ID is a usage error like the other bad flags; the
+// figure IDs are fig2..fig17, not bare numbers.
+func TestUnknownFigureIsUsageError(t *testing.T) {
+	for _, id := range []string{"2", "fig1", "fig99"} {
+		clitest.WantUsageError(t, "unknown figure", "-fig", id)
+	}
+}

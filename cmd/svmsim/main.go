@@ -105,7 +105,7 @@ func main() {
 		// bytes; a failed cell or baseline prints its structured error
 		// document alongside the stderr message. The -hot profile is a
 		// text report, so -hot has no effect here.
-		body, err := harness.CellBody(memo, spec, *speedup)
+		body, _, err := harness.CellBody(memo, spec, *speedup)
 		closeTrace()
 		os.Stdout.Write(body)
 		if err != nil {

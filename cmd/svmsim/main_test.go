@@ -1,41 +1,31 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/clitest"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // journalFingerprints reads the committed irregular campaign journal's
-// result fingerprints, keyed by memo key.
+// cell-document fingerprints, keyed by memo key.
 func journalFingerprints(t *testing.T) map[string]string {
 	t.Helper()
-	f, err := os.Open(filepath.Join("..", "..", "campaigns", "irregular.journal"))
+	_, entries, err := campaign.ReadJournal(filepath.Join("..", "..", "campaigns", "irregular.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	fps := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var e struct{ Key, FP string }
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range entries {
 		fps[e.Key] = e.FP
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	return fps
 }

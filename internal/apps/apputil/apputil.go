@@ -8,6 +8,8 @@
 package apputil
 
 import (
+	"math"
+
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -38,11 +40,16 @@ func ProcGrid(np int) (pr, pc int) {
 	return pr, np / pr
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// ProcGridFloor factors np into a pr × pc processor grid with pc >= pr: pr
+// is the largest divisor of np no greater than floor(√np). LU and Ocean use
+// it rather than ProcGrid: the two grids differ at np = k(k+1) (2, 6, 12,
+// ...), and switching would change those applications' results.
+func ProcGridFloor(np int) (pr, pc int) {
+	pr = int(math.Sqrt(float64(np)))
+	for np%pr != 0 {
+		pr--
 	}
-	return b
+	return pr, np / pr
 }
 
 // RNG is a tiny deterministic xorshift generator. Applications must not use

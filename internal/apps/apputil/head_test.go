@@ -101,3 +101,14 @@ func TestProcGrid(t *testing.T) {
 		}
 	}
 }
+
+// ProcGridFloor differs from ProcGrid exactly at np = k(k+1).
+func TestProcGridFloor(t *testing.T) {
+	for _, c := range []struct{ np, pr, pc int }{
+		{1, 1, 1}, {2, 1, 2}, {3, 1, 3}, {4, 2, 2}, {6, 2, 3}, {8, 2, 4}, {12, 3, 4}, {16, 4, 4}, {128, 8, 16},
+	} {
+		if pr, pc := ProcGridFloor(c.np); pr != c.pr || pc != c.pc {
+			t.Errorf("ProcGridFloor(%d) = %d×%d, want %d×%d", c.np, pr, pc, c.pr, c.pc)
+		}
+	}
+}

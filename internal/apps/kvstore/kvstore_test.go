@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/apps/apputil"
@@ -121,46 +120,5 @@ func TestGenerateOpsIsSkewedAndMixed(t *testing.T) {
 	}
 	if frac := float64(puts) / float64(len(ops)); frac < 0.2 || frac > 0.4 {
 		t.Errorf("put fraction %.2f outside [0.2, 0.4]", frac)
-	}
-}
-
-func TestOpLogRoundTrip(t *testing.T) {
-	ops := GenerateOps(512, 1000, 3)
-	enc := EncodeOps(ops)
-	dec, err := DecodeOps(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(ops) {
-		t.Fatalf("decoded %d ops, want %d", len(dec), len(ops))
-	}
-	for i := range ops {
-		if dec[i] != ops[i] {
-			t.Fatalf("op %d = %+v, want %+v", i, dec[i], ops[i])
-		}
-	}
-	if !bytes.Equal(EncodeOps(dec), enc) {
-		t.Error("re-encoding is not canonical")
-	}
-}
-
-func TestDecodeOpsRejectsCorruptLogs(t *testing.T) {
-	good := EncodeOps([]Op{{Key: 1, Delta: 2}})
-	cases := map[string][]byte{
-		"empty":      nil,
-		"short":      good[:8],
-		"bad magic":  append([]byte("kvoplogX"), good[8:]...),
-		"truncated":  good[:len(good)-1],
-		"extra byte": append(append([]byte(nil), good...), 0),
-		"huge count": func() []byte {
-			b := append([]byte(nil), good...)
-			b[8], b[9], b[10], b[11] = 0xff, 0xff, 0xff, 0xff
-			return b
-		}(),
-	}
-	for name, data := range cases {
-		if _, err := DecodeOps(data); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", name)
-		}
 	}
 }

@@ -73,7 +73,7 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 		n = 2 * blockSize
 	}
 	in := &instance{n: n, b: blockSize, np: np}
-	in.pr, in.pc = procGrid(np)
+	in.pr, in.pc = apputil.ProcGridFloor(np)
 
 	nb := n / in.b
 	switch version {
@@ -130,16 +130,6 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	}
 	in.orig = append([]float64(nil), in.data...)
 	return in, nil
-}
-
-// procGrid factors np into a near-square pr x pc grid with pc >= pr.
-// Not apputil.ProcGrid: their grids differ at np = k(k+1) (2, 6, 12, ...), which would change LU's results.
-func procGrid(np int) (pr, pc int) {
-	pr = int(math.Sqrt(float64(np)))
-	for np%pr != 0 {
-		pr--
-	}
-	return pr, np / pr
 }
 
 // owner returns the processor owning block (bi, bj) under the 2-d scatter

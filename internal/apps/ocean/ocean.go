@@ -67,7 +67,7 @@ type instance struct {
 // Build implements core.App.
 func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
 	in := &instance{np: np}
-	in.pr, in.pc = procGrid(np)
+	in.pr, in.pc = apputil.ProcGridFloor(np)
 	n := int(256 * scale)
 	// Grid must divide evenly into the processor grid for both layouts.
 	lcm := in.pr * in.pc
@@ -148,15 +148,6 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	copy(in.b, in.a)
 	in.ref = sequentialReference(in.a, n)
 	return in, nil
-}
-
-// procGrid is not apputil.ProcGrid: their grids differ at np = k(k+1) (2, 6, 12, ...), which would change Ocean's results.
-func procGrid(np int) (pr, pc int) {
-	pr = int(math.Sqrt(float64(np)))
-	for np%pr != 0 {
-		pr--
-	}
-	return pr, np / pr
 }
 
 // sequentialReference runs the same Jacobi iterations serially.
@@ -302,18 +293,4 @@ func (in *instance) Verify() error {
 		}
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

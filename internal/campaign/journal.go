@@ -40,6 +40,11 @@ type Entry struct {
 	// End is the simulated end time of a done cell, kept here so tables
 	// and sweeps render from the journal without re-fetching bodies.
 	End uint64 `json:"end,omitempty"`
+	// Result is a done cell's application result fingerprint
+	// (stats.Run.Result), 16 hex digits. It is not part of the cell
+	// document, so FP does not cover it. Empty when the executor did not
+	// report one; journals written before the field existed have none.
+	Result string `json:"result,omitempty"`
 	// Kind and Msg describe a failure: the JSON error kind and the first
 	// line of the message.
 	Kind string `json:"kind,omitempty"`
@@ -70,9 +75,9 @@ func (e Entry) valid() bool {
 	return false
 }
 
-// journalHeader is the first line of the file, binding it to one campaign
+// JournalHeader is the first line of the file, binding it to one campaign
 // cell manifest.
-type journalHeader struct {
+type JournalHeader struct {
 	V      int    `json:"v"`
 	Name   string `json:"name"`
 	Digest string `json:"digest"`
@@ -101,7 +106,7 @@ func OpenJournal(path, name, digest string, cells int, resume bool) (*Journal, e
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
 	if err == nil {
 		j.f = f
-		hdr, merr := json.Marshal(journalHeader{V: journalVersion, Name: name, Digest: digest, Cells: cells})
+		hdr, merr := json.Marshal(JournalHeader{V: journalVersion, Name: name, Digest: digest, Cells: cells})
 		if merr == nil {
 			_, err = f.Write(append(hdr, '\n'))
 		} else {
@@ -157,17 +162,17 @@ func OpenJournal(path, name, digest string, cells int, resume bool) (*Journal, e
 
 // decodeJournalHeader parses and checks the header line, returning how
 // many bytes it consumed.
-func decodeJournalHeader(data []byte) (journalHeader, int, error) {
+func decodeJournalHeader(data []byte) (JournalHeader, int, error) {
 	i := bytes.IndexByte(data, '\n')
 	if i < 0 {
-		return journalHeader{}, 0, fmt.Errorf("missing or torn header line")
+		return JournalHeader{}, 0, fmt.Errorf("missing or torn header line")
 	}
-	var hdr journalHeader
+	var hdr JournalHeader
 	if err := json.Unmarshal(data[:i], &hdr); err != nil {
-		return journalHeader{}, 0, fmt.Errorf("corrupt header: %w", err)
+		return JournalHeader{}, 0, fmt.Errorf("corrupt header: %w", err)
 	}
 	if hdr.V != journalVersion {
-		return journalHeader{}, 0, fmt.Errorf("journal version %d, this build reads %d", hdr.V, journalVersion)
+		return JournalHeader{}, 0, fmt.Errorf("journal version %d, this build reads %d", hdr.V, journalVersion)
 	}
 	return hdr, i + 1, nil
 }
@@ -196,6 +201,27 @@ func decodeJournalEntries(data []byte) (entries []Entry, validLen int) {
 		validLen = off
 	}
 	return entries, validLen
+}
+
+// ReadJournal reads the journal at path without opening it for append: its
+// header and its entries in file order. Unlike a resume, it repairs
+// nothing, so a torn, corrupt or invalid line anywhere after the header is
+// an error rather than a tail to discard. It is how tests and tools read a
+// committed journal.
+func ReadJournal(path string) (JournalHeader, []Entry, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return JournalHeader{}, nil, fmt.Errorf("campaign: reading journal: %w", err)
+	}
+	hdr, hdrLen, err := decodeJournalHeader(data)
+	if err != nil {
+		return JournalHeader{}, nil, fmt.Errorf("campaign: journal %s: %w", path, err)
+	}
+	entries, validLen := decodeJournalEntries(data[hdrLen:])
+	if hdrLen+validLen != len(data) {
+		return JournalHeader{}, nil, fmt.Errorf("campaign: journal %s: torn or invalid entry at byte %d", path, hdrLen+validLen)
+	}
+	return hdr, entries, nil
 }
 
 // Entries returns a copy of the journal's current cell entries, keyed by

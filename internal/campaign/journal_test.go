@@ -164,3 +164,46 @@ func TestJournalRefusesInvalidEntry(t *testing.T) {
 		}
 	}
 }
+
+// ReadJournal returns the header and the entries in file order, and
+// refuses a journal with a torn tail instead of repairing it: the file is
+// left exactly as it was.
+func TestReadJournal(t *testing.T) {
+	path := journalPath(t)
+	j, err := OpenJournal(path, "c", "d", 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{
+		{Key: "b", Status: "done", FP: "ff", End: 1, Result: "00000000000000aa"},
+		{Key: "a", Status: "failed", Kind: "deadlock", Msg: "stuck"},
+	}
+	for _, e := range want {
+		j.Append(e)
+	}
+	j.Close()
+	hdr, got, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr != (JournalHeader{V: journalVersion, Name: "c", Digest: "d", Cells: 2}) {
+		t.Errorf("header = %+v", hdr)
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("entries = %+v, want %+v", got, want)
+	}
+
+	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f.WriteString(`{"key":"c","status":"done","fp":"ee`)
+	f.Close()
+	before, _ := os.ReadFile(path)
+	if _, _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), "torn or invalid entry") {
+		t.Errorf("torn tail: err %v", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Error("ReadJournal modified the file")
+	}
+	if _, _, err := ReadJournal(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Error("missing journal: no error")
+	}
+}

@@ -15,10 +15,12 @@ import (
 
 // Outcome is one executed cell's result, as reported by an Executor: the
 // canonical single-cell document bytes (result and failure documents
-// alike, trailing newline included).
+// alike, trailing newline included), and the application's result
+// fingerprint of a done cell (0 when the executor has none).
 type Outcome struct {
-	Cell Cell
-	Body []byte
+	Cell   Cell
+	Body   []byte
+	Result uint64
 }
 
 // Executor executes cells, invoking emit exactly once per cell it
@@ -38,14 +40,19 @@ type Local struct {
 }
 
 // Execute runs the cells through the memo, producing for each the exact
-// bytes `svmsim -json` prints for it (harness.CellBody).
+// bytes `svmsim -json` prints for it (harness.CellBody) and the memoized
+// run's result fingerprint.
 // Once ctx is done no further cells start; in-flight cells finish and are
 // emitted, and the rest stay pending.
 func (l *Local) Execute(ctx context.Context, cells []Cell, emit func(Outcome)) {
 	harness.ForEach(ctx, l.Workers, cells, func(c Cell) {
 		// A cell's failure is in its document, where entryFor reads it.
-		body, _ := harness.CellBody(l.Memo, c.Spec, false)
-		emit(Outcome{Cell: c, Body: body})
+		body, run, _ := harness.CellBody(l.Memo, c.Spec, false)
+		o := Outcome{Cell: c, Body: body}
+		if run != nil {
+			o.Result = run.Result
+		}
+		emit(o)
 	})
 }
 
@@ -92,6 +99,9 @@ func entryFor(o Outcome) Entry {
 	}
 	e.Status = "done"
 	e.End = doc.EndTime
+	if o.Result != 0 {
+		e.Result = fmt.Sprintf("%016x", o.Result)
+	}
 	return e
 }
 

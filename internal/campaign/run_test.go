@@ -197,8 +197,14 @@ func TestEntryFor(t *testing.T) {
 	// Result document settles done with the end time.
 	doc = []byte(`{"end_time":42}` + "\n")
 	e = entryFor(Outcome{Cell: c, Body: doc})
-	if e.Status != "done" || e.End != 42 || e.FP != fingerprint(doc) || e.Attempts != 1 {
+	if e.Status != "done" || e.End != 42 || e.FP != fingerprint(doc) || e.Attempts != 1 || e.Result != "" {
 		t.Errorf("done entry %+v", e)
+	}
+	// A reported result fingerprint is journaled as 16 hex digits; the
+	// document fingerprint does not cover it.
+	e = entryFor(Outcome{Cell: c, Body: doc, Result: 0xab})
+	if e.Result != "00000000000000ab" || e.FP != fingerprint(doc) {
+		t.Errorf("done entry with result %+v", e)
 	}
 	// Garbage bytes never settle a cell.
 	e = entryFor(Outcome{Cell: c, Body: []byte("<html>proxy error")})

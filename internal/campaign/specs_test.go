@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bufio"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,42 +51,19 @@ func TestIrregularSpecExpandsToCommittedDigest(t *testing.T) {
 // cell done, so `campaign -spec campaigns/irregular.json -resume -table`
 // re-renders the study with zero simulations.
 func TestIrregularJournalIsCompleteForCommittedDigest(t *testing.T) {
-	f, err := os.Open(filepath.Join("..", "..", "campaigns", "irregular.journal"))
+	hdr, entries, err := ReadJournal(filepath.Join("..", "..", "campaigns", "irregular.journal"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		t.Fatal("empty journal")
-	}
-	var hdr struct {
-		V      int    `json:"v"`
-		Name   string `json:"name"`
-		Digest string `json:"digest"`
-		Cells  int    `json:"cells"`
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		t.Fatal(err)
 	}
 	if hdr.Name != "irregular" || hdr.Digest != irregularDigest || hdr.Cells != 360 {
 		t.Fatalf("journal header %+v does not match committed digest %s / 360 cells", hdr, irregularDigest)
 	}
-	done := 0
-	for sc.Scan() {
-		var e Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad journal line: %v", err)
-		}
+	for _, e := range entries {
 		if e.Status != "done" {
 			t.Errorf("cell %s journaled as %s, want done", e.Key, e.Status)
 		}
-		done++
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 360 {
-		t.Errorf("journal has %d entries, want 360", done)
+	if len(entries) != 360 {
+		t.Errorf("journal has %d entries, want 360", len(entries))
 	}
 }

@@ -54,7 +54,7 @@ func TestResultsAgreeAcrossPlatforms(t *testing.T) {
 		var first uint64
 		var firstPlat string
 		for _, plat := range []string{"svm", "smp", "dsm", "svmsmp"} {
-			_, fp, err := harness.ExecuteFingerprint(harness.Spec{
+			run, err := harness.Execute(harness.Spec{
 				App: app, Version: ver, Platform: plat,
 				NumProcs: sweepProcs, Scale: sweepScale, Check: true,
 			})
@@ -62,6 +62,7 @@ func TestResultsAgreeAcrossPlatforms(t *testing.T) {
 				t.Errorf("%s/%s on %s: %v", app, ver, plat, err)
 				continue
 			}
+			fp := run.Result
 			if firstPlat == "" {
 				first, firstPlat = fp, plat
 			} else if fp != first {
@@ -86,7 +87,7 @@ func TestResultsStableAcrossProcCounts(t *testing.T) {
 		var first uint64
 		var firstNP int
 		for _, np := range []int{4, 8} {
-			_, fp, err := harness.ExecuteFingerprint(harness.Spec{
+			run, err := harness.Execute(harness.Spec{
 				App: app, Version: ver, Platform: "svm",
 				NumProcs: np, Scale: sweepScale, Check: true,
 			})
@@ -94,6 +95,7 @@ func TestResultsStableAcrossProcCounts(t *testing.T) {
 				t.Errorf("%s/%s P=%d: %v", app, ver, np, err)
 				continue
 			}
+			fp := run.Result
 			if firstNP == 0 {
 				first, firstNP = fp, np
 			} else if fp != first {

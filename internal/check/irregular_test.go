@@ -57,7 +57,7 @@ func TestIrregularFingerprintsAcrossAllPresetsAndProcCounts(t *testing.T) {
 				firstCell := ""
 				for _, plat := range platform.AllPresets {
 					for _, np := range irregularProcs {
-						_, fp, err := harness.ExecuteFingerprint(harness.Spec{
+						run, err := harness.Execute(harness.Spec{
 							App: app, Version: v.Name, Platform: plat,
 							NumProcs: np, Scale: sweepScale,
 						})
@@ -65,6 +65,7 @@ func TestIrregularFingerprintsAcrossAllPresetsAndProcCounts(t *testing.T) {
 							t.Errorf("%s p=%d: %v", plat, np, err)
 							continue
 						}
+						fp := run.Result
 						if firstCell == "" {
 							first, firstCell = fp, plat
 						} else if fp != first {

@@ -120,12 +120,14 @@ func Figures() []Figure {
 
 // FindFigure returns the figure with the given ID.
 func FindFigure(id string) (Figure, error) {
+	var ids []string
 	for _, f := range Figures() {
 		if f.ID == id {
 			return f, nil
 		}
+		ids = append(ids, f.ID)
 	}
-	return Figure{}, fmt.Errorf("harness: unknown figure %q", id)
+	return Figure{}, fmt.Errorf("harness: unknown figure %q (want one of %s)", id, strings.Join(ids, ", "))
 }
 
 func fig2Cells() []Cell {

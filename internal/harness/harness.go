@@ -155,21 +155,18 @@ type VerifyError struct{ Err error }
 func (e *VerifyError) Error() string { return e.Err.Error() }
 func (e *VerifyError) Unwrap() error { return e.Err }
 
-// Execute runs one experiment and returns its statistics.
-func Execute(s Spec) (*stats.Run, error) {
-	run, _, err := execute(s)
+// Execute runs one experiment and returns its statistics, with Result set
+// to the application's result fingerprint. The cell runs under pprof labels
+// naming it (app, version, platform, procs), so one host CPU profile of many
+// cells splits by cell with `go tool pprof -tagfocus`. The labels touch no
+// simulated state.
+func Execute(s Spec) (run *stats.Run, err error) {
+	s = s.withDefaults()
+	labels := pprof.Labels("app", s.App, "version", s.Version, "platform", s.Platform, "procs", strconv.Itoa(s.NumProcs))
+	pprof.Do(context.Background(), labels, func(context.Context) {
+		run, err = executeCell(s)
+	})
 	return run, err
-}
-
-// ExecuteFingerprint runs one experiment and additionally returns the
-// instance's result fingerprint. The determinism harness compares
-// fingerprints across repetitions, platforms and processor counts.
-func ExecuteFingerprint(s Spec) (run *stats.Run, fp uint64, err error) {
-	run, inst, err := execute(s)
-	if err != nil {
-		return run, 0, err
-	}
-	return run, inst.Fingerprint(), nil
 }
 
 // buildInstance contains panics from application Build (layout constraints
@@ -185,34 +182,22 @@ func buildInstance(a core.App, version string, scale float64, as *mem.AddressSpa
 	return a.Build(version, scale, as, np)
 }
 
-// execute runs one cell under pprof labels naming it (app, version,
-// platform, procs), so one host CPU profile of many cells splits by cell
-// with `go tool pprof -tagfocus`. The labels touch no simulated state.
-func execute(s Spec) (run *stats.Run, inst core.Instance, err error) {
-	s = s.withDefaults()
-	labels := pprof.Labels("app", s.App, "version", s.Version, "platform", s.Platform, "procs", strconv.Itoa(s.NumProcs))
-	pprof.Do(context.Background(), labels, func(context.Context) {
-		run, inst, err = executeCell(s)
-	})
-	return run, inst, err
-}
-
-func executeCell(s Spec) (*stats.Run, core.Instance, error) {
+func executeCell(s Spec) (*stats.Run, error) {
 	a, err := core.Lookup(s.App)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := core.FindVersion(a, s.Version); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	as := mem.NewAddressSpace(platform.PageSize, s.NumProcs)
 	inst, err := buildInstance(a, s.Version, s.Scale, as, s.NumProcs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", s.label(), err)
+		return nil, fmt.Errorf("%s: %w", s.label(), err)
 	}
 	pl, err := platform.Make(s.Platform, as, s.NumProcs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	k := sim.New(pl, sim.Config{
 		NumProcs:       s.NumProcs,
@@ -236,14 +221,15 @@ func executeCell(s Spec) (*stats.Run, core.Instance, error) {
 		// come back as structured errors; label the cell and pass them
 		// through so a figure run can print an error row instead of
 		// crashing.
-		return nil, nil, fmt.Errorf("%s: %w", s.label(), err)
+		return nil, fmt.Errorf("%s: %w", s.label(), err)
 	}
 	if !s.SkipVerify {
 		if err := inst.Verify(); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", s.label(), &VerifyError{Err: err})
+			return nil, fmt.Errorf("%s: %w", s.label(), &VerifyError{Err: err})
 		}
 	}
-	return run, inst, nil
+	run.Result = inst.Fingerprint()
+	return run, nil
 }
 
 // Runner executes experiments with a cache of uniprocessor baselines. Scale

@@ -9,7 +9,8 @@ import (
 )
 
 // runJSON is the machine-readable form of one experiment, produced by
-// RunJSON for CellBody and the engine goldens.
+// RunJSON for CellBody. It leaves out stats.Run.Result: a campaign journal
+// carries the result fingerprint beside the document's fingerprint.
 type runJSON struct {
 	App      string  `json:"app"`
 	Version  string  `json:"version"`
@@ -60,10 +61,12 @@ func RunJSON(s Spec, run *stats.Run, speedup float64) ([]byte, error) {
 // document, trailing newline included: the RunJSON document, carrying the
 // speedup over spec.Baseline() when speedup is set. A failed cell, or a
 // failed baseline, renders as that spec's RunErrorJSON document, and the
-// failure is returned beside it. CellBody is the one producer of these
-// bytes: `svmsim -json` prints them and a campaign fingerprints them, so a
-// cell fingerprints the same whichever tool produced it.
-func CellBody(memo *Memo, spec Spec, speedup bool) ([]byte, error) {
+// failure is returned beside it. A result document comes with its memoized
+// run (nil beside an error document), so a caller can read what the
+// document does not print. CellBody is the one producer of these bytes:
+// `svmsim -json` prints them and a campaign fingerprints them, so a cell
+// fingerprints the same whichever tool produced it.
+func CellBody(memo *Memo, spec Spec, speedup bool) ([]byte, *stats.Run, error) {
 	run, err := memo.Run(spec)
 	if err != nil {
 		return errorBody(spec, err)
@@ -79,18 +82,18 @@ func CellBody(memo *Memo, spec Spec, speedup bool) ([]byte, error) {
 	}
 	b, err := RunJSON(spec, run, spFactor)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return append(b, '\n'), nil
+	return append(b, '\n'), run, nil
 }
 
 // errorBody is CellBody's document for a failed spec.
-func errorBody(s Spec, err error) ([]byte, error) {
+func errorBody(s Spec, err error) ([]byte, *stats.Run, error) {
 	b, jerr := RunErrorJSON(s, err)
 	if jerr != nil {
-		return nil, jerr
+		return nil, nil, jerr
 	}
-	return append(b, '\n'), err
+	return append(b, '\n'), nil, err
 }
 
 // runErrorJSON is the machine-readable form of a FAILED experiment: the same

@@ -131,9 +131,14 @@ func TestCellBodyStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		memo := NewMemo(st)
-		got, err := CellBody(memo, spec, false)
+		got, grun, err := CellBody(memo, spec, false)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		// The result fingerprint is not in the document, so the store
+		// must carry it for a warm cell.
+		if grun.Result == 0 || grun.Result != run.Result {
+			t.Errorf("%s: run result %016x, want %016x", label, grun.Result, run.Result)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s body differs from RunJSON+newline (%d vs %d bytes)", label, len(got), len(want))
@@ -147,7 +152,7 @@ func TestCellBodyStoreRoundTrip(t *testing.T) {
 func TestCellBodySpeedupAndErrors(t *testing.T) {
 	memo := NewMemo(nil)
 	spec := Spec{App: "radix", Version: "local", Platform: "svm", NumProcs: 2, Scale: 0.125}
-	body, err := CellBody(memo, spec, true)
+	body, _, err := CellBody(memo, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +165,7 @@ func TestCellBodySpeedupAndErrors(t *testing.T) {
 
 	// An unknown app renders as its structured error document.
 	bad := Spec{App: "nosuchapp", NumProcs: 2}
-	body, err = CellBody(memo, bad, false)
+	body, _, err = CellBody(memo, bad, false)
 	if err == nil {
 		t.Fatal("unknown app: no error")
 	}
@@ -177,7 +182,7 @@ func TestCellBodySpeedupAndErrors(t *testing.T) {
 		}
 		return fakeRun(s), nil
 	}
-	body, err = CellBody(memo, spec, true)
+	body, _, err = CellBody(memo, spec, true)
 	if err == nil {
 		t.Fatal("failed baseline: no error")
 	}

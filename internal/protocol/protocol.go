@@ -30,9 +30,11 @@
 // previously existed in four per-platform copies is implemented once per
 // engine (LineEngine.CheckInvariants, PageEngine.CheckInvariants), and the
 // whole extraction is gated by byte-identity: figure output, the
-// paper-claims golden suite, and the per-cell end-time/fingerprint goldens
-// (internal/check testdata/engine_goldens.json, generated on the
-// pre-refactor clones) are identical before and after.
+// paper-claims golden suite, and the per-cell end times and result
+// fingerprints generated on the pre-refactor clones are identical before
+// and after. Those per-cell values are now the committed goldens campaign
+// journal (campaigns/goldens.journal), which
+// internal/check.TestEngineMatchesPreRefactorGoldens re-simulates.
 package protocol
 
 // StateKind selects the coherence state machine of a line-grained engine.

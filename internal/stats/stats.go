@@ -142,6 +142,10 @@ type Run struct {
 	// PhaseTimes optionally records named phase durations (max over
 	// processors), e.g. Barnes tree-build vs force computation.
 	PhaseTimes map[string]uint64
+	// Result is the application's result fingerprint
+	// (core.Instance.Fingerprint), set by the harness once the run has
+	// finished; 0 when nothing set it.
+	Result uint64
 }
 
 // NewRun allocates a Run for p processors.
@@ -156,6 +160,7 @@ func (r *Run) Reset(name string, p int) {
 	r.Name = name
 	r.NumProcs = p
 	r.EndTime = 0
+	r.Result = 0
 	r.Procs = r.Procs[:p]
 	for i := range r.Procs {
 		r.Procs[i] = Proc{}

@@ -30,8 +30,8 @@ import (
 // schemaVersion stamps every logical key. Bump it whenever the persisted
 // Result layout or the meaning of any stats field changes: old entries then
 // hash to different filenames and simply stop being found, instead of being
-// decoded into the wrong shape.
-const schemaVersion = 1
+// decoded into the wrong shape. Version 2 added stats.Run.Result.
+const schemaVersion = 2
 
 // header is the first line of every entry file: a magic token, then the
 // hex SHA-256 of the payload that follows the newline.
