@@ -135,3 +135,8 @@ func TestHotOnEveryPreset(t *testing.T) {
 func TestSampleWithoutTraceIsUsageError(t *testing.T) {
 	clitest.WantUsageError(t, "-sample needs -trace", "-app", "radix", "-p", "4", "-scale", "0.125", "-sample", "1000")
 }
+
+// A negative -trace-buffer is a usage error, not a silent run with no ring.
+func TestNegativeTraceBufferIsUsageError(t *testing.T) {
+	clitest.WantUsageError(t, "bad trace ring size -1", "-app", "radix", "-p", "4", "-scale", "0.125", "-trace-buffer", "-1")
+}

@@ -33,13 +33,6 @@ import (
 	"repro/internal/platform"
 )
 
-// parseProcs keeps the historical name alive in this package for the fuzz
-// target; the grammar itself lives in internal/campaign, shared with
-// cmd/campaign's spec axis.
-func parseProcs(s string) ([]int, error) {
-	return campaign.ParseProcs(s)
-}
-
 func main() {
 	app := flag.String("app", "ocean", "application name")
 	version := flag.String("version", "rows", "application version")
@@ -54,7 +47,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	counts, err := parseProcs(*procs)
+	counts, err := campaign.ParseProcs(*procs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)

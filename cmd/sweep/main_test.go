@@ -1,8 +1,7 @@
 package main
 
 import (
-	"fmt"
-	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -19,59 +18,36 @@ func TestBadWorkersIsUsageError(t *testing.T) {
 	}
 }
 
+// -procs end to end: the grammar is campaign.ParseProcs's (tested there);
+// here a good list sweeps exactly its counts, in the order given, and a bad
+// one is a usage error before anything runs.
 func TestParseProcs(t *testing.T) {
+	row := regexp.MustCompile(`(?m)^\s+(\d+)\s+\S+$`)
 	good := []struct {
 		in   string
-		want []int
+		want string
 	}{
-		{"1,2,4,8,16", []int{1, 2, 4, 8, 16}},
-		{"16", []int{16}},
-		{" 8 ,\t4 ", []int{8, 4}}, // whitespace tolerated, order preserved
+		{"1,2", "1 2"},
+		{"2", "2"},
+		{" 4 ,\t2 ", "4 2"}, // whitespace tolerated, order preserved
 	}
 	for _, c := range good {
-		got, err := parseProcs(c.in)
-		if err != nil || !reflect.DeepEqual(got, c.want) {
-			t.Errorf("parseProcs(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		code, stdout, stderr := clitest.Run(t,
+			"-app", "ocean", "-version", "rows", "-platform", "svm", "-procs", c.in, "-scale", "0.25", "-workers", "1")
+		if code != 0 {
+			t.Errorf("-procs %q: exit %d, stderr %q; want 0", c.in, code, stderr)
+			continue
+		}
+		var got []string
+		for _, m := range row.FindAllStringSubmatch(stdout, -1) {
+			got = append(got, m[1])
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("-procs %q: table rows P = %v; want %s\n%s", c.in, got, c.want, stdout)
 		}
 	}
-	bad := []string{"", "0", "-1", "two", "1,,2", "1,2,1", "4,0x8", "1e3"}
-	for _, in := range bad {
-		if got, err := parseProcs(in); err == nil {
-			t.Errorf("parseProcs(%q) = %v; want error", in, got)
-		}
+	for _, in := range []string{"", "0", "-1", "two", "1,,2", "1,2,1", "4,0x8", "1e3"} {
+		clitest.WantUsageError(t, "processor count",
+			"-app", "ocean", "-version", "rows", "-platform", "svm", "-procs", in, "-scale", "0.25")
 	}
-}
-
-// FuzzParseProcs pins the -procs contract: never panic, and any accepted
-// list contains only positive, duplicate-free counts that round-trip through
-// the same syntax.
-func FuzzParseProcs(f *testing.F) {
-	for _, s := range []string{"1,2,4,8,16", "16", "", "1,1", " 8 , 4 ", "0", "-3,2", "999999999999999999999"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		counts, err := parseProcs(s)
-		if err != nil {
-			return
-		}
-		if len(counts) == 0 {
-			t.Fatalf("parseProcs(%q) accepted an empty list", s)
-		}
-		seen := map[int]bool{}
-		parts := make([]string, len(counts))
-		for i, n := range counts {
-			if n < 1 {
-				t.Fatalf("parseProcs(%q) accepted non-positive count %d", s, n)
-			}
-			if seen[n] {
-				t.Fatalf("parseProcs(%q) accepted duplicate count %d", s, n)
-			}
-			seen[n] = true
-			parts[i] = fmt.Sprint(n)
-		}
-		again, err := parseProcs(strings.Join(parts, ","))
-		if err != nil || !reflect.DeepEqual(again, counts) {
-			t.Fatalf("parseProcs round-trip of %v: got %v, %v", counts, again, err)
-		}
-	})
 }

@@ -80,9 +80,9 @@ func (r *RNG) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
 func (r *RNG) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
 
 // TaskQueue is a shared work queue whose header and entries live in the
-// simulated address space. Dequeue and Enqueue perform the simulated memory
-// accesses and locking a real implementation would; the task payloads
-// themselves are kept in ordinary Go memory.
+// simulated address space. Refill, Dequeue and StealHalf perform the
+// simulated memory accesses and locking a real implementation would; the
+// task payloads themselves are kept in ordinary Go memory.
 type TaskQueue struct {
 	// LockID is the simulated lock protecting the queue; -1 means the
 	// queue is accessed without locking (Raytrace's split local queues).
@@ -154,21 +154,6 @@ func (q *TaskQueue) Len() int { return len(q.tasks) - q.head }
 func (q *TaskQueue) Peek(p *sim.Proc) bool {
 	p.Read(q.header)
 	return q.Len() > 0
-}
-
-// Enqueue appends a task, performing the simulated header/entry accesses.
-func (q *TaskQueue) Enqueue(p *sim.Proc, task int) {
-	if q.LockID >= 0 {
-		p.Lock(q.LockID)
-	}
-	p.Read(q.header)
-	idx := len(q.tasks)
-	q.tasks = append(q.tasks, task)
-	p.WriteRange(q.entryBase+uint64(idx)*q.entrySize, int(q.entrySize))
-	p.Write(q.header)
-	if q.LockID >= 0 {
-		p.Unlock(q.LockID)
-	}
 }
 
 // Dequeue removes the next task, performing the simulated accesses. It

@@ -106,14 +106,15 @@ func TestTaskQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestTaskQueueEnqueueDequeue: tasks the owner enqueues with a timed
+// Refill are all dequeued by another processor.
 func TestTaskQueueEnqueueDequeue(t *testing.T) {
 	k, as := queueKernel()
 	q := NewTaskQueue(as, 0, QueueOptions{Capacity: 16, LockID: 1})
 	total := 0
 	k.Run("q", func(p *sim.Proc) {
 		if p.ID() == 0 {
-			q.Enqueue(p, 10)
-			q.Enqueue(p, 20)
+			q.Refill(p, []int{10, 20})
 		}
 		p.Barrier()
 		if p.ID() == 1 {

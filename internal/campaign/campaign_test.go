@@ -313,13 +313,25 @@ func TestTableSpecOrderAndFailedBaseline(t *testing.T) {
 }
 
 func TestParseProcs(t *testing.T) {
-	got, err := ParseProcs("1, 2,4")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 2, 4}) {
-		t.Fatalf("ParseProcs = %v, %v", got, err)
+	good := []struct {
+		in   string
+		want []int
+	}{
+		{"1,2,4,8,16", []int{1, 2, 4, 8, 16}},
+		{"16", []int{16}},
+		{"1, 2,4", []int{1, 2, 4}},
+		{" 8 ,\t4 ", []int{8, 4}}, // whitespace tolerated, order preserved
 	}
-	for _, bad := range []string{"", "0", "x", "1,1", "-2"} {
-		if _, err := ParseProcs(bad); err == nil {
-			t.Errorf("ParseProcs(%q) accepted", bad)
+	for _, c := range good {
+		got, err := ParseProcs(c.in)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseProcs(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	bad := []string{"", "0", "-1", "-2", "x", "two", "1,1", "1,,2", "1,2,1", "4,0x8", "1e3"}
+	for _, in := range bad {
+		if got, err := ParseProcs(in); err == nil {
+			t.Errorf("ParseProcs(%q) = %v; want error", in, got)
 		}
 	}
 }

@@ -122,11 +122,12 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate reports the first reason s cannot run as given: an unknown app,
-// version or platform preset, a processor count below 1, or a scale that is
-// not a positive finite number. It applies no defaults, so a command-line
-// -p 0 or -scale 0 is rejected rather than silently run as 16 processors
-// or scale 1. Commands call it before simulating anything; campaign spec
-// validation calls it for every cell of the matrix.
+// version or platform preset, a processor count below 1, a scale that is
+// not a positive finite number, or a negative trace ring size. It applies
+// no defaults, so a command-line -p 0 or -scale 0 is rejected rather than
+// silently run as 16 processors or scale 1. Commands call it before
+// simulating anything; campaign spec validation calls it for every cell of
+// the matrix.
 func (s Spec) Validate() error {
 	a, err := core.Lookup(s.App)
 	if err != nil {
@@ -143,6 +144,9 @@ func (s Spec) Validate() error {
 	}
 	if !(s.Scale > 0) || math.IsInf(s.Scale, 1) {
 		return fmt.Errorf("bad scale %g (want a positive number)", s.Scale)
+	}
+	if s.TraceRing < 0 {
+		return fmt.Errorf("bad trace ring size %d (want 0 for none or a positive event count)", s.TraceRing)
 	}
 	return nil
 }

@@ -169,14 +169,6 @@ func TestSampleIntervalFeedsTimeline(t *testing.T) {
 	}
 }
 
-func BenchmarkEmitNilSink(b *testing.B) {
-	k := New(&NopPlatform{}, Config{NumProcs: 2})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.Emit(trace.PageFetch, 0, uint64(i), 1, 2)
-	}
-}
-
 // BenchmarkKernelTracingOff guards the no-regression-when-off requirement at
 // the whole-kernel level: the body synchronizes heavily so every Emit site in
 // the lock/barrier path runs with no sink installed.

@@ -38,14 +38,9 @@ type Run = stats.Run
 // Runner executes experiments with memoized uniprocessor baselines, so
 // speedups follow the paper's convention (T1 of the original version over Tp
 // of the optimized version). A Runner is safe for concurrent use: distinct
-// experiments execute once (singleflight) and whole matrices can be
-// pre-executed by a bounded worker pool with RunParallel, with per-cell
-// failures contained as memoized errors instead of process crashes.
+// experiments execute once (singleflight), with per-cell failures contained
+// as memoized errors instead of process crashes.
 type Runner = harness.Runner
-
-// Cell names one (application, version, platform) experiment of a matrix
-// for Runner.RunParallel.
-type Cell = harness.Cell
 
 // Figure is one regenerable figure/table from the paper.
 type Figure = harness.Figure

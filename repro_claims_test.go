@@ -25,14 +25,19 @@ import (
 	"repro/internal/svm"
 )
 
+// benchScale is the claims suite's problem-size multiplier on top of each
+// application's harness.BaseScale: half the figure inputs, so the suite
+// stays cheap enough for tier-1.
+const benchScale = 0.5
+
 var (
 	claimsOnce   sync.Once
 	claimsRunner *harness.Runner
 )
 
 // claimsR returns the shared memoized runner for claim cells: 16 processors
-// at benchScale, like the benchmarks. Sharing one runner means each cell and
-// each uniprocessor baseline is simulated once across the whole suite.
+// at benchScale. Sharing one runner means each cell and each uniprocessor
+// baseline is simulated once across the whole suite.
 func claimsR() *harness.Runner {
 	claimsOnce.Do(func() { claimsRunner = harness.NewRunner(16, benchScale) })
 	return claimsRunner
@@ -198,6 +203,38 @@ func TestClaimsBarnesSpatialBestTreeBuild(t *testing.T) {
 		if other := sp(t, "barnes", v.Name, "svm"); spatial < 1.1*other {
 			t.Errorf("barnes/spatial %.2f on svm does not clearly beat %s %.2f (want >= 1.1x)",
 				spatial, v.Name, other)
+		}
+	}
+}
+
+// TestClaimsTwoLevelBeatsFlatSVM: the paper's §7 future-work hierarchy —
+// SMP nodes of four processors joined by SVM (the svmsmp preset) — pays off
+// over flat SVM. Absolute completion times are compared, since speedups must
+// not be compared across platforms (§2.1.3). Each restructured app ends
+// clearly sooner on svmsmp, and Radix, the most false-sharing-bound app,
+// gains the most: sharing inside a node is hardware-coherent.
+func TestClaimsTwoLevelBeatsFlatSVM(t *testing.T) {
+	ratio := map[string]float64{}
+	for _, c := range []struct{ app, version string }{{"ocean", "rows"}, {"lu", "4da"}, {"radix", "orig"}} {
+		var end [2]uint64
+		for i, plat := range []string{"svm", "svmsmp"} {
+			run, err := claimsR().Run(c.app, c.version, plat)
+			if err != nil {
+				t.Fatalf("%s/%s on %s: %v", c.app, c.version, plat, err)
+			}
+			end[i] = run.EndTime
+		}
+		r := float64(end[0]) / float64(end[1])
+		t.Logf("%s/%s: svm/svmsmp time %.3f", c.app, c.version, r)
+		if r < 1.05 {
+			t.Errorf("%s/%s: svm/svmsmp time %.3f; claim wants the two-level hierarchy >= 1.05x faster", c.app, c.version, r)
+		}
+		ratio[c.app] = r
+	}
+	for _, app := range []string{"ocean", "lu"} {
+		if ratio["radix"] < 1.2*ratio[app] {
+			t.Errorf("radix gains %.3fx from svmsmp, not clearly more than %s's %.3fx (want >= 1.2x as much)",
+				ratio["radix"], app, ratio[app])
 		}
 	}
 }
