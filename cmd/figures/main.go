@@ -9,8 +9,9 @@
 // a fully serial run regardless of -workers. A cell whose simulation fails
 // (panic, deadlock, verification) renders as an error row; the rest of the
 // figure still completes, failures are listed on stderr, and the exit code
-// is 1. An unknown -fig ID, a -p or -workers below 1 or a -scale that is
-// not positive is a usage error: exit 2 before anything is simulated.
+// is 1. An unknown -fig ID, more than one of -all, -fig and -headline, a -p
+// or -workers below 1 or a -scale that is not positive is a usage error:
+// exit 2 before anything is simulated.
 //
 // Usage:
 //
@@ -49,6 +50,10 @@ func main() {
 	flag.Parse()
 	if err := harness.CheckWorkers(*workers); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
+	}
+	if *headline && (*all || *fig != "") || *all && *fig != "" {
+		fmt.Fprintln(os.Stderr, "figures: -all, -fig and -headline are mutually exclusive")
 		os.Exit(2)
 	}
 

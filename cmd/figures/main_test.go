@@ -22,3 +22,17 @@ func TestUnknownFigureIsUsageError(t *testing.T) {
 		clitest.WantUsageError(t, "unknown figure", "-fig", id)
 	}
 }
+
+// -all, -fig and -headline each pick what to render; asking for two is a
+// usage error, not a silent preference for one of them. The small -p and
+// -scale keep a regression cheap to run.
+func TestConflictingModesAreUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-all", "-fig", "fig99"},
+		{"-headline", "-fig", "nonsense"},
+		{"-all", "-headline"},
+		{"-all", "-fig", "fig2", "-headline"},
+	} {
+		clitest.WantUsageError(t, "mutually exclusive", append(args, "-p", "2", "-scale", "0.1")...)
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
-	"repro/internal/stats"
 )
 
 // BaseScale gives each application's default problem-size scale for figure
@@ -276,19 +275,4 @@ func HeadlineSpeedups(r *Runner) (string, error) {
 	}
 	writeFails(&b, fails)
 	return b.String(), nil
-}
-
-// DominantCategory returns the breakdown category with the largest aggregate
-// share in a run — used by tests asserting "lock wait dominates" style
-// claims.
-func DominantCategory(run *stats.Run) stats.Category {
-	best := stats.Compute
-	var bestV uint64
-	for c := stats.Category(0); c < stats.NumCategories; c++ {
-		if v := run.TotalCycles(c); v > bestV {
-			bestV = v
-			best = c
-		}
-	}
-	return best
 }

@@ -7,7 +7,6 @@ import (
 
 	_ "repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 func TestExecuteUnknownAppAndVersion(t *testing.T) {
@@ -146,15 +145,5 @@ func TestBreakdownFigureRuns(t *testing.T) {
 	}
 	if !strings.Contains(out, "Compute") || !strings.Contains(out, "DataWait") {
 		t.Errorf("breakdown table missing category headers:\n%s", out)
-	}
-}
-
-func TestDominantCategory(t *testing.T) {
-	run := stats.NewRun("x", 2)
-	run.Procs[0].Cycles[stats.LockWait] = 100
-	run.Procs[1].Cycles[stats.LockWait] = 200
-	run.Procs[0].Cycles[stats.Compute] = 50
-	if got := DominantCategory(run); got != stats.LockWait {
-		t.Errorf("dominant = %v, want LockWait", got)
 	}
 }

@@ -9,7 +9,8 @@
 // The interesting questions the paper poses for this hierarchy — does
 // intra-cluster sharing dodge the SVM tax, do cluster-grained twins cut
 // protocol work, how do locks behave when the previous holder is a cluster
-// mate — are all answerable with this model; see the TwoLevel benchmarks.
+// mate — are all answerable with this model; see the TwoLevelBeatsFlatSVM
+// row of the paper-claims table (repro_claims_test.go).
 //
 // Both protocol layers live in internal/protocol: one PageEngine whose
 // coherence domains are the clusters, stacked on a {MESI × SnoopBus}
