@@ -140,3 +140,12 @@ func TestSampleWithoutTraceIsUsageError(t *testing.T) {
 func TestNegativeTraceBufferIsUsageError(t *testing.T) {
 	clitest.WantUsageError(t, "bad trace ring size -1", "-app", "radix", "-p", "4", "-scale", "0.125", "-trace-buffer", "-1")
 }
+
+// A scale whose problem size does not fit an int fails the cell (exit 1)
+// instead of simulating the app's floor size.
+func TestHugeScaleFailsCell(t *testing.T) {
+	code, _, stderr := clitest.Run(t, "-app", "lu", "-version", "4d", "-p", "2", "-scale", "1e308")
+	if code != 1 || !strings.Contains(stderr, "does not fit an int") {
+		t.Errorf("exit %d, stderr %q; want exit 1 naming the overflow", code, stderr)
+	}
+}

@@ -8,6 +8,7 @@
 package apputil
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mem"
@@ -50,6 +51,17 @@ func ProcGridFloor(np int) (pr, pc int) {
 		pr--
 	}
 	return pr, np / pr
+}
+
+// Size is an application's problem size at scale: base×scale rounded down
+// to a multiple of step, and at least floor. A scale whose size does not fit
+// an int is an error naming app, not a silent clamp to floor.
+func Size(app string, base, scale float64, step, floor int) (int, error) {
+	f := base * scale
+	if !(f < math.MaxInt) {
+		return 0, fmt.Errorf("%s: scale %g makes the problem size %g, which does not fit an int", app, scale, f)
+	}
+	return max(int(f)/step*step, floor), nil
 }
 
 // RNG is a tiny deterministic xorshift generator. Applications must not use

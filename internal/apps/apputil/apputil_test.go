@@ -1,6 +1,8 @@
 package apputil
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +47,30 @@ func TestSplitBalance(t *testing.T) {
 			if max-min > 1 {
 				t.Errorf("Split(%d, %d): chunk sizes differ by %d", n, np, max-min)
 			}
+		}
+	}
+}
+
+// Size rounds base×scale down to its step and raises it to its floor, up to
+// the largest float64 below 2^63; at 2^63 and beyond, and at NaN, it is an
+// error naming the app instead of the floor.
+func TestSize(t *testing.T) {
+	for _, c := range []struct {
+		base, scale       float64
+		step, floor, want int
+	}{
+		{256, 0.25, 16, 32, 64},
+		{256, 0.1, 16, 32, 32},
+		{128, 0.5, 12, 8, 60},
+		{1, math.Nextafter(1<<63, 0), 1, 0, 1<<63 - 1024},
+	} {
+		if n, err := Size("lu", c.base, c.scale, c.step, c.floor); err != nil || n != c.want {
+			t.Errorf("Size(%g, %g, %d, %d) = %d, %v; want %d", c.base, c.scale, c.step, c.floor, n, err, c.want)
+		}
+	}
+	for _, scale := range []float64{1 << 55, 1e17, 1e308, math.Inf(1), math.NaN()} {
+		if n, err := Size("lu", 256, scale, 16, 32); err == nil || !strings.Contains(err.Error(), "lu: scale") {
+			t.Errorf("Size(256, %g) = %d, %v; want an error naming lu", scale, n, err)
 		}
 	}
 }

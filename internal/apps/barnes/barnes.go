@@ -120,9 +120,9 @@ func (app) Build(vname string, scale float64, as *mem.AddressSpace, np int) (cor
 	default:
 		return nil, fmt.Errorf("barnes: unknown version %q", vname)
 	}
-	n := int(2048 * scale)
-	if n < 16*np {
-		n = 16 * np
+	n, err := apputil.Size("barnes", 2048, scale, 1, 16*np)
+	if err != nil {
+		return nil, err
 	}
 	in.n = n
 

@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -19,11 +19,7 @@ var allVersions = []string{"splash", "pad", "splash2", "updatetree", "partree", 
 func newInstance(t *testing.T, version, plat string, np int, scale float64) (*instance, sim.Platform) {
 	t.Helper()
 	as := mem.NewAddressSpace(platform.PageSize, np)
-	a, err := core.Lookup("barnes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := a.Build(version, scale, as, np)
+	inst, err := app{}.Build(version, scale, as, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,39 +30,38 @@ func newInstance(t *testing.T, version, plat string, np int, scale float64) (*in
 	return inst.(*instance), pl
 }
 
-func runBarnes(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
+// execute runs one barnes cell through the harness with invariant checking on.
+func execute(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
 	t.Helper()
-	inst, pl := newInstance(t, version, plat, np, scale)
-	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
-	run := k.Run("barnes/"+version+"@"+plat, inst.Body)
-	if err := inst.Verify(); err != nil {
-		t.Fatalf("verification failed: %v", err)
+	run, err := harness.Execute(harness.Spec{App: "barnes", Version: version, Platform: plat, NumProcs: np, Scale: scale, Check: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return run
 }
 
 func TestBarnesCorrectAllVersions(t *testing.T) {
 	for _, v := range allVersions {
-		t.Run(v, func(t *testing.T) { runBarnes(t, v, "svm", 4, 0.25) })
+		t.Run(v, func(t *testing.T) { execute(t, v, "svm", 4, 0.25) })
 	}
 }
 
 func TestBarnesAcrossPlatforms(t *testing.T) {
 	for _, pl := range platform.Names {
-		t.Run(pl, func(t *testing.T) { runBarnes(t, "spatial", pl, 4, 0.25) })
+		t.Run(pl, func(t *testing.T) { execute(t, "spatial", pl, 4, 0.25) })
 	}
 }
 
 func TestBarnesUniprocessor(t *testing.T) {
-	runBarnes(t, "splash", "svm", 1, 0.25)
+	execute(t, "splash", "svm", 1, 0.25)
 }
 
 func TestBarnesLockCounts(t *testing.T) {
 	// The shared-tree build locks on the order of a couple of lock
 	// acquisitions per body (paper: ~66k remote locks for 16k bodies in
 	// 2 steps); the spatial build must use almost none.
-	shared := runBarnes(t, "splash", "svm", 8, 0.5)
-	spatial := runBarnes(t, "spatial", "svm", 8, 0.5)
+	shared := execute(t, "splash", "svm", 8, 0.5)
+	spatial := execute(t, "spatial", "svm", 8, 0.5)
 	ls, lo := spatial.AggregateCounters().LockAcquires, shared.AggregateCounters().LockAcquires
 	if lo < uint64(1024) { // 1024 bodies at scale 0.5, ~>=1 lock/body over 2 steps
 		t.Errorf("shared-tree build acquired only %d locks", lo)
@@ -77,8 +72,8 @@ func TestBarnesLockCounts(t *testing.T) {
 }
 
 func TestBarnesSpatialBeatsSplashOnSVM(t *testing.T) {
-	shared := runBarnes(t, "splash", "svm", 16, 0.5)
-	spatial := runBarnes(t, "spatial", "svm", 16, 0.5)
+	shared := execute(t, "splash", "svm", 16, 0.5)
+	spatial := execute(t, "spatial", "svm", 16, 0.5)
 	if spatial.EndTime >= shared.EndTime {
 		t.Errorf("spatial (%d) should beat splash (%d) on SVM", spatial.EndTime, shared.EndTime)
 	}
@@ -87,8 +82,8 @@ func TestBarnesSpatialBeatsSplashOnSVM(t *testing.T) {
 func TestBarnesTreeBuildShareShrinks(t *testing.T) {
 	// Paper: tree building takes 43%% of SVM time with the shared-tree
 	// algorithm versus a small share with the spatial one.
-	shared := runBarnes(t, "splash", "svm", 16, 0.5)
-	spatial := runBarnes(t, "spatial", "svm", 16, 0.5)
+	shared := execute(t, "splash", "svm", 16, 0.5)
+	spatial := execute(t, "spatial", "svm", 16, 0.5)
 	fs := float64(shared.PhaseTimes["treebuild"]) / float64(shared.EndTime*16)
 	fo := float64(spatial.PhaseTimes["treebuild"]) / float64(spatial.EndTime*16)
 	if fo >= fs {
@@ -437,7 +432,7 @@ func TestVerifyRejectsBrokenTrees(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in, pl := newInstance(t, "splash", "svm", 2, 0.125)
-			sim.New(pl, sim.Config{NumProcs: 2, BarrierManager: sim.AutoBarrierManager}).Run("barnes", in.Body)
+			sim.New(pl, sim.Config{NumProcs: 2, BarrierManager: sim.AutoBarrierManager, Check: true}).Run("barnes", in.Body)
 			if err := in.Verify(); err != nil {
 				t.Fatal(err)
 			}

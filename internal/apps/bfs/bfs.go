@@ -123,9 +123,9 @@ func (app) Build(versionName string, scale float64, as *mem.AddressSpace, np int
 	default:
 		return nil, fmt.Errorf("bfs: unknown version %q", versionName)
 	}
-	numVerts := int(baseVerts * scale)
-	if numVerts < 4*np {
-		numVerts = 4 * np
+	numVerts, err := apputil.Size("bfs", baseVerts, scale, 1, 4*np)
+	if err != nil {
+		return nil, err
 	}
 	return newInstance(ver, numVerts, 4242, as, np), nil
 }

@@ -3,44 +3,37 @@ package bfs
 import (
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
-func runBFS(t *testing.T, version, plat string, np int, scale float64) *instance {
+// execute runs one bfs cell through the harness with invariant checking on.
+func execute(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
 	t.Helper()
-	as := mem.NewAddressSpace(platform.PageSize, np)
-	inst, err := app{}.Build(version, scale, as, np)
+	run, err := harness.Execute(harness.Spec{App: "bfs", Version: version, Platform: plat, NumProcs: np, Scale: scale, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := platform.Make(plat, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
-	k.Run("bfs/"+version+"@"+plat, inst.Body)
-	if err := inst.Verify(); err != nil {
-		t.Fatalf("verification failed: %v", err)
-	}
-	return inst.(*instance)
+	return run
 }
 
 func TestAllVersionsRunAndVerify(t *testing.T) {
 	for _, v := range []string{"orig", "pad", "part", "dir"} {
-		t.Run(v, func(t *testing.T) { runBFS(t, v, "svm", 4, 0.25) })
+		t.Run(v, func(t *testing.T) { execute(t, v, "svm", 4, 0.25) })
 	}
 }
 
 func TestAcrossPlatforms(t *testing.T) {
 	for _, pl := range platform.Names {
-		t.Run(pl, func(t *testing.T) { runBFS(t, "dir", pl, 4, 0.25) })
+		t.Run(pl, func(t *testing.T) { execute(t, "dir", pl, 4, 0.25) })
 	}
 }
 
 func TestUniprocessor(t *testing.T) {
-	runBFS(t, "orig", "svm", 1, 0.25)
+	execute(t, "orig", "svm", 1, 0.25)
 }
 
 // The distance array is a pure function of the graph: fingerprints must
@@ -48,8 +41,8 @@ func TestUniprocessor(t *testing.T) {
 func TestFingerprintInvariant(t *testing.T) {
 	var want uint64
 	first := ""
-	check := func(name string, in *instance) {
-		fp := in.Fingerprint()
+	check := func(name string, run *stats.Run) {
+		fp := run.Result
 		if first == "" {
 			want, first = fp, name
 			return
@@ -59,10 +52,10 @@ func TestFingerprintInvariant(t *testing.T) {
 		}
 	}
 	for _, v := range []string{"orig", "pad", "part", "dir"} {
-		check(v+"@svm p=3", runBFS(t, v, "svm", 3, 0.25))
+		check(v+"@svm p=3", execute(t, v, "svm", 3, 0.25))
 	}
-	check("dir@smp p=8", runBFS(t, "dir", "smp", 8, 0.25))
-	check("orig@dsm p=1", runBFS(t, "orig", "dsm", 1, 0.25))
+	check("dir@smp p=8", execute(t, "dir", "smp", 8, 0.25))
+	check("orig@dsm p=1", execute(t, "orig", "dsm", 1, 0.25))
 }
 
 // Property: on randomized graphs, every version's parallel distances must
@@ -76,7 +69,7 @@ func TestRandomGraphsMatchSerialBFS(t *testing.T) {
 			in := newInstance(ver, 300+int(seed%7)*31, seed, as, np)
 			want := SerialBFS(in.row, in.adj)
 			pl, _ := platform.Make("svm", as, np)
-			sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager}).Run("bfs", in.Body)
+			sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager, Check: true}).Run("bfs", in.Body)
 			for v := range want {
 				if in.dist[v] != want[v] {
 					t.Fatalf("seed %d version %d: dist[%d] = %d, want %d", seed, ver, v, in.dist[v], want[v])

@@ -141,13 +141,13 @@ func (app) Build(versionName string, scale float64, as *mem.AddressSpace, np int
 		return nil, fmt.Errorf("kvstore: unknown version %q", versionName)
 	}
 
-	in.numKeys = int(baseKeys * scale)
-	if in.numKeys < np*keysPerBucket {
-		in.numKeys = np * keysPerBucket
+	var err error
+	if in.numKeys, err = apputil.Size("kvstore", baseKeys, scale, 1, np*keysPerBucket); err != nil {
+		return nil, err
 	}
-	nops := int(baseOps * scale)
-	if nops < np*shardRounds {
-		nops = np * shardRounds
+	nops, err := apputil.Size("kvstore", baseOps, scale, 1, np*shardRounds)
+	if err != nil {
+		return nil, err
 	}
 	in.ops = GenerateOps(in.numKeys, nops, 707)
 	in.vals = make([]uint64, in.numKeys)

@@ -4,44 +4,37 @@ import (
 	"testing"
 
 	"repro/internal/apps/apputil"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
-func runKV(t *testing.T, version, plat string, np int, scale float64) *instance {
+// execute runs one kvstore cell through the harness with invariant checking on.
+func execute(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
 	t.Helper()
-	as := mem.NewAddressSpace(platform.PageSize, np)
-	inst, err := app{}.Build(version, scale, as, np)
+	run, err := harness.Execute(harness.Spec{App: "kvstore", Version: version, Platform: plat, NumProcs: np, Scale: scale, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := platform.Make(plat, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
-	k.Run("kvstore/"+version+"@"+plat, inst.Body)
-	if err := inst.Verify(); err != nil {
-		t.Fatalf("verification failed: %v", err)
-	}
-	return inst.(*instance)
+	return run
 }
 
 func TestAllVersionsRunAndVerify(t *testing.T) {
 	for _, v := range []string{"orig", "pad", "open", "shard"} {
-		t.Run(v, func(t *testing.T) { runKV(t, v, "svm", 4, 0.25) })
+		t.Run(v, func(t *testing.T) { execute(t, v, "svm", 4, 0.25) })
 	}
 }
 
 func TestAcrossPlatforms(t *testing.T) {
 	for _, pl := range platform.Names {
-		t.Run(pl, func(t *testing.T) { runKV(t, "shard", pl, 4, 0.25) })
+		t.Run(pl, func(t *testing.T) { execute(t, "shard", pl, 4, 0.25) })
 	}
 }
 
 func TestUniprocessor(t *testing.T) {
-	runKV(t, "orig", "svm", 1, 0.25)
+	execute(t, "orig", "svm", 1, 0.25)
 }
 
 // All versions compute the same service state: the fingerprint must agree
@@ -49,8 +42,8 @@ func TestUniprocessor(t *testing.T) {
 func TestFingerprintInvariant(t *testing.T) {
 	var want uint64
 	first := ""
-	check := func(name string, in *instance) {
-		fp := in.Fingerprint()
+	check := func(name string, run *stats.Run) {
+		fp := run.Result
 		if first == "" {
 			want, first = fp, name
 			return
@@ -60,10 +53,10 @@ func TestFingerprintInvariant(t *testing.T) {
 		}
 	}
 	for _, v := range []string{"orig", "pad", "open", "shard"} {
-		check(v+"@svm p=3", runKV(t, v, "svm", 3, 0.25))
+		check(v+"@svm p=3", execute(t, v, "svm", 3, 0.25))
 	}
-	check("shard@smp p=8", runKV(t, "shard", "smp", 8, 0.25))
-	check("orig@dsm p=1", runKV(t, "orig", "dsm", 1, 0.25))
+	check("shard@smp p=8", execute(t, "shard", "smp", 8, 0.25))
+	check("orig@dsm p=1", execute(t, "orig", "dsm", 1, 0.25))
 }
 
 // Property: for randomized operation logs, the parallel run's final table
@@ -91,7 +84,7 @@ func TestRandomOpLogsMatchSequentialReplay(t *testing.T) {
 			ReplayOps(in.ops, in.expected)
 
 			pl, _ := platform.Make("svm", as, np)
-			sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager}).Run("kvstore", in.Body)
+			sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager, Check: true}).Run("kvstore", in.Body)
 			if err := in.Verify(); err != nil {
 				t.Errorf("version %s seed %d: %v", v, seed, err)
 			}

@@ -67,10 +67,9 @@ type instance struct {
 
 // Build implements core.App.
 func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
-	n := int(256 * scale)
-	n = (n / blockSize) * blockSize
-	if n < 2*blockSize {
-		n = 2 * blockSize
+	n, err := apputil.Size("lu", 256, scale, blockSize, 2*blockSize)
+	if err != nil {
+		return nil, err
 	}
 	in := &instance{n: n, b: blockSize, np: np}
 	in.pr, in.pc = apputil.ProcGridFloor(np)

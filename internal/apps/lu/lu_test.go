@@ -4,54 +4,41 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-func runLU(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
+// execute runs one lu cell through the harness with invariant checking on.
+func execute(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
 	t.Helper()
-	as := mem.NewAddressSpace(platform.PageSize, np)
-	a, err := core.Lookup("lu")
+	run, err := harness.Execute(harness.Spec{App: "lu", Version: version, Platform: plat, NumProcs: np, Scale: scale, Check: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	inst, err := a.Build(version, scale, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := platform.Make(plat, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
-	run := k.Run("lu/"+version+"@"+plat, inst.Body)
-	if err := inst.Verify(); err != nil {
-		t.Fatalf("verification failed: %v", err)
 	}
 	return run
 }
 
 func TestLUCorrectAllVersionsSVM(t *testing.T) {
 	for _, v := range []string{"orig", "pad", "4d", "4da"} {
-		t.Run(v, func(t *testing.T) { runLU(t, v, "svm", 4, 0.25) })
+		t.Run(v, func(t *testing.T) { execute(t, v, "svm", 4, 0.25) })
 	}
 }
 
 func TestLUCorrectAcrossPlatforms(t *testing.T) {
 	for _, pl := range platform.Names {
-		t.Run(pl, func(t *testing.T) { runLU(t, "4da", pl, 4, 0.25) })
+		t.Run(pl, func(t *testing.T) { execute(t, "4da", pl, 4, 0.25) })
 	}
 }
 
 func TestLUUniprocessor(t *testing.T) {
-	runLU(t, "orig", "svm", 1, 0.25)
+	execute(t, "orig", "svm", 1, 0.25)
 }
 
 func TestLU4dReducesFaultsVsOrig(t *testing.T) {
-	orig := runLU(t, "orig", "svm", 8, 0.5)
-	opt := runLU(t, "4da", "svm", 8, 0.5)
+	orig := execute(t, "orig", "svm", 8, 0.5)
+	opt := execute(t, "4da", "svm", 8, 0.5)
 	of := orig.AggregateCounters().PageFetches
 	nf := opt.AggregateCounters().PageFetches
 	if nf >= of {

@@ -68,12 +68,11 @@ type instance struct {
 func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
 	in := &instance{np: np}
 	in.pr, in.pc = apputil.ProcGridFloor(np)
-	n := int(256 * scale)
 	// Grid must divide evenly into the processor grid for both layouts.
 	lcm := in.pr * in.pc
-	n = (n / lcm) * lcm
-	if n < 4*lcm {
-		n = 4 * lcm
+	n, err := apputil.Size("ocean", 256, scale, lcm, 4*lcm)
+	if err != nil {
+		return nil, err
 	}
 	in.n = n
 

@@ -264,9 +264,9 @@ func (app) Build(versionName string, scale float64, as *mem.AddressSpace, np int
 	default:
 		return nil, fmt.Errorf("pipeline: unknown version %q", versionName)
 	}
-	in.numItems = int(baseItems * scale)
-	if in.numItems < np*4*batchK {
-		in.numItems = np * 4 * batchK
+	var err error
+	if in.numItems, err = apputil.Size("pipeline", baseItems, scale, 1, np*4*batchK); err != nil {
+		return nil, err
 	}
 	in.vals = make([]uint64, in.numItems)
 	rng := apputil.NewRNG(1311)

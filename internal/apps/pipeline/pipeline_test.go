@@ -3,44 +3,35 @@ package pipeline
 import (
 	"testing"
 
-	"repro/internal/mem"
+	"repro/internal/harness"
 	"repro/internal/platform"
-	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
-func runPipe(t *testing.T, version, plat string, np int, scale float64) *instance {
+// execute runs one pipeline cell through the harness with invariant checking on.
+func execute(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
 	t.Helper()
-	as := mem.NewAddressSpace(platform.PageSize, np)
-	inst, err := app{}.Build(version, scale, as, np)
+	run, err := harness.Execute(harness.Spec{App: "pipeline", Version: version, Platform: plat, NumProcs: np, Scale: scale, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := platform.Make(plat, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
-	k.Run("pipeline/"+version+"@"+plat, inst.Body)
-	if err := inst.Verify(); err != nil {
-		t.Fatalf("verification failed: %v", err)
-	}
-	return inst.(*instance)
+	return run
 }
 
 func TestAllVersionsRunAndVerify(t *testing.T) {
 	for _, v := range []string{"orig", "pad", "split", "batch"} {
-		t.Run(v, func(t *testing.T) { runPipe(t, v, "svm", 4, 0.25) })
+		t.Run(v, func(t *testing.T) { execute(t, v, "svm", 4, 0.25) })
 	}
 }
 
 func TestAcrossPlatforms(t *testing.T) {
 	for _, pl := range platform.Names {
-		t.Run(pl, func(t *testing.T) { runPipe(t, "batch", pl, 4, 0.25) })
+		t.Run(pl, func(t *testing.T) { execute(t, "batch", pl, 4, 0.25) })
 	}
 }
 
 func TestUniprocessor(t *testing.T) {
-	runPipe(t, "orig", "svm", 1, 0.25)
+	execute(t, "orig", "svm", 1, 0.25)
 }
 
 // Conservation at processor counts that do not divide the stage count (or
@@ -50,12 +41,7 @@ func TestUniprocessor(t *testing.T) {
 func TestItemConservationAtAwkwardProcCounts(t *testing.T) {
 	for _, np := range []int{1, 2, 3, 5, 6, 7} {
 		for _, v := range []string{"orig", "pad", "split", "batch"} {
-			in := runPipe(t, v, "svm", np, 0.25) // Verify inside runPipe checks conservation
-			for s := 0; s < numStages; s++ {
-				if in.processed[s] != in.numItems {
-					t.Errorf("np=%d %s: stage %d processed %d of %d", np, v, s, in.processed[s], in.numItems)
-				}
-			}
+			execute(t, v, "svm", np, 0.25) // Verify checks every stage's count and every queue
 		}
 	}
 }
@@ -65,8 +51,8 @@ func TestItemConservationAtAwkwardProcCounts(t *testing.T) {
 func TestFingerprintInvariant(t *testing.T) {
 	var want uint64
 	first := ""
-	check := func(name string, in *instance) {
-		fp := in.Fingerprint()
+	check := func(name string, run *stats.Run) {
+		fp := run.Result
 		if first == "" {
 			want, first = fp, name
 			return
@@ -76,10 +62,10 @@ func TestFingerprintInvariant(t *testing.T) {
 		}
 	}
 	for _, v := range []string{"orig", "pad", "split", "batch"} {
-		check(v+"@svm p=3", runPipe(t, v, "svm", 3, 0.25))
+		check(v+"@svm p=3", execute(t, v, "svm", 3, 0.25))
 	}
-	check("batch@smp p=8", runPipe(t, "batch", "smp", 8, 0.25))
-	check("orig@dsm p=1", runPipe(t, "orig", "dsm", 1, 0.25))
+	check("batch@smp p=8", execute(t, "batch", "smp", 8, 0.25))
+	check("orig@dsm p=1", execute(t, "orig", "dsm", 1, 0.25))
 }
 
 func TestStageAssignmentCoversAllStages(t *testing.T) {

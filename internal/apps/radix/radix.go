@@ -69,9 +69,9 @@ type instance struct {
 
 // Build implements core.App.
 func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
-	n := int(256 * 1024 * scale)
-	if n < np*radix {
-		n = np * radix
+	n, err := apputil.Size("radix", 256*1024, scale, 1, np*radix)
+	if err != nil {
+		return nil, err
 	}
 	in := &instance{n: n, np: np}
 

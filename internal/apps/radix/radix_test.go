@@ -5,49 +5,37 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-func runRadix(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
+// execute runs one radix cell through the harness with invariant checking on.
+func execute(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
 	t.Helper()
-	as := mem.NewAddressSpace(platform.PageSize, np)
-	a, err := core.Lookup("radix")
+	run, err := harness.Execute(harness.Spec{App: "radix", Version: version, Platform: plat, NumProcs: np, Scale: scale, Check: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	inst, err := a.Build(version, scale, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := platform.Make(plat, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
-	run := k.Run("radix/"+version+"@"+plat, inst.Body)
-	if err := inst.Verify(); err != nil {
-		t.Fatalf("verification failed: %v", err)
 	}
 	return run
 }
 
 func TestRadixSortsAllVersions(t *testing.T) {
 	for _, v := range []string{"orig", "pad", "local"} {
-		t.Run(v, func(t *testing.T) { runRadix(t, v, "svm", 4, 0.125) })
+		t.Run(v, func(t *testing.T) { execute(t, v, "svm", 4, 0.125) })
 	}
 }
 
 func TestRadixAcrossPlatforms(t *testing.T) {
 	for _, pl := range platform.Names {
-		t.Run(pl, func(t *testing.T) { runRadix(t, "orig", pl, 4, 0.125) })
+		t.Run(pl, func(t *testing.T) { execute(t, "orig", pl, 4, 0.125) })
 	}
 }
 
 func TestRadixUniprocessor(t *testing.T) {
-	runRadix(t, "orig", "svm", 1, 0.125)
+	execute(t, "orig", "svm", 1, 0.125)
 }
 
 func TestRadixMatchesSortReference(t *testing.T) {
@@ -61,7 +49,7 @@ func TestRadixMatchesSortReference(t *testing.T) {
 	want := append([]uint32(nil), in.input...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	pl, _ := platform.Make("svm", as, 2)
-	sim.New(pl, sim.Config{NumProcs: 2}).Run("radix", in.Body)
+	sim.New(pl, sim.Config{NumProcs: 2, Check: true}).Run("radix", in.Body)
 	for i := range want {
 		if in.keys[i] != want[i] {
 			t.Fatalf("key %d = %d, want %d", i, in.keys[i], want[i])
@@ -77,8 +65,8 @@ func TestRadixLocalBufferVersion(t *testing.T) {
 	// from the paper's 1.4 -> 2.24 step). The gathered version must not
 	// be significantly worse, and its scattered-write cache stalls must
 	// drop.
-	orig := runRadix(t, "orig", "svm", 8, 1)
-	local := runRadix(t, "local", "svm", 8, 1)
+	orig := execute(t, "orig", "svm", 8, 1)
+	local := execute(t, "local", "svm", 8, 1)
 	if lo, oo := local.AggregateCounters().TwinsMade, orig.AggregateCounters().TwinsMade; lo != oo {
 		t.Errorf("local twins %d != orig twins %d (page working sets should match)", lo, oo)
 	}

@@ -122,10 +122,9 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	default:
 		return nil, fmt.Errorf("raytrace: unknown version %q", version)
 	}
-	n := int(128 * scale)
-	n = (n / (tile * 2)) * tile * 2
-	if n < tile*4 {
-		n = tile * 4
+	n, err := apputil.Size("raytrace", 128, scale, tile*2, tile*4)
+	if err != nil {
+		return nil, err
 	}
 	in.n = n
 

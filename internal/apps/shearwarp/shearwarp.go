@@ -82,10 +82,9 @@ type instance struct {
 // Build implements core.App.
 func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
 	in := &instance{np: np}
-	n := int(128 * scale)
-	n = (n / (4 * np)) * 4 * np
-	if n < 4*np {
-		n = 4 * np
+	n, err := apputil.Size("shearwarp", 128, scale, 4*np, 4*np)
+	if err != nil {
+		return nil, err
 	}
 	in.n = n
 	in.nz = n / 2

@@ -4,54 +4,41 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-func runSW(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
+// execute runs one shearwarp cell through the harness with invariant checking on.
+func execute(t *testing.T, version, plat string, np int, scale float64) *stats.Run {
 	t.Helper()
-	as := mem.NewAddressSpace(platform.PageSize, np)
-	a, err := core.Lookup("shearwarp")
+	run, err := harness.Execute(harness.Spec{App: "shearwarp", Version: version, Platform: plat, NumProcs: np, Scale: scale, Check: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	inst, err := a.Build(version, scale, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := platform.Make(plat, as, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.New(pl, sim.Config{NumProcs: np, BarrierManager: sim.AutoBarrierManager})
-	run := k.Run("shearwarp/"+version+"@"+plat, inst.Body)
-	if err := inst.Verify(); err != nil {
-		t.Fatalf("verification failed: %v", err)
 	}
 	return run
 }
 
 func TestShearWarpCorrectAllVersions(t *testing.T) {
 	for _, v := range []string{"orig", "pad", "opt"} {
-		t.Run(v, func(t *testing.T) { runSW(t, v, "svm", 4, 0.5) })
+		t.Run(v, func(t *testing.T) { execute(t, v, "svm", 4, 0.5) })
 	}
 }
 
 func TestShearWarpAcrossPlatforms(t *testing.T) {
 	for _, pl := range []string{"svm", "smp", "dsm", "svmsmp"} {
-		t.Run(pl, func(t *testing.T) { runSW(t, "opt", pl, 4, 0.5) })
+		t.Run(pl, func(t *testing.T) { execute(t, "opt", pl, 4, 0.5) })
 	}
 }
 
 func TestShearWarpUniprocessor(t *testing.T) {
-	runSW(t, "orig", "svm", 1, 0.5)
+	execute(t, "orig", "svm", 1, 0.5)
 }
 
 func TestShearWarpOptEliminatesInterPhaseBarrier(t *testing.T) {
-	orig := runSW(t, "orig", "svm", 8, 0.5)
-	opt := runSW(t, "opt", "svm", 8, 0.5)
+	orig := execute(t, "orig", "svm", 8, 0.5)
+	opt := execute(t, "opt", "svm", 8, 0.5)
 	co := orig.AggregateCounters().Barriers
 	cp := opt.AggregateCounters().Barriers
 	if cp >= co {
@@ -62,8 +49,8 @@ func TestShearWarpOptEliminatesInterPhaseBarrier(t *testing.T) {
 func TestShearWarpOptCutsRedistribution(t *testing.T) {
 	// In the optimized version a processor warps from intermediate rows
 	// it composited itself, so inter-processor page traffic must drop.
-	orig := runSW(t, "orig", "svm", 16, 1)
-	opt := runSW(t, "opt", "svm", 16, 1)
+	orig := execute(t, "orig", "svm", 16, 1)
+	opt := execute(t, "opt", "svm", 16, 1)
 	fo := orig.AggregateCounters().PageFetches
 	fp := opt.AggregateCounters().PageFetches
 	if fp >= fo {
@@ -78,7 +65,7 @@ func TestShearWarpProfiledPartitionBalances(t *testing.T) {
 	// The profiled contiguous blocks equalize compositing cost even
 	// though the head's scanline costs vary strongly: compute times must
 	// be within a reasonable band across processors.
-	run := runSW(t, "opt", "svm", 8, 1)
+	run := execute(t, "opt", "svm", 8, 1)
 	var min, max uint64 = ^uint64(0), 0
 	for i := range run.Procs {
 		c := run.Procs[i].Cycles[stats.Compute]

@@ -80,10 +80,9 @@ type instance struct {
 // Build implements core.App.
 func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
 	in := &instance{np: np, steal: true}
-	n := int(128 * scale)
-	n = (n / (tile * 4)) * tile * 4
-	if n < tile*8 {
-		n = tile * 8
+	n, err := apputil.Size("volrend", 128, scale, tile*4, tile*8)
+	if err != nil {
+		return nil, err
 	}
 	in.n = n
 	in.nz = n / 2

@@ -9,7 +9,8 @@
 // package attacks the same correctness question from the outside:
 //
 //   - every registered figure cell must run to completion with invariant
-//     checking enabled;
+//     checking enabled and match the committed goldens journal
+//     (campaigns/goldens.json sets "check": true);
 //   - running the same experiment twice must produce byte-identical
 //     machine-readable output (no map-iteration order, unseeded randomness
 //     or goroutine scheduling may leak into results);
@@ -20,9 +21,8 @@
 //   - result verification must hold across processor counts, including
 //     ones that do not divide the problem evenly.
 //
-// Both halves are wired into CI: the normal leg runs this package's tests,
-// and a REPRO_CHECK=1 leg re-runs the whole suite with checking forced on
-// process-wide (see harness.Spec).
+// Checking is a per-cell setting (harness.Spec.Check): these tests, the app
+// suites and the goldens campaign turn it on for the cells they run.
 package check
 
 import (

@@ -1,7 +1,8 @@
 package check
 
 import (
-	"runtime"
+	"fmt"
+	"strings"
 	"testing"
 
 	_ "repro/internal/apps"
@@ -13,21 +14,6 @@ const (
 	sweepProcs = 8
 	sweepScale = 0.25
 )
-
-// Every registered figure cell must run to completion — and verify — with
-// the runtime invariant checker enabled.
-func TestFigureCellsPassInvariantChecking(t *testing.T) {
-	r := harness.NewRunner(sweepProcs, sweepScale)
-	r.Check = true
-	cells := FigureCells()
-	if len(cells) < 20 {
-		t.Fatalf("only %d figure cells registered, expected the full experiment matrix", len(cells))
-	}
-	r.RunParallel(runtime.GOMAXPROCS(0), cells)
-	for _, f := range r.FailedCells() {
-		t.Error(f)
-	}
-}
 
 // Running the same experiment twice must produce byte-identical JSON: one
 // representative cell per application, rotating over the platforms so every
@@ -117,6 +103,23 @@ func TestVerifyAtAwkwardProcCounts(t *testing.T) {
 			NumProcs: 5, Scale: sweepScale, Check: true,
 		}); err != nil {
 			t.Errorf("%s/%s P=5: %v", app, ver, err)
+		}
+	}
+}
+
+// A scale whose problem size does not fit an int fails every app's Build
+// with an error naming the app and scale; none may clamp it to its floor
+// size and simulate. Only overflowing scales are tried: a large scale that
+// fits would be allocated.
+func TestHugeScaleIsBuildError(t *testing.T) {
+	for _, app := range core.Apps() {
+		for _, scale := range []float64{1e17, 1e308} {
+			_, err := harness.Execute(harness.Spec{
+				App: app, Version: core.OrigVersion(app), Platform: "svm", NumProcs: 2, Scale: scale,
+			})
+			if want := fmt.Sprintf("%s: scale %g", app, scale); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at scale %g: error %v, want one naming %q", app, scale, err, want)
+			}
 		}
 	}
 }

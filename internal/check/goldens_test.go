@@ -16,8 +16,9 @@ import (
 // gate. It re-simulates the committed goldens campaign
 // (campaigns/goldens.json: every figure cell on svm, smp and dsm at P=8,
 // plus each app's original version on svmsmp at P=3 and P=8, scale 0.25)
-// and requires every cell's status, document fingerprint, end time and
-// result fingerprint to equal the committed journal's. The end time pins
+// with the runtime invariant checker on, and requires every cell's status,
+// document fingerprint, end time and result fingerprint to equal the
+// committed journal's. The end time pins
 // the platform cost model and the result fingerprint pins the computation,
 // so a reordered invalidation sweep, a mischarged cycle or a changed fill
 // state fails here by cell name before it can bend a figure. The paper
@@ -25,12 +26,6 @@ import (
 // platform models produced before they were rebuilt on internal/protocol;
 // the journal is re-captured only for a deliberate model change.
 func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
-	if os.Getenv("REPRO_CHECK") != "" {
-		// REPRO_CHECK folds check=true into every memo key, so no cell
-		// would match the journal's check=false keys. The differential
-		// gate runs this test in its own CI step without the env toggle.
-		t.Skip("REPRO_CHECK forces check=true memo keys; the goldens journal pins check=false")
-	}
 	dir := filepath.Join("..", "..", "campaigns")
 	data, err := os.ReadFile(filepath.Join(dir, "goldens.json"))
 	if err != nil {
@@ -59,7 +54,7 @@ func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
 		inManifest[c.Key] = true
 	}
 	need := func(app, version, plat string, np int) {
-		s := harness.Spec{App: app, Version: version, Platform: plat, NumProcs: np, Scale: sweepScale}
+		s := harness.Spec{App: app, Version: version, Platform: plat, NumProcs: np, Scale: sweepScale, Check: true}
 		if !inManifest[s.MemoKey()] {
 			t.Errorf("%s is missing from campaigns/goldens.json", s.MemoKey())
 		}

@@ -59,7 +59,7 @@ func TestIrregularFingerprintsAcrossAllPresetsAndProcCounts(t *testing.T) {
 					for _, np := range irregularProcs {
 						run, err := harness.Execute(harness.Spec{
 							App: app, Version: v.Name, Platform: plat,
-							NumProcs: np, Scale: sweepScale,
+							NumProcs: np, Scale: sweepScale, Check: true,
 						})
 						if err != nil {
 							t.Errorf("%s p=%d: %v", plat, np, err)

@@ -99,6 +99,7 @@ func TestQuantumEdgesByteIdentical(t *testing.T) {
 		return out
 	}
 	for _, base := range cells {
+		base.Check = true // the quantum edges run under the invariant checker too
 		def := render(base)
 		for _, q := range []uint64{1, 1 << 40} {
 			spec := base

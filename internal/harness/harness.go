@@ -37,7 +37,7 @@ type Spec struct {
 	SkipVerify bool
 	// Check enables the kernel's runtime invariant checker (scheduler
 	// monotonicity, platform protocol sweeps, accounting identity); see
-	// sim.Config.Check. Also forced on process-wide by REPRO_CHECK=1.
+	// sim.Config.Check.
 	Check bool
 	// Quantum overrides the scheduler's slice length in cycles (0 keeps the
 	// kernel default). The quantum is part of the model: it sets when SVM
@@ -97,11 +97,6 @@ func (s Spec) Baseline() Spec {
 	}
 }
 
-// envCheck force-enables invariant checking for the whole process (the CI
-// checker leg). Read once: a value that flipped mid-process would let a
-// checked result alias an unchecked memo key.
-var envCheck = os.Getenv("REPRO_CHECK") != ""
-
 func (s Spec) withDefaults() Spec {
 	if s.NumProcs == 0 {
 		s.NumProcs = 16
@@ -114,9 +109,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Platform == "" {
 		s.Platform = "svm"
-	}
-	if envCheck {
-		s.Check = true
 	}
 	return s
 }
