@@ -10,8 +10,9 @@
 // (panic, deadlock, verification) renders as an error row; the rest of the
 // figure still completes, failures are listed on stderr, and the exit code
 // is 1. An unknown -fig ID, more than one of -all, -fig and -headline, a -p
-// or -workers below 1 or a -scale that is not positive is a usage error:
-// exit 2 before anything is simulated.
+// or -workers below 1, a -scale that is not positive or one that overflows
+// on top of an app's base scale is a usage error: exit 2 before anything is
+// simulated.
 //
 // Usage:
 //
@@ -88,7 +89,11 @@ func main() {
 	}
 	for _, c := range cells {
 		spec := harness.Spec{App: c.App, Version: c.Version, Platform: c.Platform, NumProcs: *np, Scale: *scale}
-		if err := spec.Validate(); err != nil {
+		err := spec.Validate()
+		if err == nil {
+			err = r.CheckScale(c.App)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(2)
 		}

@@ -36,3 +36,9 @@ func TestConflictingModesAreUsageError(t *testing.T) {
 		clitest.WantUsageError(t, "mutually exclusive", append(args, "-p", "2", "-scale", "0.1")...)
 	}
 }
+
+// A -scale that overflows to +Inf on top of an app's base scale (lu's is 2)
+// is a usage error naming the -scale as given, not a cell run at +Inf.
+func TestOverflowingScaleIsUsageError(t *testing.T) {
+	clitest.WantUsageError(t, "bad scale 1e+308 (times lu's base scale 2", "-fig", "fig3", "-p", "2", "-scale", "1e308")
+}

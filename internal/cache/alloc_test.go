@@ -40,10 +40,13 @@ func TestAllocFreeAccess(t *testing.T) {
 	h := New(allocTestConfig())
 	var addr uint64
 	if n := testing.AllocsPerRun(1000, func() {
-		// A moving stream forces misses, fills, and L1/L2 evictions.
+		// A moving stream over a window four times the L2 forces misses,
+		// fills, and L1/L2 evictions.
 		h.Access(addr, false, Exclusive)
 		h.Access(addr, true, Modified)
-		addr += 32
+		if addr += 32; addr == 4*64<<10 {
+			addr = 0
+		}
 	}); n != 0 {
 		t.Fatalf("Access allocates %v per run; want 0", n)
 	}

@@ -6,18 +6,21 @@
 // L2 with 64 B lines; the SGI Challenge a 16 KB L1 and 1 MB L2 with 128 B
 // lines. Every L1 is direct-mapped, and New accepts no other L1 shape.
 //
-// Tag-array layout: each level keeps its ways in ONE contiguous, set-major
-// slice of 4-byte way records. A record packs the tag (the line-address bits
-// above the set index), the way's LRU rank within its set (log2(assoc) bits,
-// none for a direct-mapped level) and the MESI state into one uint32. Every
-// simulated memory reference of every application flows through these
-// arrays, so this layout is the simulator's hottest data structure: a probe
-// is one predictable indexed load per way, sixteen records share one host
-// cache line, and each level is one allocation. The ranks keep exact LRU
-// order, so hits, victims and evictions are bit-for-bit those of the earlier
-// layouts and simulated timing is unchanged. A line address whose tag does
-// not fit its record is rejected with a panic carrying an error, never
-// truncated into an alias of another line.
+// Tag-array layout: each level keeps its records in ONE contiguous,
+// set-major slice. An L2 way is a 2-byte record that packs the tag (the
+// line-address bits above the set index), the way's LRU rank within its set
+// (log2(assoc) bits) and the MESI state into one uint16; the direct-mapped
+// L1 keeps 4-byte slots of tag and state: it has few sets, so its tags need
+// the wider record. Every simulated memory reference of every application
+// flows through these arrays, so this layout is the simulator's hottest data
+// structure: a probe is one predictable indexed load per way, thirty-two L2
+// ways share one host cache line, and each level is one allocation. The
+// ranks keep exact LRU order, so hits, victims and evictions are bit-for-bit
+// those of the earlier layouts and simulated timing is unchanged. A line
+// address whose tag does not fit its record is rejected with a panic
+// carrying an error, never truncated into an alias of another line;
+// Config.Limit gives the range, so a platform can refuse an address space
+// that exceeds it before a run.
 package cache
 
 import (
@@ -69,7 +72,7 @@ const (
 	Miss // must go to memory / coherence protocol
 )
 
-// way is one 4-byte tag-array record: tag<<(stateBits+rb) |
+// way is one 2-byte L2 tag-array record: tag<<(stateBits+rb) |
 // rank<<stateBits | state, where rb = log2(assoc) is the level's rank width
 // and the tag is the line address with its set-index bits shifted out. An
 // Invalid way (state 0) keeps its stale tag and its rank but never matches.
@@ -82,7 +85,7 @@ const (
 // all valid holds a permutation, and its rank assoc-1 is the least recently
 // touched way.
 type way struct {
-	key uint32
+	key uint16
 }
 
 const (
@@ -90,6 +93,10 @@ const (
 	stateMask = 1<<stateBits - 1
 	// rank1 is rank 1 of a 2-way set, which is its whole rank field.
 	rank1 = 1 << stateBits
+	// wayBits and slotBits are the widths of an L2 way's and an L1 slot's
+	// record.
+	wayBits  = 16
+	slotBits = 32
 )
 
 func (w *way) state() State { return State(w.key & stateMask) }
@@ -97,7 +104,7 @@ func (w *way) state() State { return State(w.key & stateMask) }
 // holds reports whether w is valid and carries tag key tk (rank and state
 // bits 0) in a level whose rank field is rm: with the rank masked out,
 // key^tk is then the state, 1..3, so one unsigned compare decides both.
-func (w *way) holds(tk, rm uint32) bool {
+func (w *way) holds(tk, rm uint16) bool {
 	return (w.key&^rm^tk)-1 < stateMask
 }
 
@@ -105,52 +112,90 @@ func (w *way) holds(tk, rm uint32) bool {
 // returns the way's resulting state.
 func (w *way) hitState(write bool) State {
 	if write && w.state() == Exclusive {
-		w.key = w.key&^stateMask | uint32(Modified)
+		w.key = w.key&^stateMask | uint16(Modified)
 	}
 	return w.state()
 }
 
-// level is one cache level: nSets*assoc ways, set-major — set si occupies
+// slot is one 4-byte record of the direct-mapped L1: tag<<stateBits |
+// state, with no rank. The L1 has few sets, so 2-byte slots would bound the
+// address space far below the L2's (at 128 MiB on the svm node), while its
+// whole array is only 1-4 KB.
+type slot struct {
+	key uint32
+}
+
+func (s *slot) state() State { return State(s.key & stateMask) }
+
+// holds reports whether s is valid and carries tag key tk (state bits 0).
+func (s *slot) holds(tk uint32) bool {
+	return (s.key^tk)-1 < stateMask
+}
+
+// l1Level is the direct-mapped L1: one slot per set.
+type l1Level struct {
+	slots    []slot
+	setMask  uint64
+	setShift uint // log2(nSets) < 64: the tag is lineAddr >> setShift
+}
+
+// lineAt reconstructs the line address held by slot i from its tag and set.
+func (l *l1Level) lineAt(i int) uint64 {
+	return uint64(l.slots[i].key>>stateBits)<<(l.setShift&63) | uint64(i)
+}
+
+// level is the L2: nSets*assoc ways, set-major — set si occupies
 // ways[si*assoc : (si+1)*assoc].
 type level struct {
 	ways     []way
 	setMask  uint64
 	setShift uint   // log2(nSets) < 64: the tag is lineAddr >> setShift
 	tagShift uint   // stateBits + log2(assoc): the tag's place in a key
-	rankMask uint32 // the rank field of a key; 0 when direct-mapped
+	rankMask uint16 // the rank field of a key; 0 when direct-mapped
 	assoc    int
 }
 
-func newLevel(field string, size, assoc, line int) level {
+// sets returns the power-of-two number of assoc-way sets of line-byte lines
+// in size bytes, or panics with an error naming the Config field.
+func sets(field string, size, assoc, line int) int {
 	nSets := size / line / assoc
 	if !pow2(nSets) {
 		panic(configError(field, size, fmt.Sprintf("a power-of-two number of %d-way sets of %d B lines", assoc, line)))
 	}
+	return nSets
+}
+
+func newL1(size, line int) l1Level {
+	nSets := sets("L1Size", size, 1, line)
+	return l1Level{
+		slots:    make([]slot, nSets),
+		setMask:  uint64(nSets - 1),
+		setShift: uint(bits.TrailingZeros(uint(nSets))),
+	}
+}
+
+func newLevel(size, assoc, line int) level {
+	nSets := sets("L2Size", size, assoc, line)
 	return level{
 		ways:     make([]way, nSets*assoc),
 		assoc:    assoc,
 		setMask:  uint64(nSets - 1),
 		setShift: uint(bits.TrailingZeros(uint(nSets))),
 		tagShift: stateBits + uint(bits.TrailingZeros(uint(assoc))),
-		rankMask: uint32(assoc-1) << stateBits,
+		rankMask: uint16(assoc-1) << stateBits,
 	}
-}
-
-// limit is the first line address whose tag does not fit the level's keys.
-func (l *level) limit() uint64 {
-	return 1 << (l.setShift + 32 - l.tagShift)
 }
 
 // tagKey returns lineAddr's packed key with the rank and state bits clear.
 // The caller has checked lineAddr against the hierarchy's lineLimit, so no
 // tag bit is lost.
-func (l *level) tagKey(lineAddr uint64) uint32 {
-	return uint32(lineAddr>>(l.setShift&63)) << (l.tagShift & 31)
+func (l *level) tagKey(lineAddr uint64) uint16 {
+	return uint16(lineAddr>>(l.setShift&63)) << (l.tagShift & 15)
 }
 
 // lineAt reconstructs the line address held by way i from its tag and set.
 func (l *level) lineAt(i int) uint64 {
-	return uint64(l.ways[i].key>>(l.tagShift&31))<<(l.setShift&63) | uint64(i/l.assoc)
+	return uint64(l.ways[i].key>>(l.tagShift&15))<<(l.setShift&63) | uint64(i/l.assoc)
 }
 
 // lookup returns the base index of lineAddr's set and the way index holding
@@ -180,7 +225,7 @@ func (l *level) scan(lineAddr uint64) (base, hit, victim int) {
 		switch k := ws[w].key; {
 		case ws[w].holds(tk, rm):
 			return base, w, -1
-		case k&stateMask == uint32(Invalid):
+		case k&stateMask == uint16(Invalid):
 			if invalid < 0 {
 				invalid = w
 			}
@@ -221,9 +266,9 @@ func (l *level) hit(base, w int, write bool) State {
 
 // Hierarchy is one processor's L1+L2.
 type Hierarchy struct {
-	cfg Config
-	// l1 is direct-mapped: one slot per set, no rank bits.
-	l1, l2    level
+	cfg       Config
+	l1        l1Level
+	l2        level
 	lineShift uint
 	// lineLimit bounds the line addresses both levels' packed tags can
 	// represent; see checkLine.
@@ -267,12 +312,26 @@ func New(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.Line))),
-		l1:        newLevel("L1Size", cfg.L1Size, 1, cfg.Line),
-		l2:        newLevel("L2Size", cfg.L2Size, cfg.L2Assoc, cfg.Line),
+		l1:        newL1(cfg.L1Size, cfg.Line),
+		l2:        newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line),
 		fast12:    cfg.L2Assoc == 2,
 	}
-	h.lineLimit = min(h.l1.limit(), h.l2.limit())
+	h.lineLimit = cfg.Limit() >> h.lineShift
 	return h
+}
+
+// Limit is the first byte address beyond the range cfg's tag arrays can
+// hold. A level with 2^s sets keeps the line-address bits above its set
+// index in a record of w bits, of which stateBits+log2(assoc) go to state
+// and rank, so it holds line addresses below 2^(s + w - stateBits -
+// log2(assoc)). Limit is the smaller bound of the two levels, in bytes; the
+// L2's 2-byte ways set it for every preset (2 GiB on the svm node, 1 GiB on
+// the DASH node, 16 GiB on the Challenge). cfg must be a shape New accepts.
+func (cfg Config) Limit() uint64 {
+	bound := func(size, assoc, recBits int) uint64 {
+		return uint64(size/cfg.Line/assoc) << (recBits - stateBits - bits.TrailingZeros(uint(assoc)))
+	}
+	return min(bound(cfg.L1Size, 1, slotBits), bound(cfg.L2Size, cfg.L2Assoc, wayBits)) * uint64(cfg.Line)
 }
 
 func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -338,8 +397,8 @@ func (h *Hierarchy) LineOf(addr uint64) uint64 { return addr >> h.lineShift }
 
 // slot1 returns line la's L1 slot and la's L1 tag key. The L1 is
 // direct-mapped, so its keys have no rank field.
-func (h *Hierarchy) slot1(la uint64) (*way, uint32) {
-	return &h.l1.ways[la&h.l1.setMask], uint32(la>>(h.l1.setShift&63)) << stateBits
+func (h *Hierarchy) slot1(la uint64) (*slot, uint32) {
+	return &h.l1.slots[la&h.l1.setMask], uint32(la>>(h.l1.setShift&63)) << stateBits
 }
 
 // Probe reports the level at which the line containing addr currently
@@ -348,7 +407,7 @@ func (h *Hierarchy) Probe(addr uint64) (Level, State) {
 	la := addr >> h.lineShift
 	h.checkLine(la)
 	w1, t1 := h.slot1(la)
-	in1 := w1.holds(t1, 0)
+	in1 := w1.holds(t1)
 	b2, w2, in2 := h.l2.lookup(la)
 	switch {
 	case in1 && in2:
@@ -409,14 +468,14 @@ func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, S
 	w1, t1 := h.slot1(la)
 	s2 := h.l2.ways[int(la&h.l2.setMask)*2:]
 	wa, wb := &s2[0], &s2[1]
-	t2 := uint32(la>>(h.l2.setShift&63)) << (stateBits + 1)
+	t2 := uint16(la>>(h.l2.setShift&63)) << (stateBits + 1)
 	hit, other := (*way)(nil), (*way)(nil)
 	if wa.holds(t2, rank1) {
 		hit, other = wa, wb
 	} else if wb.holds(t2, rank1) {
 		hit, other = wb, wa
 	}
-	if w1.holds(t1, 0) {
+	if w1.holds(t1) {
 		// L1 hit; L1 is write-through, so line state lives in L2.
 		if hit == nil {
 			return L1Hit, Exclusive
@@ -428,7 +487,7 @@ func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, S
 	if hit != nil {
 		touch2(hit, other)
 		st := hit.hitState(write)
-		*w1 = way{t1 | uint32(st)}
+		*w1 = slot{t1 | uint32(st)}
 		return L2Hit, st
 	}
 	h.L2Misses++
@@ -440,7 +499,7 @@ func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, S
 	}
 	h.filled(la)
 	ev, evSt := uint64(v.key>>(stateBits+1))<<(h.l2.setShift&63)|la&h.l2.setMask, v.state()
-	*v = way{t2 | uint32(st)}
+	*v = way{t2 | uint16(st)}
 	o.key |= rank1
 	if evSt != Invalid {
 		// Inclusion: a line leaving L2 must also leave L1.
@@ -451,7 +510,7 @@ func (h *Hierarchy) access12(addr uint64, write bool, fillState State) (Level, S
 	}
 	// Direct-mapped L1: la's slot is the victim no matter what the eviction
 	// callback touched.
-	*w1 = way{t1 | uint32(st)}
+	*w1 = slot{t1 | uint32(st)}
 	return Miss, st
 }
 
@@ -461,7 +520,7 @@ func (h *Hierarchy) accessN(addr uint64, write bool, fillState State) (Level, St
 	h.checkLine(la)
 	h.Accesses++
 	w1, t1 := h.slot1(la)
-	if w1.holds(t1, 0) {
+	if w1.holds(t1) {
 		// L1 is write-through: line state lives in L2.
 		if b2, w2, ok := h.l2.lookup(la); ok {
 			return L1Hit, h.l2.hit(b2, w2, write)
@@ -472,14 +531,14 @@ func (h *Hierarchy) accessN(addr uint64, write bool, fillState State) (Level, St
 	b2, hit2, vic2 := h.l2.scan(la)
 	if hit2 >= 0 {
 		st := h.l2.hit(b2, hit2, write)
-		*w1 = way{t1 | uint32(st)}
+		*w1 = slot{t1 | uint32(st)}
 		return L2Hit, st
 	}
 	h.L2Misses++
 	st := writeFill(fillState, write)
 	ev, evSt := h.l2.lineAt(b2+vic2), h.l2.ways[b2+vic2].state()
 	h.l2.touch(b2, vic2)
-	h.l2.ways[b2+vic2] = way{h.l2.tagKey(la) | uint32(st)}
+	h.l2.ways[b2+vic2] = way{h.l2.tagKey(la) | uint16(st)}
 	h.filled(la)
 	if evSt != Invalid {
 		// Inclusion: a line leaving L2 must also leave L1.
@@ -488,13 +547,13 @@ func (h *Hierarchy) accessN(addr uint64, write bool, fillState State) (Level, St
 			h.OnL2Evict(ev, evSt)
 		}
 	}
-	*w1 = way{t1 | uint32(st)}
+	*w1 = slot{t1 | uint32(st)}
 	return Miss, st
 }
 
 // dropL1 invalidates line la's L1 copy, if there is one.
 func (h *Hierarchy) dropL1(la uint64) {
-	if w, t := h.slot1(la); w.holds(t, 0) {
+	if w, t := h.slot1(la); w.holds(t) {
 		w.key &^= stateMask
 	}
 }
@@ -513,7 +572,7 @@ func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 	w1, t1 := h.slot1(la)
 	b2, w2, in2 := h.l2.lookup(la)
 	lvl, st := L1Hit, Exclusive
-	if !w1.holds(t1, 0) {
+	if !w1.holds(t1) {
 		if !in2 {
 			return Miss, Invalid, false
 		}
@@ -532,7 +591,7 @@ func (h *Hierarchy) HitAccess(addr uint64, write bool) (Level, State, bool) {
 	}
 	if lvl == L2Hit {
 		h.L1Misses++
-		*w1 = way{t1 | uint32(st)}
+		*w1 = slot{t1 | uint32(st)}
 	}
 	return lvl, st, true
 }
@@ -549,7 +608,7 @@ func (h *Hierarchy) SetState(addr uint64, st State) {
 func (h *Hierarchy) setLine(la uint64, st State) {
 	if b2, w2, ok := h.l2.lookup(la); ok {
 		w := &h.l2.ways[b2+w2]
-		w.key = w.key&^stateMask | uint32(st)
+		w.key = w.key&^stateMask | uint16(st)
 	}
 	if st == Invalid {
 		h.dropL1(la)
@@ -619,8 +678,8 @@ func (h *Hierarchy) LinesL2(f func(lineAddr uint64, st State)) {
 // A fault means some path mutated one level or the filter outside the rules
 // Access, SetState and InvalidateRange keep.
 func (h *Hierarchy) Check() error {
-	for i := range h.l1.ways {
-		if st := h.l1.ways[i].state(); st != Invalid {
+	for i := range h.l1.slots {
+		if st := h.l1.slots[i].state(); st != Invalid {
 			la := h.l1.lineAt(i)
 			if _, _, ok := h.l2.lookup(la); !ok {
 				return fmt.Errorf("cache: L1 line %#x (state %s) not present in L2 (inclusion violated)", la, st)
@@ -662,7 +721,7 @@ func (l *level) checkRanks() error {
 			return fmt.Errorf("cache: L2 set %d has rank counts %v, not an LRU order", base/l.assoc, held)
 		}
 		for i := range ws {
-			if ws[i].state() != Invalid && (ws[i].key&l.rankMask)>>stateBits == uint32(t) {
+			if ws[i].state() != Invalid && (ws[i].key&l.rankMask)>>stateBits == uint16(t) {
 				return fmt.Errorf("cache: L2 set %d: valid way %d holds rank %d, shared by the never-touched ways", base/l.assoc, i, t)
 			}
 		}
@@ -675,7 +734,7 @@ func (l *level) checkRanks() error {
 // counters — without reallocating the way records, so a platform
 // reattaching between runs allocates nothing.
 func (h *Hierarchy) Reset() {
-	clear(h.l1.ways)
+	clear(h.l1.slots)
 	clear(h.l2.ways)
 	clear(h.fill)
 	h.Accesses = 0

@@ -126,7 +126,7 @@ func TestProbeDoesNotMutate(t *testing.T) {
 	h.Access(0x6000, false, Shared)
 	before := h.Accesses
 	h.Probe(0x6000)
-	h.Probe(0x9999999)
+	h.Probe(0x1999999) // absent; below testConfig's 32 MiB tag range
 	if h.Accesses != before {
 		t.Error("Probe counted as access")
 	}
@@ -134,10 +134,11 @@ func TestProbeDoesNotMutate(t *testing.T) {
 
 func TestAccessLevelNeverWorsensImmediately(t *testing.T) {
 	// Property: accessing an address twice in a row, the second access
-	// hits L1.
+	// hits L1. The drawn address is mapped into the tag arrays' range.
 	h := New(testConfig())
+	top := testConfig().Limit()
 	f := func(a uint32) bool {
-		addr := uint64(a) + 1 // avoid line-address 0 sentinel
+		addr := 1 + uint64(a)%(top-1) // avoid line-address 0 sentinel
 		h.Access(addr, false, Exclusive)
 		lvl, _ := h.Access(addr, false, Exclusive)
 		return lvl == L1Hit

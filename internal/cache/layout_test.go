@@ -190,8 +190,8 @@ func (h *refHierarchy) linesL1() []string {
 
 func linesL1(h *Hierarchy) []string {
 	var out []string
-	for i := range h.l1.ways {
-		if h.l1.ways[i].state() != Invalid {
+	for i := range h.l1.slots {
+		if h.l1.slots[i].state() != Invalid {
 			out = append(out, fmt.Sprintf("%#x", h.l1.lineAt(i)))
 		}
 	}
@@ -371,10 +371,14 @@ func recoverError(f func()) (err error) {
 	return nil
 }
 
-// A way is one uint32: tag, LRU rank and state share it.
-func TestWayIsFourBytes(t *testing.T) {
-	if n := unsafe.Sizeof(way{}); n != 4 {
-		t.Fatalf("way is %d bytes, want 4", n)
+// An L2 way is one uint16 (tag, LRU rank and state share it) and an L1 slot
+// one uint32 (tag and state).
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(way{}); n != 2 {
+		t.Errorf("way is %d bytes, want 2", n)
+	}
+	if n := unsafe.Sizeof(slot{}); n != 4 {
+		t.Errorf("slot is %d bytes, want 4", n)
 	}
 }
 
@@ -410,11 +414,14 @@ func TestResetMatchesNew(t *testing.T) {
 			randomOp(h, rng)
 		}
 		h.Reset()
-		for name, ws := range map[string][]way{"L1": h.l1.ways, "L2": h.l2.ways} {
-			for i, w := range ws {
-				if w.key != 0 {
-					t.Fatalf("%s: after Reset %s way %d holds %#x", sh.name, name, i, w.key)
-				}
+		for i, s := range h.l1.slots {
+			if s.key != 0 {
+				t.Fatalf("%s: after Reset L1 slot %d holds %#x", sh.name, i, s.key)
+			}
+		}
+		for i, w := range h.l2.ways {
+			if w.key != 0 {
+				t.Fatalf("%s: after Reset L2 way %d holds %#x", sh.name, i, w.key)
 			}
 		}
 		for pg, f := range h.fill {
@@ -434,7 +441,7 @@ func TestResetMatchesNew(t *testing.T) {
 				t.Fatalf("%s: op %d: reset hierarchy %q, fresh %q", sh.name, i, got, want)
 			}
 		}
-		if !slices.Equal(h.l1.ways, fresh.l1.ways) || !slices.Equal(h.l2.ways, fresh.l2.ways) ||
+		if !slices.Equal(h.l1.slots, fresh.l1.slots) || !slices.Equal(h.l2.ways, fresh.l2.ways) ||
 			!slices.Equal(h.fill, fresh.fill) || h.Accesses != fresh.Accesses ||
 			h.L1Misses != fresh.L1Misses || h.L2Misses != fresh.L2Misses {
 			t.Fatalf("%s: reset and fresh hierarchies diverged", sh.name)

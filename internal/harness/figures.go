@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -30,6 +31,8 @@ var BaseScale = map[string]float64{
 	"pipeline": 2,
 }
 
+// scaleFor is the scale the runner runs app at: its Scale multiplier (1 if
+// unset) on top of the app's BaseScale.
 func (r *Runner) scaleFor(app string) float64 {
 	s := r.Scale
 	if s == 0 {
@@ -39,6 +42,17 @@ func (r *Runner) scaleFor(app string) float64 {
 		return b * s
 	}
 	return s
+}
+
+// CheckScale rejects a Scale multiplier whose product with app's BaseScale
+// overflows to +Inf (1e308 times 2), naming the multiplier as given rather
+// than the product no one asked for. Spec.Validate checks the multiplier
+// itself.
+func (r *Runner) CheckScale(app string) error {
+	if s := r.scaleFor(app); math.IsInf(s, 1) {
+		return fmt.Errorf("bad scale %g (times %s's base scale %g it overflows to %g)", r.Scale, app, BaseScale[app], s)
+	}
+	return nil
 }
 
 // Figure is one regenerable experiment from the paper.

@@ -40,6 +40,10 @@ func (a *AddressSpace) PageOf(addr uint64) uint64 { return addr / a.pageSize }
 // NumPages returns the number of pages allocated so far.
 func (a *AddressSpace) NumPages() uint64 { return (a.next + a.pageSize - 1) / a.pageSize }
 
+// End returns the end of the allocated range: every address allocated so
+// far is below it.
+func (a *AddressSpace) End() uint64 { return a.next }
+
 // Alloc reserves n bytes, 8-byte aligned, and returns the base address.
 func (a *AddressSpace) Alloc(n int) uint64 {
 	return a.AllocAlign(n, 8)

@@ -13,6 +13,7 @@ package platform
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -34,27 +35,30 @@ type preset struct {
 	// paper marks the paper's three platforms, which the figures iterate
 	// over.
 	paper bool
+	// cache is the per-processor hierarchy; its tag range bounds the
+	// address space the preset can simulate.
+	cache cache.Config
 	build func(name string, as *mem.AddressSpace, np int) sim.Platform
 }
 
 // presets lists every preset, the paper's three platforms first and in
 // paper order.
 var presets = []preset{
-	{"svm", false, true, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
+	{"svm", false, true, svm.CacheConfig, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
 		return svm.New(as, protocol.DefaultHLRCParams(), np)
 	}},
-	{"smp", true, true, busMachine(protocol.MESI)},
-	{"dsm", true, true, dirMachine(protocol.MESI)},
+	{"smp", true, true, protocol.ChallengeCache, busMachine(protocol.MESI)},
+	{"dsm", true, true, protocol.DASHCache, dirMachine(protocol.MESI)},
 	// The paper's §7 future-work hierarchy: SMP nodes of four processors
 	// connected by SVM.
-	{"svmsmp", false, false, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
+	{"svmsmp", false, false, protocol.ChallengeCache, func(_ string, as *mem.AddressSpace, np int) sim.Platform {
 		return svmsmp.New(as, np)
 	}},
 	// The hardware machines with the MESI axis swapped for plain MSI: every
 	// read fills Shared, so read-then-write pays an upgrade even with no
 	// other sharer.
-	{"smp-msi", true, false, busMachine(protocol.MSI)},
-	{"dsm-msi", true, false, dirMachine(protocol.MSI)},
+	{"smp-msi", true, false, protocol.ChallengeCache, busMachine(protocol.MSI)},
+	{"dsm-msi", true, false, protocol.DASHCache, dirMachine(protocol.MSI)},
 }
 
 // busMachine builds the Challenge-class SMP: {sts × SnoopBus} over
@@ -109,13 +113,40 @@ func Known(name string) bool {
 	return ok
 }
 
-// Make builds the named platform over the given address space.
+// Make builds the named platform over the given address space. An address
+// space that reaches past the preset's cache tag range is a *RangeError,
+// before anything is built: the caches would otherwise panic on the first
+// reference past the range, in the middle of a run.
 func Make(name string, as *mem.AddressSpace, np int) (sim.Platform, error) {
 	p, ok := lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("platform: unknown preset %q (want one of %v)", name, AllPresets)
 	}
+	if err := p.fits(as.End()); err != nil {
+		return nil, err
+	}
 	return p.build(name, as, np), nil
+}
+
+// RangeError reports an address space larger than a preset's per-processor
+// caches can hold tags for.
+type RangeError struct {
+	Preset string
+	Size   uint64 // the address space's end, in bytes
+	Limit  uint64 // the first address past the preset's tag range
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("platform: preset %q cannot simulate a %d B (%.2f GiB) address space: its cache tag arrays hold addresses below %d B (%.2f GiB)",
+		e.Preset, e.Size, float64(e.Size)/(1<<30), e.Limit, float64(e.Limit)/(1<<30))
+}
+
+// fits rejects an address space that ends past p's cache tag range.
+func (p preset) fits(end uint64) error {
+	if lim := p.cache.Limit(); end > lim {
+		return &RangeError{Preset: p.name, Size: end, Limit: lim}
+	}
+	return nil
 }
 
 // IsHardwareCoherent reports whether the preset models hardware cache

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -89,5 +91,56 @@ func TestPresetTableConsistent(t *testing.T) {
 	}
 	if IsHardwareCoherent("vax") || Known("vax") {
 		t.Error("unknown preset classified as known or hardware-coherent")
+	}
+}
+
+// Every preset's tag range: an address space whose last line ends at the
+// limit is accepted, and one reaching into the first line at the limit is a
+// *RangeError naming the preset, the size and the limit.
+func TestPresetAddressLimits(t *testing.T) {
+	want := map[string]uint64{
+		"svm": 2 << 30, "dsm": 1 << 30, "dsm-msi": 1 << 30,
+		"smp": 16 << 30, "smp-msi": 16 << 30, "svmsmp": 16 << 30,
+	}
+	for _, p := range presets {
+		lim := p.cache.Limit()
+		if lim != want[p.name] {
+			t.Errorf("%s: tag range %#x, want %#x", p.name, lim, want[p.name])
+		}
+		if err := p.fits(lim); err != nil {
+			t.Errorf("%s: an address space ending at the limit rejected: %v", p.name, err)
+		}
+		err := p.fits(lim + 1)
+		var re *RangeError
+		if !errors.As(err, &re) || re.Preset != p.name || re.Size != lim+1 || re.Limit != lim {
+			t.Fatalf("%s: fits(limit+1) = %v, want a *RangeError", p.name, err)
+		}
+		for _, s := range []string{strconv.Quote(p.name), strconv.FormatUint(lim+1, 10), strconv.FormatUint(lim, 10)} {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("%s: %q does not name %s", p.name, err, s)
+			}
+		}
+	}
+}
+
+// Make applies the range check to the address space it is given, before
+// building anything: on dsm, the smallest range, an address space whose
+// last line ends at 1 GiB builds, and one more byte is rejected.
+func TestMakeRejectsAddressSpacePastTagRange(t *testing.T) {
+	as := mem.NewAddressSpace(PageSize, 2)
+	as.AllocPages(1<<30 - PageSize)
+	if as.End() != 1<<30 {
+		t.Fatalf("address space ends at %#x, want 1 GiB", as.End())
+	}
+	if _, err := Make("dsm", as, 2); err != nil {
+		t.Fatalf("dsm over a 1 GiB address space: %v", err)
+	}
+	as.Alloc(1)
+	var re *RangeError
+	if _, err := Make("dsm", as, 2); !errors.As(err, &re) {
+		t.Fatalf("dsm past 1 GiB: err = %v, want a *RangeError", err)
+	}
+	if _, err := Make("svm", as, 2); err != nil {
+		t.Fatalf("svm over a 1 GiB address space: %v", err)
 	}
 }

@@ -144,7 +144,7 @@ func TestLineTableMatchesMapReference(t *testing.T) {
 			case 0:
 				return 64 + uint64(rng.Intn(3))*chunkLen - 1 + uint64(rng.Intn(2)) // chunk edges
 			case 1:
-				return 1<<20 + uint64(rng.Intn(256))
+				return 1<<17 + uint64(rng.Intn(256)) // far, inside lineTestCfg's 16 MiB tag range
 			}
 			return 64 + uint64(rng.Intn(512))
 		}
@@ -217,7 +217,7 @@ func TestLineTableMatchesMapReference(t *testing.T) {
 // order the lines were touched in: the determinism the map table got by
 // sorting its keys.
 func TestCheckInvariantsReportsLowestLine(t *testing.T) {
-	for _, pair := range [][2]uint64{{5, 9}, {9, 5}, {3, 5 * chunkLen}, {5 * chunkLen, 3}, {1 << 20, 2 * chunkLen}} {
+	for _, pair := range [][2]uint64{{5, 9}, {9, 5}, {3, 5 * chunkLen}, {5 * chunkLen, 3}, {1 << 17, 2 * chunkLen}} {
 		e := NewLineEngine(MESI, lineTestCfg, 2)
 		for _, la := range pair {
 			e.Entry(la).Sharers = 2 // member 1 listed, but its cache holds nothing
