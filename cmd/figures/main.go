@@ -9,16 +9,14 @@
 // a fully serial run regardless of -workers. A cell whose simulation fails
 // (panic, deadlock, verification) renders as an error row; the rest of the
 // figure still completes, failures are listed on stderr, and the exit code
-// is 1. An unknown -fig ID, more than one of -all, -fig and -headline, a -p
-// or -workers below 1, a -scale that is not positive or one that overflows
-// on top of an app's base scale is a usage error: exit 2 before anything is
-// simulated.
+// is 1. An unknown -fig ID, both -all and -fig, a -p or -workers below 1, a
+// -scale that is not positive or one that overflows on top of an app's base
+// scale is a usage error: exit 2 before anything is simulated.
 //
 // Usage:
 //
 //	figures -all                # every figure, paper order
 //	figures -fig fig16          # one figure
-//	figures -headline           # the §4 per-application SVM progression
 //	figures -p 16 -scale 1      # processors and a scale multiplier on top
 //	                            # of each app's base problem size
 //	figures -all -workers 8     # at most 8 concurrent simulations
@@ -41,7 +39,6 @@ import (
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate (fig2..fig17); empty with -all for everything")
 	all := flag.Bool("all", false, "regenerate every figure")
-	headline := flag.Bool("headline", false, "print the per-application SVM speedup progression (paper §4)")
 	np := flag.Int("p", 16, "number of simulated processors")
 	scale := flag.Float64("scale", 1, "problem-size multiplier on top of per-app base scales")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent simulations pre-executing the experiment matrix (1 = serial)")
@@ -53,8 +50,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
-	if *headline && (*all || *fig != "") || *all && *fig != "" {
-		fmt.Fprintln(os.Stderr, "figures: -all, -fig and -headline are mutually exclusive")
+	if *all && *fig != "" {
+		fmt.Fprintln(os.Stderr, "figures: -all and -fig are mutually exclusive")
 		os.Exit(2)
 	}
 
@@ -67,10 +64,7 @@ func main() {
 	r.Check = *check
 
 	var figs []harness.Figure
-	var cells []harness.Cell
 	switch {
-	case *headline:
-		cells = harness.HeadlineCells()
 	case *all:
 		figs = harness.Figures()
 	case *fig != "":
@@ -84,6 +78,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	var cells []harness.Cell
 	for _, f := range figs {
 		cells = append(cells, f.Cells()...)
 	}
@@ -112,14 +107,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *headline {
-		out, err := harness.HeadlineSpeedups(r)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
-	}
 	for _, f := range figs {
 		fmt.Printf("== %s: %s ==\n", f.ID, f.Title)
 		out, err := f.Run(r)

@@ -153,6 +153,6 @@ func main() {
 	}
 
 	if *speedup {
-		fmt.Printf("speedup vs uniprocessor %s/orig: %.2f\n", *app, spFactor)
+		fmt.Printf("speedup vs uniprocessor %s/%s: %.2f\n", *app, spec.Baseline().Version, spFactor)
 	}
 }

@@ -87,6 +87,19 @@ func TestSpeedupLeavesTraceUnchanged(t *testing.T) {
 	}
 }
 
+// The -speedup line names the baseline it divides by: the app's original
+// version at P=1, which for barnes is splash, not orig.
+func TestSpeedupNamesOriginalVersion(t *testing.T) {
+	code, stdout, stderr := clitest.Run(t, "-app", "barnes", "-version", "spatial", "-platform", "svm",
+		"-p", "2", "-scale", "0.125", "-speedup")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "speedup vs uniprocessor barnes/splash: ") {
+		t.Errorf("speedup line does not name barnes/splash:\n%s", stdout)
+	}
+}
+
 // hotRows returns the data rows of the -hot table headed by title ("hot
 // pages" or "hot locks"): the indented lines after its column header.
 func hotRows(stdout, title string) []string {

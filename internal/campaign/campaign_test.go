@@ -220,38 +220,6 @@ func TestClassPredicate(t *testing.T) {
 	}
 }
 
-func TestSweepCells(t *testing.T) {
-	cells := SweepCells("lu", "4da", []string{"svm", "smp"}, []int{1, 4}, 1)
-	// Per platform: baseline orig@1 + 4da@{1,4} = 3 cells, no dedup overlap.
-	if len(cells) != 6 {
-		t.Fatalf("got %d cells, want 6", len(cells))
-	}
-	// Sweeping the original version itself dedups the baseline against the
-	// matrix's P=1 column.
-	cells = SweepCells("lu", "orig", []string{"svm"}, []int{1, 4}, 1)
-	if len(cells) != 2 {
-		t.Fatalf("orig sweep: got %d cells, want 2 (baseline == P=1 cell)", len(cells))
-	}
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if seen[c.Key] {
-			t.Errorf("duplicate cell %s", c.Key)
-		}
-		seen[c.Key] = true
-	}
-	// Barnes baselines must use its original version name.
-	cells = SweepCells("barnes", "spatial", []string{"svm"}, []int{4}, 1)
-	found := false
-	for _, c := range cells {
-		if c.Spec.Version == "splash" && c.Spec.NumProcs == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("barnes sweep lacks the splash uniprocessor baseline")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	s := tinySpec()
 	cells, err := s.Expand()
@@ -309,29 +277,5 @@ func TestTableSpecOrderAndFailedBaseline(t *testing.T) {
 		"     1     1.00    error\n"
 	if got := s.Table(entries); got != want {
 		t.Errorf("table:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestParseProcs(t *testing.T) {
-	good := []struct {
-		in   string
-		want []int
-	}{
-		{"1,2,4,8,16", []int{1, 2, 4, 8, 16}},
-		{"16", []int{16}},
-		{"1, 2,4", []int{1, 2, 4}},
-		{" 8 ,\t4 ", []int{8, 4}}, // whitespace tolerated, order preserved
-	}
-	for _, c := range good {
-		got, err := ParseProcs(c.in)
-		if err != nil || !reflect.DeepEqual(got, c.want) {
-			t.Errorf("ParseProcs(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	bad := []string{"", "0", "-1", "-2", "x", "two", "1,1", "1,,2", "1,2,1", "4,0x8", "1e3"}
-	for _, in := range bad {
-		if got, err := ParseProcs(in); err == nil {
-			t.Errorf("ParseProcs(%q) = %v; want error", in, got)
-		}
 	}
 }

@@ -3,8 +3,6 @@ package campaign
 import (
 	"bytes"
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 
 	_ "repro/internal/apps"
@@ -108,40 +106,6 @@ func FuzzJournalHeaderDecode(f *testing.F) {
 		}
 		if bytes.IndexByte(data[:n-1], '\n') >= 0 {
 			t.Fatalf("header spans multiple lines")
-		}
-	})
-}
-
-// FuzzParseProcs pins the -procs contract: never panic, and any accepted
-// list contains only positive, duplicate-free counts that round-trip through
-// the same syntax.
-func FuzzParseProcs(f *testing.F) {
-	for _, s := range []string{"1,2,4,8,16", "16", "", "1,1", " 8 , 4 ", "0", "-3,2", "999999999999999999999"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		counts, err := ParseProcs(s)
-		if err != nil {
-			return
-		}
-		if len(counts) == 0 {
-			t.Fatalf("ParseProcs(%q) accepted an empty list", s)
-		}
-		seen := map[int]bool{}
-		parts := make([]string, len(counts))
-		for i, n := range counts {
-			if n < 1 {
-				t.Fatalf("ParseProcs(%q) accepted non-positive count %d", s, n)
-			}
-			if seen[n] {
-				t.Fatalf("ParseProcs(%q) accepted duplicate count %d", s, n)
-			}
-			seen[n] = true
-			parts[i] = strconv.Itoa(n)
-		}
-		again, err := ParseProcs(strings.Join(parts, ","))
-		if err != nil || !reflect.DeepEqual(again, counts) {
-			t.Fatalf("ParseProcs round-trip of %v: got %v, %v", counts, again, err)
 		}
 	})
 }

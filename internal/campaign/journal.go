@@ -38,7 +38,7 @@ type Entry struct {
 	// which have no document.
 	FP string `json:"fp,omitempty"`
 	// End is the simulated end time of a done cell, kept here so tables
-	// and sweeps render from the journal without re-fetching bodies.
+	// render from the journal without re-fetching bodies.
 	End uint64 `json:"end,omitempty"`
 	// Result is a done cell's application result fingerprint
 	// (stats.Run.Result), 16 hex digits. It is not part of the cell

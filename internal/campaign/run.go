@@ -32,7 +32,7 @@ type Executor interface {
 }
 
 // Local executes cells in-process through a memo: a bounded worker pool
-// of single-threaded simulations, the same engine figures and sweep use.
+// of single-threaded simulations, the same engine figures uses.
 type Local struct {
 	Memo *harness.Memo
 	// Workers bounds concurrent simulations (GOMAXPROCS when <= 0).
@@ -114,7 +114,7 @@ type Runner struct {
 	Cells []Cell
 	// Journal, when non-nil, is consulted for already-complete cells and
 	// appended to as cells finish. A nil journal runs everything fresh
-	// and keeps results only in memory (cmd/sweep).
+	// and keeps results only in memory.
 	Journal *Journal
 	// Exec runs the pending cells (Local, or a wrapper around it).
 	Exec Executor
@@ -263,8 +263,9 @@ func (rep *Report) Manifest() string {
 // count, in spec order, and platform. A failed cell renders as "error",
 // and so does every cell of a platform whose baseline failed; cells
 // outside the manifest or still pending render as "-", and when a
-// platform's baseline is missing, its whole column is "-". cmd/sweep
-// prints its one-app matrix through this too.
+// platform's baseline is missing, its whole column is "-". A one-app spec
+// whose exclude keeps only the original version's P=1 cell renders a
+// processor-count sweep of one version.
 func (s *Spec) Table(entries map[string]Entry) string {
 	var b strings.Builder
 	for _, am := range s.Apps {

@@ -107,11 +107,10 @@ func Register(a App) {
 
 // RegisterExtension adds a post-paper application — the irregular modern
 // workloads of ROADMAP item 3 (key-value service, graph BFS,
-// producer-consumer pipeline). Extension apps are available to Lookup,
-// sweeps, and campaigns exactly like the paper's seven, but PaperApps
-// excludes them, so the paper-figure enumerations (Figure 2, Figure 16,
-// the §4 headline progressions, the claims suite) keep reproducing the
-// paper's own application set.
+// producer-consumer pipeline). Extension apps are available to Lookup and
+// campaigns exactly like the paper's seven, but PaperApps excludes them, so
+// the paper-figure enumerations (Figure 2, Figure 16, the claims suite) keep
+// reproducing the paper's own application set.
 func RegisterExtension(a App) {
 	Register(a)
 	extension[a.Name()] = true

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -245,45 +244,6 @@ func fig17(r *Runner) (string, error) {
 				continue
 			}
 			fmt.Fprintf(&b, " %8.2f", s)
-		}
-		fmt.Fprintln(&b)
-	}
-	writeFails(&b, fails)
-	return b.String(), nil
-}
-
-// HeadlineCells enumerates the experiments HeadlineSpeedups needs, for
-// parallel pre-execution.
-func HeadlineCells() []Cell {
-	var cells []Cell
-	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
-		for _, v := range a.Versions() {
-			cells = append(cells, Cell{App: app, Version: v.Name, Platform: "svm", Speedup: true})
-		}
-	}
-	return cells
-}
-
-// HeadlineSpeedups renders the paper's §4 per-application progression on
-// SVM: every version's speedup in order, so the optimization story can be
-// read off directly.
-func HeadlineSpeedups(r *Runner) (string, error) {
-	var b strings.Builder
-	var fails []string
-	apps := core.PaperApps()
-	sort.Strings(apps)
-	for _, app := range apps {
-		a, _ := core.Lookup(app)
-		fmt.Fprintf(&b, "%-10s", app)
-		for _, v := range a.Versions() {
-			s, err := r.Speedup(app, v.Name, "svm")
-			if err != nil {
-				fmt.Fprintf(&b, "  %s=error", v.Name)
-				fails = append(fails, cellErr(app+"/"+v.Name+"@svm", err))
-				continue
-			}
-			fmt.Fprintf(&b, "  %s=%.2f", v.Name, s)
 		}
 		fmt.Fprintln(&b)
 	}

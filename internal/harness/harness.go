@@ -193,7 +193,7 @@ func executeCell(s Spec) (*stats.Run, error) {
 	}
 	pl, err := platform.Make(s.Platform, as, s.NumProcs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", s.label(), err)
 	}
 	k := sim.New(pl, sim.Config{
 		NumProcs:       s.NumProcs,
@@ -235,7 +235,7 @@ func executeCell(s Spec) (*stats.Run, error) {
 // and failures are memoized alongside results so a bad cell is not retried.
 //
 // All execution flows through a Memo, which can carry a persistent store
-// tier (figures/sweep/svmsim -store, campaign) and can be shared between runners
+// tier (figures/svmsim -store, campaign) and can be shared between runners
 // so they cache and coalesce together.
 type Runner struct {
 	NumProcs int

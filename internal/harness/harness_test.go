@@ -121,6 +121,30 @@ func TestFiguresRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestFiguresRenderOnlyListedCells: a figure's Run reads only cells its
+// Cells lists, so after pre-execution rendering simulates nothing (an
+// unlisted cell would run serially, after the worker pool). Each figure gets
+// a fresh runner, so one figure's list cannot cover for another's.
+func TestFiguresRenderOnlyListedCells(t *testing.T) {
+	for _, f := range Figures() {
+		if testing.Short() && f.ID != "fig17" {
+			continue
+		}
+		r := NewRunner(2, 0.125)
+		r.RunParallel(0, f.Cells())
+		before := r.CacheStats().Executions
+		if before == 0 {
+			t.Fatalf("%s: pre-execution simulated nothing", f.ID)
+		}
+		if _, err := f.Run(r); err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
+		}
+		if grew := r.CacheStats().Executions - before; grew != 0 {
+			t.Errorf("%s: rendering simulated %d cell(s) its Cells does not list", f.ID, grew)
+		}
+	}
+}
+
 func TestBreakdownFiguresCoverRegisteredVersions(t *testing.T) {
 	for _, b := range breakdowns {
 		a, err := core.Lookup(b.app)

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -106,6 +109,54 @@ func TestBuildFailureIsContained(t *testing.T) {
 		t.Fatalf("error not renderable as JSON: %v", jerr)
 	} else if len(out) == 0 {
 		t.Fatal("empty JSON error")
+	}
+}
+
+// hugeApp reserves a 3 GiB address space, past svm's 2 GiB cache tag
+// range, and allocates nothing on the host, so platform.Make rejects the
+// cell before it runs.
+type hugeApp struct{}
+
+func (hugeApp) Name() string { return "zz-huge" }
+
+func (hugeApp) Versions() []core.Version {
+	return []core.Version{{Name: "orig", Class: core.Orig, Desc: "a 3 GiB address space"}}
+}
+
+func (hugeApp) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
+	as.Alloc(3 << 30)
+	return boomInstance{}, nil // never runs
+}
+
+func init() { core.Register(hugeApp{}) }
+
+// An address space past the preset's tag range fails the cell with the
+// label every other cell error carries; the error is still a
+// *platform.RangeError and its JSON kind is still "error".
+func TestRangeErrorNamesCell(t *testing.T) {
+	spec := Spec{App: "zz-huge", Version: "orig", Platform: "svm", NumProcs: 2}
+	_, err := Execute(spec)
+	var re *platform.RangeError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want a wrapped *platform.RangeError", err)
+	}
+	if want := "zz-huge/orig on svm (P=2): platform: "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("err = %q, want it to start with %q", err, want)
+	}
+	out, jerr := RunErrorJSON(spec, err)
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	var got struct {
+		Error struct {
+			Kind string `json:"kind"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Error.Kind != "error" {
+		t.Errorf("kind = %q, want \"error\"", got.Error.Kind)
 	}
 }
 

@@ -536,15 +536,7 @@ func (k *Kernel) stepBatch(p *Proc) bool {
 			p.op = opBatch
 			return false
 		}
-		cost := plat.SlowAccess(p.id, p.clock, b.addr, b.write)
-		if k.cfg.FreeCSFaults && k.locksHeld[p.id] > 0 {
-			// Paper diagnostic: faults inside critical sections are free.
-			cost = AccessCost{}
-		}
-		p.clock += cost.Total()
-		c.Cycles[stats.CacheStall] += cost.CacheStall
-		c.Cycles[stats.DataWait] += cost.DataWait
-		c.Cycles[stats.Handler] += cost.Handler
+		p.slowAccess(b.addr, b.write)
 		b.pendingSlow = false
 		b.addr += line
 		// checkpoint: quantum-bounded yield after protocol work.

@@ -133,16 +133,25 @@ func (p *Proc) access(addr uint64, write bool) {
 		return
 	}
 	p.syncPoint()
-	cost := p.k.plat.SlowAccess(p.id, p.clock, addr, write)
-	if p.k.cfg.FreeCSFaults && p.k.locksHeld[p.id] > 0 {
+	p.slowAccess(addr, write)
+	p.checkpoint()
+}
+
+// slowAccess charges one protocol access at p's clock: the platform's
+// SlowAccess cost, split over the cache-stall, data-wait and handler
+// categories. The scalar path and the kernel's batch drain both use it.
+func (p *Proc) slowAccess(addr uint64, write bool) {
+	k := p.k
+	cost := k.plat.SlowAccess(p.id, p.clock, addr, write)
+	if k.cfg.FreeCSFaults && k.locksHeld[p.id] > 0 {
 		// Paper diagnostic: faults inside critical sections are free.
 		cost = AccessCost{}
 	}
 	p.clock += cost.Total()
+	c := p.stp
 	c.Cycles[stats.CacheStall] += cost.CacheStall
 	c.Cycles[stats.DataWait] += cost.DataWait
 	c.Cycles[stats.Handler] += cost.Handler
-	p.checkpoint()
 }
 
 // Read issues a read of the (word-sized) datum at addr.

@@ -1,8 +1,8 @@
 // Package store is the persistent second tier of the experiment cache: a
 // disk-backed, content-addressed result store keyed by the harness memo key
 // plus a schema version and a build fingerprint, so `figures -all -store DIR`,
-// sweeps, campaigns and `svmsim` skip every already-computed cell across
-// process restarts.
+// campaigns and `svmsim` skip every already-computed cell across process
+// restarts.
 //
 // Durability model: every entry is written to a temp file in the store
 // directory and atomically renamed into place, and every entry carries a

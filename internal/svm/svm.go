@@ -167,12 +167,7 @@ func (s *Platform) FastRange(p int, now uint64, addr, end uint64, write bool) (i
 		}
 		for addr < stop {
 			lvl, _ := h.Access(addr, write, cache.Exclusive)
-			switch lvl {
-			case cache.L2Hit:
-				stall += s.P.L2HitCost
-			case cache.Miss:
-				stall += s.P.MemCost
-			}
+			stall += s.levelCost[lvl]
 			count++
 			addr += line
 		}
@@ -195,12 +190,7 @@ func (s *Platform) SlowAccess(p int, now uint64, addr uint64, write bool) sim.Ac
 		cost.Handler += s.eng.Trap(p, p, now, addr)
 	}
 	lvl, _ := s.caches[p].Access(addr, write, cache.Exclusive)
-	switch lvl {
-	case cache.L2Hit:
-		cost.CacheStall += s.P.L2HitCost
-	case cache.Miss:
-		cost.CacheStall += s.P.MemCost
-	}
+	cost.CacheStall += s.levelCost[lvl]
 	return cost
 }
 
