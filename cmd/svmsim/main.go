@@ -10,9 +10,16 @@
 //	svmsim -app radix -json                                    # the canonical cell document
 //	svmsim -app raytrace -platform smp -hot                    # hot pages and locks, any preset
 //
-// An unknown app, version or platform, -p below 1, a scale that is not
-// positive, or -sample without -trace is a usage error: exit 2 before
-// anything is simulated, with the message on stderr only (also under -json).
+// -version defaults to the app's original version (splash for barnes, orig
+// elsewhere). An unknown app, version or platform, -p below 1, a scale that
+// is not positive, a negative -trace-buffer, or -sample without -trace is a
+// usage error: exit 2 before anything is simulated, with the message on
+// stderr only (also under -json).
+//
+// The observability flags (-trace, -sample, -hot, -trace-buffer) only
+// install trace sinks: they never change the printed results or the -json
+// document. When a run fails under -trace-buffer N, the error line on
+// stderr is followed by the last N protocol events.
 package main
 
 import (
@@ -31,7 +38,7 @@ import (
 
 func main() {
 	app := flag.String("app", "lu", "application name")
-	version := flag.String("version", "orig", "application version")
+	version := flag.String("version", "", "application version (default: the app's original)")
 	plat := flag.String("platform", "svm", "platform preset: "+strings.Join(platform.AllPresets, ", "))
 	np := flag.Int("p", 16, "number of simulated processors")
 	scale := flag.Float64("scale", 1.0, "problem size scale factor")
@@ -40,7 +47,7 @@ func main() {
 	hot := flag.Bool("hot", false, "print the hot-page / hot-lock profile (paper §6's performance tool; no effect with -json)")
 	list := flag.Bool("list", false, "list applications and versions")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of protocol events to this file")
-	traceBuf := flag.Int("trace-buffer", 0, "keep the last N protocol events for post-mortem dumps on simulation errors")
+	traceBuf := flag.Int("trace-buffer", 0, "print the last N protocol events on stderr when the run fails")
 	sample := flag.Uint64("sample", 0, "sample the breakdown every N cycles into the trace (default 100000 with -trace)")
 	jsonOut := flag.Bool("json", false, "print the result as machine-readable JSON instead of tables")
 	check := flag.Bool("check", false, "enable runtime invariant checking (scheduler, protocol state, accounting)")
@@ -58,13 +65,19 @@ func main() {
 		return
 	}
 
+	if *version == "" {
+		*version = core.OrigVersion(*app)
+	}
 	spec := harness.Spec{
 		App: *app, Version: *version, Platform: *plat,
-		NumProcs: *np, Scale: *scale, FreeCSFaults: *freecs,
-		TraceRing: *traceBuf, Check: *check,
+		NumProcs: *np, Scale: *scale, FreeCSFaults: *freecs, Check: *check,
 	}
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "svmsim:", err)
+		os.Exit(2)
+	}
+	if *traceBuf < 0 {
+		fmt.Fprintf(os.Stderr, "svmsim: bad trace ring size %d (want 0 for none or a positive event count)\n", *traceBuf)
 		os.Exit(2)
 	}
 	if *sample > 0 && *traceOut == "" {
@@ -79,12 +92,28 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		chrome = trace.NewChrome(f)
-		spec.TraceSink = chrome
-		spec.SampleInterval = *sample
-		if spec.SampleInterval == 0 {
-			spec.SampleInterval = 100000
+		every := *sample
+		if every == 0 {
+			every = 100000
 		}
+		chrome = trace.NewChrome(f, every)
+		spec.TraceSink = chrome
+	}
+	// A ring keeps the last -trace-buffer events for the post-mortem dump;
+	// the run's error (and so the -json document) never includes them.
+	var ring *trace.Ring
+	if *traceBuf > 0 {
+		ring = trace.NewRing(*traceBuf)
+		spec.TraceSink = trace.Tee(spec.TraceSink, ring)
+	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "svmsim:", err)
+		if ring != nil {
+			if evs := ring.Snapshot(); len(evs) > 0 {
+				fmt.Fprintf(os.Stderr, "last %d protocol events:\n%s", len(evs), trace.FormatEvents(evs))
+			}
+		}
+		os.Exit(1)
 	}
 
 	memo, merr := campaign.OpenMemo(*storeDir)
@@ -109,8 +138,7 @@ func main() {
 		closeTrace()
 		os.Stdout.Write(body)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "svmsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
@@ -126,8 +154,7 @@ func main() {
 	run, err := memo.Run(spec)
 	closeTrace()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "svmsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	var spFactor float64

@@ -11,9 +11,59 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/clitest"
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// failApp is a test-only application that fails on more than one
+// processor. Version "deadlock": processor 0 takes lock 7 and waits at the
+// barrier, while every other processor waits for lock 7. Version "panic":
+// every processor takes and releases lock 7, then the last one panics.
+type failApp struct{}
+
+func (failApp) Name() string { return "zz-fail" }
+
+func (failApp) Versions() []core.Version {
+	return []core.Version{
+		{Name: "deadlock", Class: core.Orig, Desc: "deadlocks on lock 7 when P > 1"},
+		{Name: "panic", Class: core.Alg, Desc: "the last processor panics when P > 1"},
+	}
+}
+
+func (failApp) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
+	return failInstance{panic: version == "panic"}, nil
+}
+
+type failInstance struct{ panic bool }
+
+func (f failInstance) Body(p *sim.Proc) {
+	if f.panic {
+		p.Lock(7)
+		p.Unlock(7)
+		if p.NP() > 1 && p.ID() == p.NP()-1 {
+			panic("zz-fail: deliberate test failure")
+		}
+		p.Barrier()
+		return
+	}
+	if p.ID() == 0 {
+		p.Lock(7)
+		p.Barrier()
+		return
+	}
+	p.Compute(1000)
+	p.Lock(7)
+	p.Unlock(7)
+	p.Barrier()
+}
+
+func (failInstance) Verify() error       { return nil }
+func (failInstance) Fingerprint() uint64 { return 0 }
+
+func init() { core.Register(failApp{}) }
 
 // journalFingerprints reads the committed irregular campaign journal's
 // cell-document fingerprints, keyed by memo key.
@@ -142,6 +192,57 @@ func TestHotOnEveryPreset(t *testing.T) {
 		if got := len(hotRows(stdout, "hot locks")) > 0; got != c.locks {
 			t.Errorf("%s: hot-lock rows present = %v, want %v:\n%s", c.plat, got, c.locks, stdout)
 		}
+	}
+}
+
+// TestObservabilityLeavesJSONUnchanged: the observability flags install
+// sinks only, so -json prints the same document with and without them, for
+// a passing cell and for a deadlocking and a panicking one; a failing run
+// under -trace-buffer follows its error on stderr with the last protocol
+// events.
+func TestObservabilityLeavesJSONUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		app, version string
+		code         int
+	}{{"radix", "orig", 0}, {"zz-fail", "deadlock", 1}, {"zz-fail", "panic", 1}} {
+		name := c.app + "/" + c.version
+		args := []string{"-json", "-app", c.app, "-version", c.version, "-p", "4", "-scale", "0.125"}
+		code, plain, stderr := clitest.Run(t, args...)
+		if code != c.code {
+			t.Fatalf("%s: exit %d, want %d: %s", name, code, c.code, stderr)
+		}
+		if strings.Contains(stderr, "protocol events") {
+			t.Errorf("%s: event dump without -trace-buffer:\n%s", name, stderr)
+		}
+		code, traced, tstderr := clitest.Run(t, append(args, "-trace", filepath.Join(dir, c.version+".json"),
+			"-sample", "5000", "-hot", "-trace-buffer", "16")...)
+		if code != c.code {
+			t.Fatalf("%s traced: exit %d, want %d: %s", name, code, c.code, tstderr)
+		}
+		if traced != plain {
+			t.Errorf("%s: -json document differs with observability flags:\n%s\n---\n%s", name, plain, traced)
+		}
+		if c.code == 0 {
+			continue
+		}
+		errLine, dump, ok := strings.Cut(tstderr, "\nlast ")
+		if !ok || errLine+"\n" != stderr || !strings.Contains(dump, " protocol events:\n") ||
+			!strings.Contains(dump, "LockRequest") {
+			t.Errorf("%s: stderr is not the plain error followed by the event dump:\n%s", name, tstderr)
+		}
+	}
+}
+
+// With no -version, svmsim runs the app's original version: splash for
+// barnes, which has no "orig".
+func TestDefaultVersionIsOriginal(t *testing.T) {
+	code, stdout, stderr := clitest.Run(t, "-json", "-app", "barnes", "-p", "2", "-scale", "0.125")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, `"version": "splash"`) {
+		t.Errorf("default version is not barnes/splash:\n%s", stdout)
 	}
 }
 

@@ -77,7 +77,6 @@ func histogram(plat string, private bool) uint64 {
 	})
 	if err != nil {
 		// A panic or deadlock in the body comes back as a contained error
-		// (with the last protocol events when a trace ring is installed)
 		// instead of crashing the host.
 		log.Fatal(err)
 	}

@@ -51,17 +51,13 @@ type Spec struct {
 	// drift. It is part of the memo key.
 	Quantum uint64
 
-	// TraceSink, when non-nil, receives every protocol event of the run
-	// (see internal/trace). TraceRing, when positive, keeps the last N
-	// events for post-mortem dumps in contained simulation errors.
-	// SampleInterval, when positive, samples the per-processor breakdown
-	// every that many virtual cycles into a Sampler sink. These are
-	// observability hooks, not behavior: they never affect simulated
-	// timing, and they are deliberately excluded from memoKey — Runner
-	// never sets them, only direct Execute calls do.
-	TraceSink      trace.Sink
-	TraceRing      int
-	SampleInterval uint64
+	// TraceSink, when non-nil, receives every protocol event of the run,
+	// and breakdown samples when it is a trace.Sampler with a nonzero
+	// interval (see internal/trace). It is the run's one observability
+	// hook, not behavior: it never affects simulated timing, results or
+	// errors, and it is deliberately excluded from memoKey — Runner never
+	// sets it, only direct Execute calls do.
+	TraceSink trace.Sink
 }
 
 // label is the human-readable run name shown in tables and error messages.
@@ -105,7 +101,7 @@ func (s Spec) withDefaults() Spec {
 		s.Scale = 1.0
 	}
 	if s.Version == "" {
-		s.Version = "orig"
+		s.Version = core.OrigVersion(s.App)
 	}
 	if s.Platform == "" {
 		s.Platform = "svm"
@@ -114,12 +110,11 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate reports the first reason s cannot run as given: an unknown app,
-// version or platform preset, a processor count below 1, a scale that is
-// not a positive finite number, or a negative trace ring size. It applies
-// no defaults, so a command-line -p 0 or -scale 0 is rejected rather than
-// silently run as 16 processors or scale 1. Commands call it before
-// simulating anything; campaign spec validation calls it for every cell of
-// the matrix.
+// version or platform preset, a processor count below 1, or a scale that is
+// not a positive finite number. It applies no defaults, so a command-line
+// -p 0 or -scale 0 is rejected rather than silently run as 16 processors or
+// scale 1. Commands call it before simulating anything; campaign spec
+// validation calls it for every cell of the matrix.
 func (s Spec) Validate() error {
 	a, err := core.Lookup(s.App)
 	if err != nil {
@@ -136,9 +131,6 @@ func (s Spec) Validate() error {
 	}
 	if !(s.Scale > 0) || math.IsInf(s.Scale, 1) {
 		return fmt.Errorf("bad scale %g (want a positive number)", s.Scale)
-	}
-	if s.TraceRing < 0 {
-		return fmt.Errorf("bad trace ring size %d (want 0 for none or a positive event count)", s.TraceRing)
 	}
 	return nil
 }
@@ -202,15 +194,7 @@ func executeCell(s Spec) (*stats.Run, error) {
 		Check:          s.Check,
 		Quantum:        s.Quantum,
 	})
-	if s.TraceSink != nil {
-		k.SetTraceSink(s.TraceSink)
-	}
-	if s.TraceRing > 0 {
-		k.SetTraceRing(s.TraceRing)
-	}
-	if s.SampleInterval > 0 {
-		k.SetSampleInterval(s.SampleInterval)
-	}
+	k.SetTraceSink(s.TraceSink)
 	run, err := k.RunErr(s.label(), inst.Body)
 	if err != nil {
 		// Panics, deadlocks and invariant violations inside the simulation

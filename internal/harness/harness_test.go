@@ -44,7 +44,6 @@ func TestSpecValidate(t *testing.T) {
 		{"negative scale", func(s *Spec) { s.Scale = -1 }, "bad scale -1"},
 		{"NaN scale", func(s *Spec) { s.Scale = math.NaN() }, "bad scale NaN"},
 		{"infinite scale", func(s *Spec) { s.Scale = math.Inf(1) }, "bad scale +Inf"},
-		{"negative trace ring", func(s *Spec) { s.TraceRing = -1 }, "bad trace ring size -1"},
 	}
 	for _, b := range bad {
 		s := good

@@ -250,7 +250,7 @@ func TestSpecBaseline(t *testing.T) {
 	s := Spec{
 		App: "radix", Version: "local", Platform: "dsm", NumProcs: 8, Scale: 0.5,
 		FreeCSFaults: true, SkipVerify: true, Check: true, Quantum: 77,
-		TraceSink: trace.NewCounting(8), TraceRing: 16, SampleInterval: 1000,
+		TraceSink: trace.Tee(trace.NewCounting(8), trace.NewRing(16)),
 	}
 	want := Spec{App: "radix", Version: "orig", Platform: "dsm", NumProcs: 1, Scale: 0.5, Check: true, Quantum: 77}
 	if got := s.Baseline(); got != want {

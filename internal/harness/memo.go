@@ -95,12 +95,12 @@ func (m *Memo) claim(key string) (*memoEntry, bool) {
 // Run returns the result for s, executing it at most once per memo (and,
 // with a store attached, at most once per store lifetime across processes).
 //
-// Specs carrying observability hooks (TraceSink, TraceRing, SampleInterval)
-// bypass both tiers and execute directly: the hooks are excluded from the
-// memo key, and a cache hit would silently produce no events.
+// Specs carrying a TraceSink bypass both tiers and execute directly: the
+// sink is excluded from the memo key, and a cache hit would silently
+// produce no events.
 func (m *Memo) Run(s Spec) (*stats.Run, error) {
 	s = s.withDefaults()
-	if s.TraceSink != nil || s.TraceRing > 0 || s.SampleInterval > 0 {
+	if s.TraceSink != nil {
 		m.executions.Add(1)
 		return m.exec(s)
 	}

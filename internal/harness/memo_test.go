@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // fakeRun fabricates a deterministic result for executor stubs, so cache
@@ -222,7 +223,7 @@ func TestTraceSpecsBypassCache(t *testing.T) {
 		execs.Add(1)
 		return fakeRun(s), nil
 	}
-	spec := Spec{App: "radix", Version: "orig", Platform: "svm", NumProcs: 2, Scale: 0.125, TraceRing: 64}
+	spec := Spec{App: "radix", Version: "orig", Platform: "svm", NumProcs: 2, Scale: 0.125, TraceSink: trace.NewRing(64)}
 	for i := 0; i < 3; i++ {
 		if _, err := m.Run(spec); err != nil {
 			t.Fatal(err)

@@ -3,9 +3,13 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	_ "repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -17,11 +21,10 @@ import (
 func TestExecuteWithTraceSinks(t *testing.T) {
 	counting := trace.NewCounting(4)
 	var buf bytes.Buffer
-	chrome := trace.NewChrome(&buf)
+	chrome := trace.NewChrome(&buf, 50000)
 	run, err := Execute(Spec{
 		App: "radix", Scale: 0.25, NumProcs: 4,
-		TraceSink:      trace.Tee(counting, chrome),
-		SampleInterval: 50000,
+		TraceSink: trace.Tee(counting, chrome),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,22 +78,86 @@ func TestExecuteWithTraceSinks(t *testing.T) {
 	}
 }
 
-// TestExecuteWithTraceRing checks the Spec.TraceRing plumbing: a deadlocking
-// run's error must render the last protocol events.
-func TestExecuteWithTraceRing(t *testing.T) {
-	counting := trace.NewCounting(4)
-	a, err := Execute(Spec{App: "lu", Version: "4d", Scale: 0.25, NumProcs: 4, TraceSink: counting})
-	if err != nil {
-		t.Fatal(err)
+// deadlockApp is a test-only application whose run deadlocks on more than
+// one processor: processor 0 takes lock 7 and waits at the barrier, while
+// every other processor waits for lock 7. Its uniprocessor run (the speedup
+// baseline) completes.
+type deadlockApp struct{}
+
+func (deadlockApp) Name() string { return "zz-deadlock" }
+
+func (deadlockApp) Versions() []core.Version {
+	return []core.Version{{Name: "orig", Class: core.Orig, Desc: "deadlocks on lock 7 when P > 1"}}
+}
+
+func (deadlockApp) Build(version string, scale float64, as *mem.AddressSpace, np int) (core.Instance, error) {
+	return deadlockInstance{}, nil
+}
+
+type deadlockInstance struct{}
+
+func (deadlockInstance) Body(p *sim.Proc) {
+	if p.ID() == 0 {
+		p.Lock(7)
+		p.Barrier()
+		return
 	}
-	// Tracing must not change simulated timing: the same cell without any
-	// sinks ends at the same virtual time.
-	b, err := Execute(Spec{App: "lu", Version: "4d", Scale: 0.25, NumProcs: 4, TraceRing: 64, SampleInterval: 10000})
-	if err != nil {
-		t.Fatal(err)
+	p.Compute(1000)
+	p.Lock(7)
+	p.Unlock(7)
+	p.Barrier()
+}
+
+func (deadlockInstance) Verify() error       { return nil }
+func (deadlockInstance) Fingerprint() uint64 { return 0 }
+
+func init() { core.Register(deadlockApp{}) }
+
+// TestExecuteRingSeesDeadlock: a ring installed as the trace sink of a
+// deadlocking run ends with the lock requests that never got granted.
+func TestExecuteRingSeesDeadlock(t *testing.T) {
+	ring := trace.NewRing(8)
+	_, err := Execute(Spec{App: "zz-deadlock", Version: "orig", Platform: "svm", NumProcs: 4, Scale: 1, TraceSink: ring})
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a wrapped *sim.DeadlockError", err)
 	}
-	if a.EndTime != b.EndTime {
-		t.Errorf("tracing changed timing: %d vs %d cycles", a.EndTime, b.EndTime)
+	evs := ring.Snapshot()
+	if len(evs) == 0 || evs[len(evs)-1].Kind != trace.LockRequest {
+		t.Fatalf("ring does not end with the blocked lock request:\n%s", trace.FormatEvents(evs))
+	}
+}
+
+// TestObservabilityLeavesCellBodyUnchanged: installing sinks — a counting
+// sink, a sampling Chrome exporter and a post-mortem ring, all at once —
+// changes no byte of the canonical cell document, for a passing cell and
+// for a failing one.
+func TestObservabilityLeavesCellBodyUnchanged(t *testing.T) {
+	for _, spec := range []Spec{
+		{App: "radix", Version: "orig", Platform: "svm", NumProcs: 4, Scale: 0.125},
+		{App: "zz-deadlock", Version: "orig", Platform: "svm", NumProcs: 4, Scale: 1},
+	} {
+		plain, _, perr := CellBody(NewMemo(nil), spec, true)
+		var buf bytes.Buffer
+		chrome := trace.NewChrome(&buf, 5000)
+		ring := trace.NewRing(16)
+		spec.TraceSink = trace.Tee(trace.NewCounting(spec.NumProcs), chrome, ring)
+		traced, _, terr := CellBody(NewMemo(nil), spec, true)
+		if err := chrome.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if (perr == nil) != (spec.App == "radix") {
+			t.Errorf("%s: err = %v", spec.App, perr)
+		}
+		if (perr == nil) != (terr == nil) {
+			t.Errorf("%s: err %v without sinks, %v with", spec.App, perr, terr)
+		}
+		if !bytes.Equal(plain, traced) {
+			t.Errorf("%s: cell document differs with sinks installed:\n%s\n---\n%s", spec.App, plain, traced)
+		}
+		if len(ring.Snapshot()) == 0 || !bytes.Contains(buf.Bytes(), []byte(`"ph":"X"`)) {
+			t.Errorf("%s: the sinks saw no events", spec.App)
+		}
 	}
 }
 

@@ -127,7 +127,8 @@ func NewPageEngine(cfg PageConfig) *PageEngine {
 // would. It returns whether the in-place path was taken, so the owner can
 // mirror the decision for the cache hierarchies it manages. Home domains
 // start with valid copies of their pages (untimed initialization, as in the
-// paper).
+// paper). The page tables are sized here once: a page at or past npages has
+// no entry, so touching it panics inside the run.
 func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 	e.k = k
 	if len(e.Doms) == e.nd && npages <= e.npagesAlloc {
@@ -167,15 +168,6 @@ func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 	return reused
 }
 
-// EnsurePage grows dom's page table to cover pg.
-func (e *PageEngine) EnsurePage(dom int, pg uint64) {
-	d := e.Doms[dom]
-	for uint64(len(d.Valid)) <= pg {
-		d.Valid = append(d.Valid, false)
-		d.Dirty = append(d.Dirty, false)
-	}
-}
-
 // Prevalidate gives dom a valid (clean) copy of every page overlapping
 // [addr, addr+nbytes), modelling data placed during untimed setup.
 func (e *PageEngine) Prevalidate(addr uint64, nbytes int, dom int) {
@@ -183,16 +175,14 @@ func (e *PageEngine) Prevalidate(addr uint64, nbytes int, dom int) {
 	last := (addr + uint64(nbytes) - 1) >> e.pageShift
 	d := e.Doms[dom]
 	for pg := first; pg <= last; pg++ {
-		e.EnsurePage(dom, pg)
 		d.Valid[pg] = true
 	}
 }
 
 // Fault handles a page fault by processor p in domain dom: fetch the whole
-// page from the home (unless dom IS the home, which never invalidates its
-// own pages — a fault there means a never-touched page past the
-// prevalidated range, treated as local). Returns the cycles the faulting
-// processor waits (DataWait).
+// page from the home. dom is never the home: homes start with valid copies
+// of every page of the address space and never invalidate their own.
+// Returns the cycles the faulting processor waits (DataWait).
 func (e *PageEngine) Fault(p, dom int, now uint64, addr uint64) (wait uint64) {
 	d := e.Doms[dom]
 	pg := addr >> e.pageShift
@@ -200,10 +190,6 @@ func (e *PageEngine) Fault(p, dom int, now uint64, addr uint64) (wait uint64) {
 	c.PageFaults++
 	e.k.Emit(trace.PageFault, p, now, pg, 0)
 	home := e.Cfg.Host.HomeDomain(addr)
-	if home == dom {
-		d.Valid[pg] = true
-		return 0
-	}
 	c.PageFetches++
 	hp := e.Cfg.Host.HandlerProc(home)
 	e.k.Counters(hp).PagesServed++
@@ -352,11 +338,7 @@ func (e *PageEngine) InvalidateUpTo(dom, q int, upTo uint32, p int, now uint64) 
 	d := e.Doms[dom]
 	log := &e.notices[q]
 	for i := d.VC[q] + 1; i <= upTo; i++ {
-		if int(i) >= len(log.ends) {
-			break
-		}
 		for _, pg := range log.interval(int(i)) {
-			e.EnsurePage(dom, pg)
 			// The home keeps its copy up to date by applying diffs;
 			// everyone else invalidates.
 			if e.Cfg.Host.HomeDomain(pg*e.P.PageSize) == dom {

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/trace"
 )
 
 // InvariantChecked is implemented by platforms that can audit their own
@@ -19,28 +17,22 @@ type InvariantChecked interface {
 
 // InvariantError reports a violated runtime invariant detected with
 // Config.Check enabled: a non-monotone scheduler pick, a platform protocol
-// state inconsistency, or a broken accounting identity. Like the other
-// contained simulation failures it carries the recent protocol events when a
-// trace ring is installed.
+// state inconsistency, or a broken accounting identity.
 type InvariantError struct {
 	// Where locates the check that fired: "scheduler", "platform", or
 	// "accounting".
 	Where string
 	// Detail describes the violated invariant.
 	Detail string
-	// Recent holds the last protocol events before the violation, when the
-	// kernel had a trace ring installed (SetTraceRing).
-	Recent []trace.Event
 }
 
 func (e *InvariantError) Error() string {
-	return fmt.Sprintf("sim: invariant violated (%s): %s", e.Where, strings.TrimSuffix(e.Detail, "\n")) +
-		formatRecent(e.Recent)
+	return fmt.Sprintf("sim: invariant violated (%s): %s", e.Where, strings.TrimSuffix(e.Detail, "\n"))
 }
 
-// invariantErr builds a contained InvariantError carrying the trace ring.
-func (k *Kernel) invariantErr(where, format string, args ...any) *InvariantError {
-	return &InvariantError{Where: where, Detail: fmt.Sprintf(format, args...), Recent: k.recentEvents()}
+// invariantErr builds a contained InvariantError.
+func invariantErr(where, format string, args ...any) *InvariantError {
+	return &InvariantError{Where: where, Detail: fmt.Sprintf(format, args...)}
 }
 
 // checkTick runs the per-pick invariants: the picked processor's clock is the
@@ -49,7 +41,7 @@ func (k *Kernel) invariantErr(where, format string, args ...any) *InvariantError
 // 2048, 4096, ... so the cost is O(log picks) sweeps per run.
 func (k *Kernel) checkTick(p *Proc) error {
 	if p.clock < k.lastPickClock {
-		return k.invariantErr("scheduler",
+		return invariantErr("scheduler",
 			"virtual-time floor moved backwards: picked proc %d at clock %d after floor %d",
 			p.id, p.clock, k.lastPickClock)
 	}
@@ -69,7 +61,7 @@ func (k *Kernel) checkPlatform() error {
 		return nil
 	}
 	if err := ic.CheckInvariants(); err != nil {
-		return k.invariantErr("platform", "%v", err)
+		return invariantErr("platform", "%v", err)
 	}
 	return nil
 }
@@ -86,7 +78,7 @@ func (k *Kernel) checkFinal() error {
 		clocks[i] = k.procs[i].clock
 	}
 	if err := k.run.CheckAccounting(clocks); err != nil {
-		return k.invariantErr("accounting", "%v", err)
+		return invariantErr("accounting", "%v", err)
 	}
 	return nil
 }

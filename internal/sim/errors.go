@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/trace"
 )
 
 // ProcPanicError reports that a simulated processor's body panicked. The
@@ -18,14 +16,10 @@ type ProcPanicError struct {
 	Value any
 	// Stack is the goroutine stack captured at the recovery point.
 	Stack string
-	// Recent holds the last protocol events before the failure, when the
-	// kernel had a trace ring installed (SetTraceRing); rendered in Error
-	// so a contained failure is self-diagnosing.
-	Recent []trace.Event
 }
 
 func (e *ProcPanicError) Error() string {
-	return fmt.Sprintf("sim: processor %d panicked: %v", e.Proc, e.Value) + formatRecent(e.Recent)
+	return fmt.Sprintf("sim: processor %d panicked: %v", e.Proc, e.Value)
 }
 
 // DeadlockError reports that no processor was runnable before every body
@@ -35,23 +29,10 @@ type DeadlockError struct {
 	// Dump is the kernel state at the point of deadlock: per-processor
 	// state and clock, barrier arrival count, and held/contended locks.
 	Dump string
-	// Recent holds the last protocol events before the deadlock, when the
-	// kernel had a trace ring installed (SetTraceRing).
-	Recent []trace.Event
 }
 
 func (e *DeadlockError) Error() string {
-	return "sim: deadlock — no runnable processor\n" + strings.TrimSuffix(e.Dump, "\n") + formatRecent(e.Recent)
-}
-
-// formatRecent renders a post-mortem trace dump section, empty when no ring
-// was installed.
-func formatRecent(evs []trace.Event) string {
-	if len(evs) == 0 {
-		return ""
-	}
-	return fmt.Sprintf("\nlast %d protocol events:\n%s", len(evs),
-		strings.TrimSuffix(trace.FormatEvents(evs), "\n"))
+	return "sim: deadlock — no runnable processor\n" + strings.TrimSuffix(e.Dump, "\n")
 }
 
 // ConfigError reports a Config that RunErr refuses to run, such as an

@@ -148,13 +148,10 @@ type Kernel struct {
 	picks         uint64
 	nextCheck     uint64 // pick count of the next platform sweep
 
-	// Tracing. tr is the active sink for the current run (nil when tracing
-	// is off — the fast path every event site branches on); it is rebuilt
-	// each run as the Tee of the persistent user sink and the post-mortem
-	// ring.
+	// Tracing. tr is the installed sink (nil when tracing is off — the
+	// fast path every event site branches on); sampler is tr while it asks
+	// for samples, fixed at the start of each run.
 	tr          trace.Sink
-	userSink    trace.Sink
-	ring        *trace.Ring
 	sampler     trace.Sampler
 	sampleEvery uint64
 	nextSample  uint64
@@ -182,28 +179,11 @@ func New(plat Platform, cfg Config) *Kernel {
 }
 
 // SetTraceSink installs a protocol event sink that persists across runs
-// (nil turns user tracing off). The sink receives every event of subsequent
-// runs; if it also implements trace.Sampler and a sample interval is set, it
-// receives interval breakdown samples too.
-func (k *Kernel) SetTraceSink(s trace.Sink) { k.userSink = s }
-
-// SetTraceRing installs a post-mortem ring keeping the last n protocol
-// events; the ring's contents are attached to ProcPanicError/DeadlockError
-// so contained failures are self-diagnosing. n <= 0 removes the ring. The
-// returned ring can also be inspected after a successful run.
-func (k *Kernel) SetTraceRing(n int) *trace.Ring {
-	if n <= 0 {
-		k.ring = nil
-		return nil
-	}
-	k.ring = trace.NewRing(n)
-	return k.ring
-}
-
-// SetSampleInterval enables interval time-series sampling: every `cycles` of
-// virtual time, sinks implementing trace.Sampler receive a snapshot of the
-// per-processor breakdown categories. 0 disables sampling.
-func (k *Kernel) SetSampleInterval(cycles uint64) { k.sampleEvery = cycles }
+// (nil turns tracing off). The sink receives every event of subsequent
+// runs; if it also implements trace.Sampler with a nonzero SampleEvery, it
+// receives interval breakdown samples too. The sink only observes: the
+// run's statistics and errors are the same with and without it.
+func (k *Kernel) SetTraceSink(s trace.Sink) { k.tr = s }
 
 // Emit records one protocol event. With no sink installed this is a single
 // branch and allocates nothing, so platforms call it unconditionally from
@@ -223,14 +203,6 @@ func (k *Kernel) sample(now uint64) {
 	for k.nextSample <= now {
 		k.nextSample += k.sampleEvery
 	}
-}
-
-// recentEvents snapshots the post-mortem ring for error rendering.
-func (k *Kernel) recentEvents() []trace.Event {
-	if k.ring == nil {
-		return nil
-	}
-	return k.ring.Snapshot()
 }
 
 // NumProcs returns the number of simulated processors.
@@ -294,18 +266,13 @@ func (k *Kernel) RunErr(name string, body func(p *Proc)) (*stats.Run, error) {
 	} else {
 		k.run = stats.NewRun(name, np)
 	}
-	if k.ring != nil {
-		k.ring.Reset()
-	}
 	k.plat.Attach(k)
-	k.tr = trace.Tee(k.userSink, ringSink(k.ring))
 	k.sampler = nil
-	if k.sampleEvery > 0 && k.tr != nil {
-		if sp, ok := k.tr.(trace.Sampler); ok {
-			k.sampler = sp
-			k.nextSample = k.sampleEvery
-			k.lastSample = 0
-		}
+	if sp, ok := k.tr.(trace.Sampler); ok && sp.SampleEvery() > 0 {
+		k.sampler = sp
+		k.sampleEvery = sp.SampleEvery()
+		k.nextSample = k.sampleEvery
+		k.lastSample = 0
 	}
 	for i := range k.pendingHandler {
 		k.pendingHandler[i] = 0
@@ -379,7 +346,7 @@ func (k *Kernel) runInline(body func(p *Proc)) (err error) {
 				err = ab.err
 				return
 			}
-			err = &ProcPanicError{Proc: 0, Value: r, Stack: string(debug.Stack()), Recent: k.recentEvents()}
+			err = &ProcPanicError{Proc: 0, Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	// The run's single scheduling pick.
@@ -416,7 +383,7 @@ func (k *Kernel) eventLoop(body func(p *Proc)) error {
 	for live > 0 {
 		p := k.pickReady()
 		if p == nil {
-			err := &DeadlockError{Dump: k.stateDump(), Recent: k.recentEvents()}
+			err := &DeadlockError{Dump: k.stateDump()}
 			k.unwind()
 			return err
 		}
@@ -451,7 +418,7 @@ func (k *Kernel) eventLoop(body func(p *Proc)) error {
 			p.state = stDone
 			live--
 			if p.panicked != nil {
-				err := &ProcPanicError{Proc: p.id, Value: p.panicked, Stack: p.stack, Recent: k.recentEvents()}
+				err := &ProcPanicError{Proc: p.id, Value: p.panicked, Stack: p.stack}
 				k.unwind()
 				return err
 			}
@@ -546,15 +513,6 @@ func (k *Kernel) stepBatch(p *Proc) bool {
 		}
 	}
 	return true
-}
-
-// ringSink widens the concrete ring to a Sink, keeping the nil case a nil
-// interface so Tee drops it (a nil *Ring in a Sink slot would not be nil).
-func ringSink(r *trace.Ring) trace.Sink {
-	if r == nil {
-		return nil
-	}
-	return r
 }
 
 // unwind stops every processor continuation after a failed run. Stopping a

@@ -88,7 +88,7 @@ func (p *Proc) park() {
 	p.state = stParked
 	k := p.k
 	if k.inline {
-		panic(inlineAbort{err: &DeadlockError{Dump: k.stateDump(), Recent: k.recentEvents()}})
+		panic(inlineAbort{err: &DeadlockError{Dump: k.stateDump()}})
 	}
 	p.op = opPark
 	p.switchOut()

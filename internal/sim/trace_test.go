@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -55,80 +53,15 @@ func TestKernelEmitsLockAndBarrierEvents(t *testing.T) {
 	}
 }
 
-func TestDeadlockErrorCarriesRecentEvents(t *testing.T) {
-	k := New(&NopPlatform{}, Config{NumProcs: 2})
-	k.SetTraceRing(16)
-	_, err := k.RunErr("dead", func(p *Proc) {
-		if p.ID() == 0 {
-			p.Lock(1)
-			p.Barrier() // holds lock 1 forever
-		} else {
-			p.Lock(1) // waits forever
-		}
-	})
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v, want *DeadlockError", err)
-	}
-	if len(de.Recent) == 0 {
-		t.Fatal("DeadlockError.Recent is empty with a trace ring installed")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "protocol events") || !strings.Contains(msg, "LockRequest") {
-		t.Errorf("rendered error missing the trace dump:\n%s", msg)
-	}
-}
-
-func TestProcPanicErrorCarriesRecentEvents(t *testing.T) {
-	k := New(&NopPlatform{}, Config{NumProcs: 2})
-	k.SetTraceRing(8)
-	_, err := k.RunErr("boom", func(p *Proc) {
-		p.Lock(3)
-		p.Unlock(3)
-		if p.ID() == 1 {
-			panic("die")
-		}
-		p.Barrier()
-	})
-	var pe *ProcPanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *ProcPanicError", err)
-	}
-	if len(pe.Recent) == 0 {
-		t.Fatal("ProcPanicError.Recent is empty with a trace ring installed")
-	}
-	if !strings.Contains(err.Error(), "protocol events") {
-		t.Errorf("rendered error missing the trace dump:\n%s", err.Error())
-	}
-}
-
-func TestNoRingMeansNoRecentEvents(t *testing.T) {
-	k := New(&NopPlatform{}, Config{NumProcs: 2})
-	_, err := k.RunErr("dead", func(p *Proc) {
-		if p.ID() == 0 {
-			p.Lock(1)
-			p.Barrier()
-		} else {
-			p.Lock(1)
-		}
-	})
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v, want *DeadlockError", err)
-	}
-	if len(de.Recent) != 0 {
-		t.Errorf("Recent = %d events without a ring, want 0", len(de.Recent))
-	}
-	if strings.Contains(err.Error(), "protocol events") {
-		t.Error("error renders a trace dump section without a ring")
-	}
-}
-
 // timeline is a trace.Sampler recording each interval sample's time and
 // the sum of every processor's cumulative breakdown at that time.
-type timeline struct{ times, totals []uint64 }
+type timeline struct {
+	every         uint64
+	times, totals []uint64
+}
 
-func (*timeline) Emit(trace.Event) {}
+func (*timeline) Emit(trace.Event)       {}
+func (tl *timeline) SampleEvery() uint64 { return tl.every }
 
 func (tl *timeline) Sample(now uint64, procs []stats.Proc) {
 	var total uint64
@@ -141,11 +74,10 @@ func (tl *timeline) Sample(now uint64, procs []stats.Proc) {
 	tl.totals = append(tl.totals, total)
 }
 
-func TestSampleIntervalFeedsTimeline(t *testing.T) {
+func TestSamplerFeedsTimeline(t *testing.T) {
 	k := New(&NopPlatform{}, Config{NumProcs: 2})
-	tl := &timeline{}
+	tl := &timeline{every: 1000}
 	k.SetTraceSink(tl)
-	k.SetSampleInterval(1000)
 	run, err := k.RunErr("sampled", func(p *Proc) {
 		for i := 0; i < 10; i++ {
 			p.Compute(500)

@@ -130,7 +130,7 @@ func (s *Platform) Prevalidate(addr uint64, nbytes int, nd int) {
 func (s *Platform) FastAccess(p int, now uint64, addr uint64, write bool) (uint64, bool) {
 	d := s.eng.Doms[p]
 	pg := addr >> s.pageShift
-	if pg >= uint64(len(d.Valid)) || !d.Valid[pg] {
+	if !d.Valid[pg] {
 		return 0, false
 	}
 	if write && !d.Dirty[pg] {
@@ -155,7 +155,7 @@ func (s *Platform) FastRange(p int, now uint64, addr, end uint64, write bool) (i
 	var stall uint64
 	for addr < end {
 		pg := addr >> s.pageShift
-		if pg >= uint64(len(d.Valid)) || !d.Valid[pg] {
+		if !d.Valid[pg] {
 			break
 		}
 		if write && !d.Dirty[pg] {
@@ -181,7 +181,6 @@ func (s *Platform) FastRange(p int, now uint64, addr, end uint64, write bool) (i
 func (s *Platform) SlowAccess(p int, now uint64, addr uint64, write bool) sim.AccessCost {
 	d := s.eng.Doms[p]
 	pg := addr >> s.pageShift
-	s.eng.EnsurePage(p, pg)
 	var cost sim.AccessCost
 	if !d.Valid[pg] {
 		cost.DataWait += s.eng.Fault(p, p, now, addr)

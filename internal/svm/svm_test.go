@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mem"
@@ -304,6 +305,41 @@ func TestBarrierManagerChargedHandlerTime(t *testing.T) {
 	for i := 0; i < np; i++ {
 		if i != mgr && run.Procs[i].Cycles[stats.Handler] > run.Procs[mgr].Cycles[stats.Handler] {
 			t.Errorf("proc %d has more handler time than the manager", i)
+		}
+	}
+}
+
+// TestAccessPastAddressSpacePanics: page tables are sized once to the
+// address space, so an access past it fails the run as a contained
+// *sim.ProcPanicError, on the page's home node and elsewhere, by scalar
+// access and by range, instead of being served silently.
+func TestAccessPastAddressSpacePanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body func(p *sim.Proc, past uint64)
+	}{
+		{"read on proc 0", func(p *sim.Proc, past uint64) {
+			if p.ID() == 0 {
+				p.Read(past)
+			}
+		}},
+		{"read on proc 1", func(p *sim.Proc, past uint64) {
+			if p.ID() == 1 {
+				p.Read(past)
+			}
+		}},
+		{"write range", func(p *sim.Proc, past uint64) { p.WriteRange(past, 4096) }},
+	} {
+		as, _, k := setup(2)
+		a := as.AllocPages(4096)
+		past := a + 64*4096
+		_, err := k.RunErr(c.name, func(p *sim.Proc) {
+			c.body(p, past)
+			p.Barrier()
+		})
+		var pe *sim.ProcPanicError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want *sim.ProcPanicError", c.name, err)
 		}
 	}
 }

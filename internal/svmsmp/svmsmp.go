@@ -157,7 +157,7 @@ func (s *Platform) Prevalidate(addr uint64, nbytes int, nd int) {
 func (s *Platform) FastAccess(p int, now uint64, addr uint64, write bool) (uint64, bool) {
 	d := s.eng.Doms[s.clusterOf(p)]
 	pg := addr >> s.pageShift
-	if pg >= uint64(len(d.Valid)) || !d.Valid[pg] {
+	if !d.Valid[pg] {
 		return 0, false
 	}
 	if write && !d.Dirty[pg] {
@@ -181,7 +181,6 @@ func (s *Platform) SlowAccess(p int, now uint64, addr uint64, write bool) sim.Ac
 	cid := s.clusterOf(p)
 	d := s.eng.Doms[cid]
 	pg := addr >> s.pageShift
-	s.eng.EnsurePage(cid, pg)
 	var cost sim.AccessCost
 	if !d.Valid[pg] {
 		cost.DataWait += s.eng.Fault(p, cid, now, addr)

@@ -17,13 +17,15 @@ import (
 // microsecond field, so on-screen times read as cycles.
 //
 // Chrome also implements Sampler: interval samples of the per-processor
-// breakdown categories become counter ("C") tracks, one per processor, whose
-// series are the per-interval cycles of each category — the paper's
-// per-processor breakdown bars rendered over time.
+// breakdown categories, taken every SampleEvery cycles, become counter ("C")
+// tracks, one per processor, whose series are the per-interval cycles of
+// each category — the paper's per-processor breakdown bars rendered over
+// time.
 //
 // Close must be called to terminate the JSON array; the writer is not closed.
 type Chrome struct {
 	bw    *bufio.Writer
+	every uint64 // sample interval in cycles; 0 takes no samples
 	n     int
 	err   error
 	named map[uint64]bool               // (pid<<32 | tid) with metadata written
@@ -38,9 +40,10 @@ const (
 	chromeDirBase = 3000
 )
 
-// NewChrome creates an exporter writing to w.
-func NewChrome(w io.Writer) *Chrome {
-	c := &Chrome{bw: bufio.NewWriter(w), named: map[uint64]bool{}}
+// NewChrome creates an exporter writing to w that asks for a breakdown
+// sample every `every` cycles of virtual time (0: no samples).
+func NewChrome(w io.Writer, every uint64) *Chrome {
+	c := &Chrome{bw: bufio.NewWriter(w), every: every, named: map[uint64]bool{}}
 	_, c.err = c.bw.WriteString("[")
 	return c
 }
@@ -124,6 +127,9 @@ func (c *Chrome) Sample(now uint64, procs []stats.Proc) {
 			i, i, now, args.String())
 	}
 }
+
+// SampleEvery implements Sampler.
+func (c *Chrome) SampleEvery() uint64 { return c.every }
 
 // Close terminates the JSON array and flushes buffered output. It returns
 // the first error encountered while writing.

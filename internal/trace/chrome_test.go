@@ -22,7 +22,7 @@ type chromeEvent struct {
 func exportEvents(t *testing.T, emit func(c *Chrome)) []chromeEvent {
 	t.Helper()
 	var buf bytes.Buffer
-	c := NewChrome(&buf)
+	c := NewChrome(&buf, 0)
 	emit(c)
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

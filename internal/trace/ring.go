@@ -1,10 +1,10 @@
 package trace
 
-// Ring keeps the most recent events in a fixed-size buffer. The kernel
-// installs one (sim.Kernel.SetTraceRing) so that when a simulated run dies —
-// a processor body panic or a synchronization deadlock — the error carries
-// the protocol events leading up to the failure, making contained failures
-// self-diagnosing.
+// Ring keeps the most recent events in a fixed-size buffer. svmsim
+// -trace-buffer tees one into the run's sink, so that when a simulated run
+// dies — a processor body panic, a synchronization deadlock or an invariant
+// violation — it can print the protocol events leading up to the failure
+// after the error, making contained failures self-diagnosing.
 type Ring struct {
 	buf  []Event
 	next int
@@ -38,12 +38,6 @@ func (r *Ring) Snapshot() []Event {
 		out = append(out, r.buf...)
 	}
 	return out
-}
-
-// Reset empties the ring (between runs).
-func (r *Ring) Reset() {
-	r.buf = r.buf[:0]
-	r.next = 0
 }
 
 var _ Sink = (*Ring)(nil)

@@ -7,20 +7,24 @@
 //
 // The simulation kernel owns a single Sink (possibly a Tee over several) and
 // exposes a nil-checked Emit fast path, so with tracing off an event site
-// costs one branch and zero allocations. Three sinks cover the paper's §6
-// wished-for "performance debugging tool" roles:
+// costs one branch and zero allocations. The sink is the kernel's only
+// observability hook: it never changes a simulated result, so a run's
+// statistics and errors read the same with and without it. Three sinks
+// cover the paper's §6 wished-for "performance debugging tool" roles:
 //
 //   - Counting: an aggregator of per-kind, per-page and per-lock totals,
 //     rendered as the hot-page / hot-lock report of svmsim -hot on any
 //     platform;
-//   - Ring: a bounded buffer of the most recent events, dumped into
-//     ProcPanicError/DeadlockError so contained failures are self-diagnosing;
+//   - Ring: a bounded buffer of the most recent events, which svmsim
+//     -trace-buffer prints after a failed run's error so contained failures
+//     are self-diagnosing;
 //   - Chrome: a Chrome trace-event JSON exporter (one track per simulated
 //     processor plus bus/NIC/directory resource tracks) loadable in Perfetto.
 //
-// Sinks that also implement Sampler additionally receive interval snapshots
-// of the per-processor execution-time breakdown, so the paper's
-// per-processor category bars can be rendered over time.
+// A sink that implements Sampler with a nonzero SampleEvery additionally
+// receives interval snapshots of the per-processor execution-time
+// breakdown, so the paper's per-processor category bars can be rendered
+// over time.
 package trace
 
 import (
@@ -172,11 +176,14 @@ type Sink interface {
 }
 
 // Sampler is optionally implemented by sinks that want the kernel's interval
-// time-series samples of the per-processor breakdown categories. procs is
-// the kernel's live accounting slice: implementations must copy what they
-// keep and must not retain the slice.
+// time-series samples of the per-processor breakdown categories. The kernel
+// samples every SampleEvery cycles of virtual time, and once more at the end
+// of the run; a zero interval turns sampling off. procs is the kernel's live
+// accounting slice: implementations must copy what they keep and must not
+// retain the slice.
 type Sampler interface {
 	Sample(now uint64, procs []stats.Proc)
+	SampleEvery() uint64
 }
 
 // multi fans events (and samples) out to several sinks.
@@ -191,10 +198,21 @@ func (m *multi) Emit(e Event) {
 // Sample implements Sampler, forwarding to every member that samples.
 func (m *multi) Sample(now uint64, procs []stats.Proc) {
 	for _, s := range m.sinks {
-		if sp, ok := s.(Sampler); ok {
+		if sp, ok := s.(Sampler); ok && sp.SampleEvery() > 0 {
 			sp.Sample(now, procs)
 		}
 	}
+}
+
+// SampleEvery implements Sampler: the first member's nonzero interval, or 0
+// when no member samples.
+func (m *multi) SampleEvery() uint64 {
+	for _, s := range m.sinks {
+		if sp, ok := s.(Sampler); ok && sp.SampleEvery() > 0 {
+			return sp.SampleEvery()
+		}
+	}
+	return 0
 }
 
 // Tee combines sinks into one, dropping nils. It returns nil when no sink
@@ -218,7 +236,7 @@ func Tee(sinks ...Sink) Sink {
 }
 
 // FormatEvents renders events one per line (oldest first), the post-mortem
-// dump format used by the kernel's panic/deadlock errors.
+// dump format svmsim prints after a failed run.
 func FormatEvents(evs []Event) string {
 	var b strings.Builder
 	for _, e := range evs {

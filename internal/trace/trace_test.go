@@ -47,10 +47,6 @@ func TestRingWrapsAndSnapshotsInOrder(t *testing.T) {
 			t.Errorf("snapshot[%d].Time = %d, want %d (oldest-first)", i, e.Time, want)
 		}
 	}
-	r.Reset()
-	if len(r.Snapshot()) != 0 {
-		t.Error("Reset did not clear the ring")
-	}
 }
 
 func TestRingPartialFill(t *testing.T) {
@@ -108,14 +104,17 @@ func TestCountingSortIsDeterministic(t *testing.T) {
 	}
 }
 
-// recorder counts Emit and Sample calls.
+// recorder counts Emit and Sample calls, asking for a sample every `every`
+// cycles.
 type recorder struct {
 	events  int
 	samples int
+	every   uint64
 }
 
 func (r *recorder) Emit(Event)                  { r.events++ }
 func (r *recorder) Sample(uint64, []stats.Proc) { r.samples++ }
+func (r *recorder) SampleEvery() uint64         { return r.every }
 
 func TestTee(t *testing.T) {
 	if Tee() != nil {
@@ -128,20 +127,28 @@ func TestTee(t *testing.T) {
 	if got := Tee(nil, a); got != Sink(a) {
 		t.Error("Tee with one non-nil sink should return it unwrapped")
 	}
-	b := &recorder{}
-	tee := Tee(a, b)
+	b := &recorder{every: 500}
+	c := &recorder{every: 700}
+	tee := Tee(a, b, c)
 	tee.Emit(Event{})
-	if a.events != 1 || b.events != 1 {
-		t.Errorf("fan-out failed: a=%d b=%d", a.events, b.events)
+	if a.events != 1 || b.events != 1 || c.events != 1 {
+		t.Errorf("fan-out failed: a=%d b=%d c=%d", a.events, b.events, c.events)
 	}
-	// A tee of samplers must itself be a Sampler.
+	// A tee of samplers must itself be a Sampler, at its first member's
+	// nonzero interval, and samples reach only members that sample.
 	sp, ok := tee.(Sampler)
 	if !ok {
 		t.Fatal("Tee of Samplers does not implement Sampler")
 	}
+	if got := sp.SampleEvery(); got != 500 {
+		t.Errorf("tee SampleEvery = %d, want 500 (the first nonzero member's)", got)
+	}
 	sp.Sample(0, nil)
-	if a.samples != 1 || b.samples != 1 {
-		t.Errorf("sample fan-out failed: a=%d b=%d", a.samples, b.samples)
+	if a.samples != 0 || b.samples != 1 || c.samples != 1 {
+		t.Errorf("sample fan-out failed: a=%d b=%d c=%d", a.samples, b.samples, c.samples)
+	}
+	if got := Tee(a, NewRing(4)).(Sampler).SampleEvery(); got != 0 {
+		t.Errorf("tee with no sampling member: SampleEvery = %d, want 0", got)
 	}
 }
 
