@@ -389,9 +389,6 @@ func (h *Hierarchy) outOfRange(la uint64) {
 		la<<h.lineShift, h.lineLimit<<h.lineShift))
 }
 
-// Line returns the configured line size.
-func (h *Hierarchy) Line() int { return h.cfg.Line }
-
 // LineOf returns the line address (addr / line size).
 func (h *Hierarchy) LineOf(addr uint64) uint64 { return addr >> h.lineShift }
 

@@ -103,8 +103,9 @@ var breakdowns = []breakdownSpec{
 
 // Figures returns every regenerable figure in paper order.
 func Figures() []Figure {
+	f2, f16, f17 := fig2(), fig16(), fig17()
 	figs := []Figure{
-		{ID: "fig2", Title: "Speedups for the original versions across the shared address space multiprocessors", Cells: fig2Cells, Run: fig2},
+		{ID: "fig2", Title: "Speedups for the original versions across the shared address space multiprocessors", Cells: f2.cells, Run: f2.render},
 	}
 	for _, b := range breakdowns {
 		b := b
@@ -124,8 +125,8 @@ func Figures() []Figure {
 		})
 	}
 	figs = append(figs,
-		Figure{ID: "fig16", Title: "Performance with different optimization classes across shared-address-space multiprocessors", Cells: fig16Cells, Run: fig16},
-		Figure{ID: "fig17", Title: "Speedups of Volrend with the algorithmic optimization with and without stealing on SVM and CC-NUMA DSM", Cells: fig17Cells, Run: fig17},
+		Figure{ID: "fig16", Title: "Performance with different optimization classes across shared-address-space multiprocessors", Cells: f16.cells, Run: f16.render},
+		Figure{ID: "fig17", Title: "Speedups of Volrend with the algorithmic optimization with and without stealing on SVM and CC-NUMA DSM", Cells: f17.cells, Run: f17.render},
 	)
 	return figs
 }
@@ -142,73 +143,55 @@ func FindFigure(id string) (Figure, error) {
 	return Figure{}, fmt.Errorf("harness: unknown figure %q (want one of %s)", id, strings.Join(ids, ", "))
 }
 
-func fig2Cells() []Cell {
-	var cells []Cell
-	for _, app := range core.PaperApps() {
-		for _, pl := range platform.Names {
-			cells = append(cells, Cell{App: app, Version: core.OrigVersion(app), Platform: pl, Speedup: true})
-		}
-	}
-	return cells
+// speedupTable declares a speedup figure once: its row groups, each row
+// read on every platform column. cells lists what render reads, so the
+// figure's cells pre-execute in parallel and render from the memo cache.
+type speedupTable struct {
+	platforms []string
+	groups    []rowGroup
 }
 
-func fig2(r *Runner) (string, error) {
-	var b strings.Builder
-	var fails []string
-	fmt.Fprintf(&b, "%-10s", "app")
-	for _, pl := range platform.Names {
-		fmt.Fprintf(&b, " %8s", pl)
-	}
-	fmt.Fprintln(&b)
-	for _, app := range core.PaperApps() {
-		orig := core.OrigVersion(app)
-		fmt.Fprintf(&b, "%-10s", app)
-		for _, pl := range platform.Names {
-			s, err := r.Speedup(app, orig, pl)
-			if err != nil {
-				fmt.Fprintf(&b, " %8s", "error")
-				fails = append(fails, cellErr(app+"/"+orig+"@"+pl, err))
-				continue
-			}
-			fmt.Fprintf(&b, " %8.2f", s)
-		}
-		fmt.Fprintln(&b)
-	}
-	writeFails(&b, fails)
-	return b.String(), nil
+// rowGroup is a block of rows under one header line, with an optional
+// title line ("ocean:") above it. header and each row label are
+// preformatted to the label column's width.
+type rowGroup struct {
+	title, header string
+	rows          []speedupRow
 }
 
-func fig16Cells() []Cell {
+type speedupRow struct{ label, app, version string }
+
+func (t speedupTable) cells() []Cell {
 	var cells []Cell
-	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
-		for _, v := range a.Versions() {
-			for _, pl := range platform.Names {
-				cells = append(cells, Cell{App: app, Version: v.Name, Platform: pl, Speedup: true})
+	for _, g := range t.groups {
+		for _, row := range g.rows {
+			for _, pl := range t.platforms {
+				cells = append(cells, Cell{App: row.app, Version: row.version, Platform: pl, Speedup: true})
 			}
 		}
 	}
 	return cells
 }
 
-func fig16(r *Runner) (string, error) {
+func (t speedupTable) render(r *Runner) (string, error) {
 	var b strings.Builder
 	var fails []string
-	for _, app := range core.PaperApps() {
-		a, _ := core.Lookup(app)
-		fmt.Fprintf(&b, "%s:\n", app)
-		fmt.Fprintf(&b, "  %-12s %-5s", "version", "class")
-		for _, pl := range platform.Names {
+	for _, g := range t.groups {
+		if g.title != "" {
+			fmt.Fprintf(&b, "%s:\n", g.title)
+		}
+		b.WriteString(g.header)
+		for _, pl := range t.platforms {
 			fmt.Fprintf(&b, " %8s", pl)
 		}
 		fmt.Fprintln(&b)
-		for _, v := range a.Versions() {
-			fmt.Fprintf(&b, "  %-12s %-5s", v.Name, v.Class)
-			for _, pl := range platform.Names {
-				s, err := r.Speedup(app, v.Name, pl)
+		for _, row := range g.rows {
+			b.WriteString(row.label)
+			for _, pl := range t.platforms {
+				s, err := r.Speedup(row.app, row.version, pl)
 				if err != nil {
 					fmt.Fprintf(&b, " %8s", "error")
-					fails = append(fails, cellErr(app+"/"+v.Name+"@"+pl, err))
+					fails = append(fails, cellErr(row.app+"/"+row.version+"@"+pl, err))
 					continue
 				}
 				fmt.Fprintf(&b, " %8.2f", s)
@@ -220,33 +203,34 @@ func fig16(r *Runner) (string, error) {
 	return b.String(), nil
 }
 
-func fig17Cells() []Cell {
-	var cells []Cell
-	for _, v := range []string{"balanced", "nosteal"} {
-		for _, pl := range []string{"svm", "dsm"} {
-			cells = append(cells, Cell{App: "volrend", Version: v, Platform: pl, Speedup: true})
-		}
+// fig2 is every paper app's original version.
+func fig2() speedupTable {
+	g := rowGroup{header: fmt.Sprintf("%-10s", "app")}
+	for _, app := range core.PaperApps() {
+		g.rows = append(g.rows, speedupRow{fmt.Sprintf("%-10s", app), app, core.OrigVersion(app)})
 	}
-	return cells
+	return speedupTable{platform.Names, []rowGroup{g}}
 }
 
-func fig17(r *Runner) (string, error) {
-	var b strings.Builder
-	var fails []string
-	fmt.Fprintf(&b, "%-10s %8s %8s\n", "version", "svm", "dsm")
-	for _, v := range []string{"balanced", "nosteal"} {
-		fmt.Fprintf(&b, "%-10s", v)
-		for _, pl := range []string{"svm", "dsm"} {
-			s, err := r.Speedup("volrend", v, pl)
-			if err != nil {
-				fmt.Fprintf(&b, " %8s", "error")
-				fails = append(fails, cellErr("volrend/"+v+"@"+pl, err))
-				continue
-			}
-			fmt.Fprintf(&b, " %8.2f", s)
+// fig16 is every version of every paper app, one group per app.
+func fig16() speedupTable {
+	var groups []rowGroup
+	for _, app := range core.PaperApps() {
+		a, _ := core.Lookup(app)
+		g := rowGroup{title: app, header: fmt.Sprintf("  %-12s %-5s", "version", "class")}
+		for _, v := range a.Versions() {
+			g.rows = append(g.rows, speedupRow{fmt.Sprintf("  %-12s %-5s", v.Name, v.Class), app, v.Name})
 		}
-		fmt.Fprintln(&b)
+		groups = append(groups, g)
 	}
-	writeFails(&b, fails)
-	return b.String(), nil
+	return speedupTable{platform.Names, groups}
+}
+
+// fig17 is Volrend's algorithmic version with and without stealing.
+func fig17() speedupTable {
+	g := rowGroup{header: fmt.Sprintf("%-10s", "version")}
+	for _, v := range []string{"balanced", "nosteal"} {
+		g.rows = append(g.rows, speedupRow{fmt.Sprintf("%-10s", v), "volrend", v})
+	}
+	return speedupTable{[]string{"svm", "dsm"}, []rowGroup{g}}
 }

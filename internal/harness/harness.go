@@ -171,13 +171,10 @@ func buildInstance(a core.App, version string, scale float64, as *mem.AddressSpa
 }
 
 func executeCell(s Spec) (*stats.Run, error) {
-	a, err := core.Lookup(s.App)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := core.FindVersion(a, s.Version); err != nil {
-		return nil, err
-	}
+	a, _ := core.Lookup(s.App)
 	as := mem.NewAddressSpace(platform.PageSize, s.NumProcs)
 	inst, err := buildInstance(a, s.Version, s.Scale, as, s.NumProcs)
 	if err != nil {

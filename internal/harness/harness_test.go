@@ -1,23 +1,48 @@
 package harness
 
 import (
+	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	_ "repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/platform"
 )
 
+// TestExecuteUnknownAppAndVersion: Execute rejects, after applying its
+// defaults, every spec Validate rejects, so a negative processor count no
+// longer crashes the host in the address-space constructor and a negative
+// scale is no longer clamped and run. The error stays an ordinary "error"
+// kind in the JSON document.
 func TestExecuteUnknownAppAndVersion(t *testing.T) {
-	if _, err := Execute(Spec{App: "nope"}); err == nil {
-		t.Error("expected error for unknown app")
-	}
-	if _, err := Execute(Spec{App: "lu", Version: "nope"}); err == nil {
-		t.Error("expected error for unknown version")
-	}
-	if _, err := Execute(Spec{App: "lu", Version: "orig", Platform: "vax"}); err == nil {
-		t.Error("expected error for unknown platform")
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{App: "nope"}, `unknown app "nope"`},
+		{Spec{App: "lu", Version: "nope"}, `no version "nope"`},
+		{Spec{App: "lu", Version: "orig", Platform: "vax"}, `unknown platform "vax"`},
+		{Spec{App: "lu", Version: "orig", Platform: "svm", NumProcs: -3, Scale: 0.25}, "bad processor count -3"},
+		{Spec{App: "lu", Version: "orig", Platform: "svm", NumProcs: 2, Scale: -1}, "bad scale -1"},
+	} {
+		run, err := Execute(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Execute(%+v) = %v, %v; want error containing %q", c.spec, run, err, c.want)
+			continue
+		}
+		doc, jerr := RunErrorJSON(c.spec, err)
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		var got struct {
+			Error struct{ Kind string } `json:"error"`
+		}
+		if err := json.Unmarshal(doc, &got); err != nil || got.Error.Kind != "error" {
+			t.Errorf("error document %s (%v), want kind \"error\"", doc, err)
+		}
 	}
 }
 
@@ -52,6 +77,35 @@ func TestSpecValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), b.want) {
 			t.Errorf("%s: Validate() = %v, want error containing %q", b.what, err, b.want)
 		}
+	}
+}
+
+// TestRegistryListsEverything pins the registry the figures and campaigns
+// enumerate: the paper's seven apps plus three extensions, each with an
+// original first and at least two restructured versions, on the paper's
+// three platforms. The zz- apps this package's tests register are left out.
+func TestRegistryListsEverything(t *testing.T) {
+	testApp := func(app string) bool { return strings.HasPrefix(app, "zz-") }
+	apps := slices.DeleteFunc(core.Apps(), testApp)
+	paper := slices.DeleteFunc(core.PaperApps(), testApp)
+	if len(apps) != 10 || len(paper) != 7 {
+		t.Fatalf("%d apps, %d paper apps; want 10 (7 paper + 3 extensions): %v", len(apps), len(paper), apps)
+	}
+	for _, app := range apps {
+		a, err := core.Lookup(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := a.Versions()
+		if len(vs) < 3 {
+			t.Errorf("%s has only %d versions", app, len(vs))
+		}
+		if vs[0].Class != core.Orig {
+			t.Errorf("%s first version class = %s, want Orig", app, vs[0].Class)
+		}
+	}
+	if !slices.Equal(platform.Names, []string{"svm", "smp", "dsm"}) {
+		t.Errorf("paper platforms = %v, want [svm smp dsm]", platform.Names)
 	}
 }
 

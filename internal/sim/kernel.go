@@ -205,9 +205,6 @@ func (k *Kernel) sample(now uint64) {
 	}
 }
 
-// NumProcs returns the number of simulated processors.
-func (k *Kernel) NumProcs() int { return k.cfg.NumProcs }
-
 // Config returns the run configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 

@@ -53,6 +53,3 @@ func WarmPages(k *Kernel, addr uint64, n int, node int) {
 		pv.Prevalidate(addr, n, node)
 	}
 }
-
-// Platform returns the platform bound to this kernel.
-func (k *Kernel) Platform() Platform { return k.plat }

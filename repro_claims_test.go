@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"testing"
 
+	_ "repro/internal/apps" // register every application
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mem"
@@ -78,11 +79,11 @@ func (l lookup) sp(app, version, plat string) float64 {
 // versions lists app's versions, original first.
 func (l lookup) versions(app string) []core.Version {
 	l.Helper()
-	vs, err := Versions(app)
+	a, err := core.Lookup(app)
 	if err != nil {
 		l.Fatal(err)
 	}
-	return vs
+	return a.Versions()
 }
 
 // farBehind is the headline predicate: an SVM speedup "far behind" a
@@ -144,7 +145,7 @@ type claim struct {
 
 var claims = []claim{
 	{"OriginalsTrailHardware", "Fig. 2", both, func(l lookup) {
-		for _, app := range PaperApps() {
+		for _, app := range core.PaperApps() {
 			trailsHardware(l, app, 3)
 		}
 	}},
@@ -158,7 +159,7 @@ var claims = []claim{
 	{"PaddingAloneNeverRescues", "§4, §6", both, func(l lookup) {
 		// "Simple padding and alignment ... is not the answer"; for
 		// several apps it even hurts, by enlarging the data set.
-		for _, app := range PaperApps() {
+		for _, app := range core.PaperApps() {
 			for _, v := range l.versions(app) {
 				if v.Class == core.PA {
 					padNeverRescues(l, app, v.Name, 1.5)
