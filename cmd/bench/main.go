@@ -221,7 +221,7 @@ func runMicro() map[string]Micro {
 			b.Fatal(err)
 		}
 		eng := protocol.NewPageEngine(protocol.PageConfig{Params: pl.P, Domains: 2, Host: pl})
-		npages := int(as.NumPages()) + 1
+		npages := int(as.Span() / platform.PageSize)
 		eng.Init(k, npages)
 		pages := uint64(1<<16) / platform.PageSize
 		b.ReportAllocs()

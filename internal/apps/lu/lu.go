@@ -62,7 +62,6 @@ type instance struct {
 	pr, pc   int // processor grid
 	lay      mem.Layout2D
 	data     []float64
-	orig     []float64
 }
 
 // Build implements core.App.
@@ -118,17 +117,25 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 		return nil, fmt.Errorf("lu: unknown version %q", version)
 	}
 
-	// A well-conditioned, diagonally dominant random matrix.
-	rng := apputil.NewRNG(12345)
+	rng := apputil.NewRNG(inputSeed)
 	in.data = make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			in.data[i*n+j] = rng.Float64()
-		}
-		in.data[i*n+i] += float64(n)
+		drawRow(rng, in.data[i*n:(i+1)*n], i)
 	}
-	in.orig = append([]float64(nil), in.data...)
 	return in, nil
+}
+
+// inputSeed seeds the input matrix, which is drawn row by row in row-major
+// order: Verify regenerates it from the seed rather than keep a copy.
+const inputSeed = 12345
+
+// drawRow fills row i of the input matrix, a well-conditioned, diagonally
+// dominant random matrix, from rng once rng has drawn rows 0..i-1.
+func drawRow(rng *apputil.RNG, row []float64, i int) {
+	for j := range row {
+		row[j] = rng.Float64()
+	}
+	row[i] += float64(len(row))
 }
 
 // owner returns the processor owning block (bi, bj) under the 2-d scatter
@@ -288,10 +295,11 @@ func (in *instance) Body(p *sim.Proc) {
 }
 
 // Verify implements core.Instance: reconstruct L*U and compare against the
-// original matrix.
+// original matrix, regenerated row by row from its seed.
 func (in *instance) Verify() error {
 	n := in.n
 	var maxErr float64
+	rng, orig := apputil.NewRNG(inputSeed), make([]float64, n)
 	// Row i of L*U, accumulated in i-k-j order so the inner loop streams
 	// rows of U: element j gathers L[i][k]*U[k][j] for k < min(i, j) in
 	// ascending k from zero, the same sum in the same order as the
@@ -299,6 +307,7 @@ func (in *instance) Verify() error {
 	acc := make([]float64, n)
 	for i := 0; i < n; i++ {
 		clear(acc)
+		drawRow(rng, orig, i)
 		row := in.data[i*n : (i+1)*n]
 		for k := 0; k < i; k++ {
 			l, urow := row[k], in.data[k*n:(k+1)*n]
@@ -312,7 +321,7 @@ func (in *instance) Verify() error {
 			} else {
 				s += row[j] * in.data[j*n+j] // L[i][j]*U[j][j]
 			}
-			if e := math.Abs(s - in.orig[i*n+j]); e > maxErr {
+			if e := math.Abs(s - orig[j]); e > maxErr {
 				maxErr = e
 			}
 		}

@@ -1,12 +1,14 @@
 package lu
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -62,5 +64,25 @@ func TestLUUnknownVersion(t *testing.T) {
 	a, _ := core.Lookup("lu")
 	if _, err := a.Build("nope", 1, as, 2); err == nil {
 		t.Error("expected error for unknown version")
+	}
+}
+
+// Verify rejects a factorization with one perturbed entry of the factors.
+func TestVerifyRejectsPerturbedFactor(t *testing.T) {
+	as := mem.NewAddressSpace(platform.PageSize, 4)
+	a, _ := core.Lookup("lu")
+	instI, err := a.Build("4da", 0.25, as, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := instI.(*instance)
+	pl, _ := platform.Make("svm", as, 4)
+	sim.New(pl, sim.Config{NumProcs: 4}).Run("lu", in.Body)
+	if err := in.Verify(); err != nil {
+		t.Fatalf("correct factorization rejected: %v", err)
+	}
+	in.data[in.n*in.n/2+3] += 1e-3
+	if err := in.Verify(); err == nil || !strings.Contains(err.Error(), "reconstruction error") {
+		t.Fatalf("Verify of a perturbed factor = %v, want a reconstruction error", err)
 	}
 }

@@ -1,10 +1,15 @@
 package ocean
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/mem"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -58,5 +63,30 @@ func TestOceanColumnOwnersImbalanced(t *testing.T) {
 	corner := run.Procs[0].Counters.PageFetches   // grid position (0,0)
 	if interior <= corner {
 		t.Errorf("interior proc fetches %d <= corner proc %d; want imbalance", interior, corner)
+	}
+}
+
+// Verify rejects a final grid with one perturbed point.
+func TestVerifyRejectsPerturbedPoint(t *testing.T) {
+	as := mem.NewAddressSpace(platform.PageSize, 4)
+	a, _ := core.Lookup("ocean")
+	instI, err := a.Build("rows", 0.25, as, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := instI.(*instance)
+	pl, _ := platform.Make("svm", as, 4)
+	sim.New(pl, sim.Config{NumProcs: 4}).Run("ocean", in.Body)
+	if err := in.Verify(); err != nil {
+		t.Fatalf("correct grid rejected: %v", err)
+	}
+	final := in.a
+	if iterations%2 == 1 {
+		final = in.b
+	}
+	k := in.n*in.n/2 + in.n/2
+	final[k] += 1e-9
+	if err := in.Verify(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("grid point %d ", k)) {
+		t.Fatalf("Verify of a perturbed grid = %v, want an error naming point %d", err, k)
 	}
 }

@@ -58,8 +58,10 @@ type instance struct {
 	local   bool
 	keys    []uint32
 	scratch []uint32
-	input   []uint32
-	hist    [][]int // [proc][radix]
+	// inputSum is the input keys' checksum. Verify takes a sorted output
+	// with the same checksum as a permutation of the input.
+	inputSum uint64
+	hist     [][]int // [proc][radix]
 
 	srcAdr, dstAdr uint64 // simulated base addresses (swapped per pass)
 	histAdr        uint64
@@ -114,7 +116,7 @@ func (app) Build(version string, scale float64, as *mem.AddressSpace, np int) (c
 	for i := range in.keys {
 		in.keys[i] = uint32(rng.Uint64() & (1<<keyBits - 1))
 	}
-	in.input = append([]uint32(nil), in.keys...)
+	in.inputSum = checksum(in.keys)
 	in.scratch = make([]uint32, n)
 	in.hist = make([][]int, np)
 	for i := range in.hist {
@@ -129,6 +131,15 @@ func (in *instance) Body(p *sim.Proc) {
 	lo, hi := apputil.Split(in.n, in.np, id)
 	src, dst := in.keys, in.scratch
 	srcA, dstA := in.srcAdr, in.dstAdr
+	// Per-processor work arrays, reused by every pass; buf is the local
+	// version's gather buffer.
+	offs := make([]int, radix)
+	var bucketStart, fill []int
+	var buf []uint32
+	if in.local {
+		bucketStart = make([]int, radix)
+		buf = make([]uint32, hi-lo)
+	}
 
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * radixBits)
@@ -152,7 +163,6 @@ func (in *instance) Body(p *sim.Proc) {
 			p.ReadRange(in.histAdr+uint64(q)*in.histStride, radix*4)
 		}
 		p.Compute(uint64(2 * radix * in.np))
-		offs := make([]int, radix)
 		base := 0
 		for r := 0; r < radix; r++ {
 			mine := base
@@ -171,7 +181,6 @@ func (in *instance) Body(p *sim.Proc) {
 			// Gather into the local buffer first: all writes are
 			// local, then copy contiguous runs per bucket into the
 			// shared array.
-			bucketStart := make([]int, radix)
 			c := 0
 			for r := 0; r < radix; r++ {
 				bucketStart[r] = c
@@ -179,8 +188,7 @@ func (in *instance) Body(p *sim.Proc) {
 			}
 			// One sequential pass building the buffer (simulated
 			// as local contiguous writes).
-			buf := make([]uint32, hi-lo)
-			fill := append([]int(nil), bucketStart...)
+			fill = append(fill[:0], bucketStart...)
 			p.ReadRange(srcA+uint64(lo)*4, (hi-lo)*4)
 			for i := lo; i < hi; i++ {
 				r := (src[i] >> shift) & (radix - 1)
@@ -228,17 +236,23 @@ func (in *instance) Verify() error {
 	if passes%2 == 1 {
 		out = in.scratch
 	}
-	var sum, ref uint64
-	for i := range out {
-		if i > 0 && out[i-1] > out[i] {
+	for i := 1; i < len(out); i++ {
+		if out[i-1] > out[i] {
 			return fmt.Errorf("radix: out of order at %d: %d > %d", i, out[i-1], out[i])
 		}
-		v, w := uint64(out[i]), uint64(in.input[i])
-		sum += v*v + v*31
-		ref += w*w + w*31
 	}
-	if sum != ref {
+	if checksum(out) != in.inputSum {
 		return fmt.Errorf("radix: output is not a permutation of the input")
 	}
 	return nil
+}
+
+// checksum is Σ k²+31k over keys, the same for every permutation of them.
+func checksum(keys []uint32) uint64 {
+	var sum uint64
+	for _, k := range keys {
+		v := uint64(k)
+		sum += v*v + v*31
+	}
+	return sum
 }

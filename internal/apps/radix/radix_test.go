@@ -2,6 +2,7 @@ package radix
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -46,7 +47,7 @@ func TestRadixMatchesSortReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := instI.(*instance)
-	want := append([]uint32(nil), in.input...)
+	want := append([]uint32(nil), in.keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	pl, _ := platform.Make("svm", as, 2)
 	sim.New(pl, sim.Config{NumProcs: 2, Check: true}).Run("radix", in.Body)
@@ -80,5 +81,32 @@ func TestRadixLocalBufferVersion(t *testing.T) {
 		if w := r.TotalCycles(stats.DataWait) + r.TotalCycles(stats.BarrierWait); w < r.TotalCycles(stats.Compute) {
 			t.Errorf("%s: communication+barrier (%d) should dominate compute (%d)", r.Name, w, r.TotalCycles(stats.Compute))
 		}
+	}
+}
+
+// Verify rejects an output that is sorted but not a permutation of the
+// input: one key raised to its successor's value keeps the order and
+// changes the checksum.
+func TestVerifyRejectsNonPermutation(t *testing.T) {
+	as := mem.NewAddressSpace(platform.PageSize, 2)
+	a, _ := core.Lookup("radix")
+	instI, err := a.Build("orig", 0.125, as, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := instI.(*instance)
+	pl, _ := platform.Make("svm", as, 2)
+	sim.New(pl, sim.Config{NumProcs: 2}).Run("radix", in.Body)
+	if err := in.Verify(); err != nil {
+		t.Fatalf("sorted output rejected: %v", err)
+	}
+	for i := 1; i < len(in.keys); i++ {
+		if in.keys[i-1] < in.keys[i] {
+			in.keys[i-1] = in.keys[i]
+			break
+		}
+	}
+	if err := in.Verify(); err == nil || !strings.Contains(err.Error(), "not a permutation") {
+		t.Fatalf("Verify of a sorted non-permutation = %v, want a permutation error", err)
 	}
 }

@@ -20,11 +20,14 @@
 // address whose tag does not fit its record is rejected with a panic
 // carrying an error, never truncated into an alias of another line;
 // Config.Limit gives the range, so a platform can refuse an address space
-// that exceeds it before a run.
+// that exceeds it before a run. A hierarchy built for a smaller span
+// (NewSpan) allocates records only for the sets that span reaches and
+// rejects lines past it the same way.
 package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -165,19 +168,25 @@ func sets(field string, size, assoc, line int) int {
 	return nSets
 }
 
-func newL1(size, line int) l1Level {
+// newL1 and newLevel build a level for lines 0..reach-1. The set geometry
+// (set mask and shift, tag width) is always the full level's; only the
+// record slice is cut to the sets those lines can index. A level with more
+// sets than reach gives each of those lines its own set at index la, so the
+// shorter slice holds exactly the lines, ranks and states the full one
+// would, and no reachable line indexes past it.
+func newL1(size, line int, reach uint64) l1Level {
 	nSets := sets("L1Size", size, 1, line)
 	return l1Level{
-		slots:    make([]slot, nSets),
+		slots:    make([]slot, min(uint64(nSets), reach)),
 		setMask:  uint64(nSets - 1),
 		setShift: uint(bits.TrailingZeros(uint(nSets))),
 	}
 }
 
-func newLevel(size, assoc, line int) level {
+func newLevel(size, assoc, line int, reach uint64) level {
 	nSets := sets("L2Size", size, assoc, line)
 	return level{
-		ways:     make([]way, nSets*assoc),
+		ways:     make([]way, min(uint64(nSets), reach)*uint64(assoc)),
 		assoc:    assoc,
 		setMask:  uint64(nSets - 1),
 		setShift: uint(bits.TrailingZeros(uint(nSets))),
@@ -299,24 +308,38 @@ type Hierarchy struct {
 	Accesses, L1Misses, L2Misses uint64
 }
 
-// New builds a hierarchy from cfg. A shape it cannot model — a line size or
-// L2 associativity that is not a power of two, a level whose set count is
-// not a power of two — panics with an error naming the Config field.
+// New builds a hierarchy from cfg over its whole tag range (Config.Limit).
+// A shape it cannot model — a line size or L2 associativity that is not a
+// power of two, a level whose set count is not a power of two — panics with
+// an error naming the Config field.
 func New(cfg Config) *Hierarchy {
+	return NewSpan(cfg, math.MaxUint64)
+}
+
+// NewSpan builds a hierarchy from cfg for addresses below span bytes: each
+// level allocates records only for the sets those lines can index, at most
+// one set per line, and every entry point rejects a line at or past span
+// (or past Config.Limit) with the out-of-range error. Within the span it
+// behaves exactly as New's full-size hierarchy, whose sets past the span's
+// lines would stay empty. The platforms size their hierarchies to the
+// page-rounded span of their address space at attach.
+func NewSpan(cfg Config, span uint64) *Hierarchy {
 	switch {
 	case !pow2(cfg.Line):
 		panic(configError("Line", cfg.Line, "a power of two"))
 	case !pow2(cfg.L2Assoc):
 		panic(configError("L2Assoc", cfg.L2Assoc, "a power of two"))
 	}
+	lineShift := uint(bits.TrailingZeros(uint(cfg.Line)))
+	reach := span >> lineShift
 	h := &Hierarchy{
 		cfg:       cfg,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.Line))),
-		l1:        newL1(cfg.L1Size, cfg.Line),
-		l2:        newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line),
+		lineShift: lineShift,
+		l1:        newL1(cfg.L1Size, cfg.Line, reach),
+		l2:        newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line, reach),
 		fast12:    cfg.L2Assoc == 2,
 	}
-	h.lineLimit = cfg.Limit() >> h.lineShift
+	h.lineLimit = min(cfg.Limit()>>lineShift, reach)
 	return h
 }
 
@@ -726,7 +749,7 @@ func (l *level) checkRanks() error {
 	return nil
 }
 
-// Reset returns the hierarchy to its exact post-New state — all-zero tag
+// Reset returns the hierarchy to its exact freshly built state — all-zero tag
 // arrays (every set cold, no way touched), an empty fill filter, zero
 // counters — without reallocating the way records, so a platform
 // reattaching between runs allocates nothing.

@@ -40,6 +40,12 @@ func (a *AddressSpace) PageOf(addr uint64) uint64 { return addr / a.pageSize }
 // NumPages returns the number of pages allocated so far.
 func (a *AddressSpace) NumPages() uint64 { return (a.next + a.pageSize - 1) / a.pageSize }
 
+// Span returns the page-rounded reach of the address space in bytes:
+// NumPages()+1 whole pages. The page platforms size their page tables to it
+// and every platform its cache tag arrays, so a whole-page walk of the last
+// allocated page stays inside both.
+func (a *AddressSpace) Span() uint64 { return (a.NumPages() + 1) * a.pageSize }
+
 // End returns the end of the allocated range: every address allocated so
 // far is below it.
 func (a *AddressSpace) End() uint64 { return a.next }

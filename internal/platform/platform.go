@@ -62,10 +62,11 @@ var presets = []preset{
 }
 
 // busMachine builds the Challenge-class SMP: {sts × SnoopBus} over
-// centralized memory, so the address space's page homes are ignored.
+// centralized memory, so the address space's page homes are ignored; its
+// span still sizes the caches.
 func busMachine(sts protocol.StateKind) func(string, *mem.AddressSpace, int) sim.Platform {
-	return func(name string, _ *mem.AddressSpace, np int) sim.Platform {
-		return protocol.NewBusMachine(name, sts, protocol.ChallengeCache, protocol.DefaultBusParams(), np)
+	return func(name string, as *mem.AddressSpace, np int) sim.Platform {
+		return protocol.NewBusMachine(name, sts, protocol.ChallengeCache, as, protocol.DefaultBusParams(), np)
 	}
 }
 

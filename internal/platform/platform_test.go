@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/protocol"
+	"repro/internal/sim"
 )
 
 func TestMakeAllPresets(t *testing.T) {
@@ -142,5 +143,69 @@ func TestMakeRejectsAddressSpacePastTagRange(t *testing.T) {
 	}
 	if _, err := Make("svm", as, 2); err != nil {
 		t.Fatalf("svm over a 1 GiB address space: %v", err)
+	}
+}
+
+// Every preset sizes its page tables and cache tag arrays at attach to the
+// address space's span (mem.AddressSpace.Span), so an access past the span
+// fails the run as a contained *sim.ProcPanicError — on the page's home
+// node and elsewhere, by scalar access and by range, at the first byte past
+// the span and far beyond it — instead of being served silently, while the
+// span's last byte is served. The space grows after Make, as an app's Build
+// grows it after the platform is chosen.
+func TestAccessPastAddressSpacePanics(t *testing.T) {
+	type body func(p *sim.Proc, addr uint64)
+	cases := []struct {
+		name string
+		body body
+	}{
+		{"read on proc 0", func(p *sim.Proc, addr uint64) {
+			if p.ID() == 0 {
+				p.Read(addr)
+			}
+		}},
+		{"read on proc 1", func(p *sim.Proc, addr uint64) {
+			if p.ID() == 1 {
+				p.Read(addr)
+			}
+		}},
+		{"write range", func(p *sim.Proc, addr uint64) { p.WriteRange(addr, 4096) }},
+	}
+	for _, name := range AllPresets {
+		for _, c := range cases {
+			for _, far := range []bool{false, true} {
+				as := mem.NewAddressSpace(PageSize, 2)
+				pl, err := Make(name, as, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := as.AllocPages(4096)
+				past := as.Span()
+				if far {
+					past = a + 64*4096
+				}
+				k := sim.New(pl, sim.Config{NumProcs: 2})
+				_, err = k.RunErr(c.name, func(p *sim.Proc) {
+					c.body(p, past)
+					p.Barrier()
+				})
+				var pe *sim.ProcPanicError
+				if !errors.As(err, &pe) {
+					t.Errorf("%s: %s at %#x (span %#x): err = %v, want *sim.ProcPanicError", name, c.name, past, as.Span(), err)
+				}
+			}
+		}
+		as := mem.NewAddressSpace(PageSize, 2)
+		pl, _ := Make(name, as, 2)
+		as.AllocPages(4096)
+		last := as.Span() - 8
+		k := sim.New(pl, sim.Config{NumProcs: 2, Check: true})
+		if _, err := k.RunErr("last word", func(p *sim.Proc) {
+			p.Write(last)
+			p.Barrier()
+			p.Read(last)
+		}); err != nil {
+			t.Errorf("%s: the span's last word %#x: %v", name, last, err)
+		}
 	}
 }

@@ -26,7 +26,7 @@ const benchTableLines = 1 << 16
 
 func BenchmarkLineEngineEntry(b *testing.B) {
 	b.Run("first-touch", func(b *testing.B) {
-		e := NewLineEngine(MESI, busCfg, 1)
+		e := NewLineEngine(MESI, busCfg, busCfg.Limit(), 1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			la := uint64(i) % benchTableLines
@@ -37,7 +37,7 @@ func BenchmarkLineEngineEntry(b *testing.B) {
 		}
 	})
 	b.Run("retouch", func(b *testing.B) {
-		e := NewLineEngine(MESI, busCfg, 1)
+		e := NewLineEngine(MESI, busCfg, busCfg.Limit(), 1)
 		for la := uint64(0); la < benchTableLines; la++ {
 			e.Entry(la)
 		}
@@ -56,7 +56,7 @@ func benchMachine(b *testing.B, dir bool) (*sim.Kernel, *HW) {
 	b.Helper()
 	as := mem.NewAddressSpace(4096, 2)
 	as.AllocPages(64 << 20)
-	pl := NewBusMachine("smp", MESI, busCfg, DefaultBusParams(), 2)
+	pl := NewBusMachine("smp", MESI, busCfg, as, DefaultBusParams(), 2)
 	if dir {
 		pl = NewDirMachine("dsm", MESI, dirCfg, as, DefaultDirParams(), 2)
 	}
@@ -119,11 +119,14 @@ func BenchmarkSlowLine(b *testing.B) {
 }
 
 // BenchmarkHWAttach times the per-run engine build of a bus machine: one
-// line table plus np cache hierarchies.
+// line table plus np cache hierarchies, over an address space whose span
+// reaches every set of busCfg's L2.
 func BenchmarkHWAttach(b *testing.B) {
+	as := mem.NewAddressSpace(4096, 1)
+	as.AllocPages(64 << 20)
 	for _, np := range []int{4, 128} {
 		b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
-			pl := NewBusMachine("smp", MESI, busCfg, DefaultBusParams(), np)
+			pl := NewBusMachine("smp", MESI, busCfg, as, DefaultBusParams(), np)
 			k := sim.New(pl, sim.Config{NumProcs: np})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

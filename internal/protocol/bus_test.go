@@ -18,10 +18,10 @@ var testBusCfg = cache.Config{
 // testBusMachine builds a bus machine with an explicit upgrade-accounting
 // policy (NewBusMachine pins PerSharer; the Broadcast flavor is reached in
 // production through the two-level platform's per-cluster buses).
-func testBusMachine(upg UpgradeAccounting, np int) *HW {
+func testBusMachine(upg UpgradeAccounting, as *mem.AddressSpace, np int) *HW {
 	p := DefaultBusParams()
 	return &HW{
-		name: "test-bus", sts: MESI, cfg: testBusCfg, np: np,
+		name: "test-bus", sts: MESI, cfg: testBusCfg, as: as, np: np,
 		tr:          &SnoopBus{P: p, Upgrade: upg, Acct: BusAccounting{ClassifyMisses: true, EmitTxn: true}},
 		l2HitCost:   p.L2HitCost,
 		lockRelease: p.LockRelease,
@@ -36,7 +36,7 @@ func testBusMachine(upg UpgradeAccounting, np int) *HW {
 func upgradeDataWait(t *testing.T, upg UpgradeAccounting, writerHolds bool) uint64 {
 	t.Helper()
 	as := mem.NewAddressSpace(4096, 4)
-	pl := testBusMachine(upg, 4)
+	pl := testBusMachine(upg, as, 4)
 	k := sim.New(pl, sim.Config{NumProcs: 4, Check: true})
 	a := as.AllocPages(4096)
 	run, err := k.RunErr("upgrade", func(p *sim.Proc) {

@@ -34,6 +34,7 @@ type HW struct {
 	name string
 	sts  StateKind
 	cfg  cache.Config
+	as   *mem.AddressSpace
 	tr   Transport
 	np   int
 	k    *sim.Kernel
@@ -49,10 +50,11 @@ type HW struct {
 
 // NewBusMachine composes a snooping-bus machine: StateKind × SnoopBus with
 // per-sharer upgrade accounting, per-transaction miss classification and
-// BusTxn trace events (the machine-wide bus observability profile).
-func NewBusMachine(name string, sts StateKind, cfg cache.Config, p BusParams, np int) *HW {
+// BusTxn trace events (the machine-wide bus observability profile). Memory
+// is centralized, so the address space sizes the caches but places nothing.
+func NewBusMachine(name string, sts StateKind, cfg cache.Config, as *mem.AddressSpace, p BusParams, np int) *HW {
 	return &HW{
-		name: name, sts: sts, cfg: cfg, np: np,
+		name: name, sts: sts, cfg: cfg, as: as, np: np,
 		tr: &SnoopBus{
 			P:       p,
 			Upgrade: UpgradePerSharer,
@@ -69,7 +71,7 @@ func NewBusMachine(name string, sts StateKind, cfg cache.Config, p BusParams, np
 // Directory, with homes taken from the address space's page placement.
 func NewDirMachine(name string, sts StateKind, cfg cache.Config, as *mem.AddressSpace, p DirParams, np int) *HW {
 	return &HW{
-		name: name, sts: sts, cfg: cfg, np: np,
+		name: name, sts: sts, cfg: cfg, as: as, np: np,
 		tr:          &Directory{P: p, AS: as, NP: np},
 		l2HitCost:   p.L2HitCost,
 		lockRelease: p.LockRelease,
@@ -84,10 +86,11 @@ func (w *HW) Name() string { return w.name }
 // LineSize reports the coherence line size for range accesses.
 func (w *HW) LineSize() int { return w.cfg.Line }
 
-// Attach implements sim.Platform.
+// Attach implements sim.Platform. The caches are sized here, to the address
+// space's span as it stands when the run starts.
 func (w *HW) Attach(k *sim.Kernel) {
 	w.k = k
-	w.Eng = NewLineEngine(w.sts, w.cfg, w.np)
+	w.Eng = NewLineEngine(w.sts, w.cfg, w.as.Span(), w.np)
 	w.tr.Reset()
 }
 

@@ -17,10 +17,8 @@ var (
 // returns how many interconnect transactions it took (every SnoopBus and
 // Directory transaction classifies the access as exactly one local or remote
 // miss).
-func slowTransactions(t *testing.T, pl *HW) uint64 {
+func slowTransactions(t *testing.T, pl *HW, a uint64) uint64 {
 	t.Helper()
-	as := mem.NewAddressSpace(4096, 1)
-	a := as.AllocPages(4096)
 	k := sim.New(pl, sim.Config{NumProcs: 1, Check: true})
 	run, err := k.RunErr("read-write", func(p *sim.Proc) {
 		p.Read(a)
@@ -43,14 +41,15 @@ func slowTransactions(t *testing.T, pl *HW) uint64 {
 // transaction for the upgrade — on either transport.
 func TestStateMachineTransportCompositions(t *testing.T) {
 	as := mem.NewAddressSpace(4096, 1)
+	a := as.AllocPages(4096)
 	cases := []struct {
 		pl       *HW
 		sts      StateKind
 		trKind   string
 		wantTxns uint64
 	}{
-		{NewBusMachine("smp", MESI, busCfg, DefaultBusParams(), 1), MESI, "bus", 1},
-		{NewBusMachine("smp-msi", MSI, busCfg, DefaultBusParams(), 1), MSI, "bus", 2},
+		{NewBusMachine("smp", MESI, busCfg, as, DefaultBusParams(), 1), MESI, "bus", 1},
+		{NewBusMachine("smp-msi", MSI, busCfg, as, DefaultBusParams(), 1), MSI, "bus", 2},
 		{NewDirMachine("dsm", MESI, dirCfg, as, DefaultDirParams(), 1), MESI, "directory", 1},
 		{NewDirMachine("dsm-msi", MSI, dirCfg, as, DefaultDirParams(), 1), MSI, "directory", 2},
 	}
@@ -69,7 +68,7 @@ func TestStateMachineTransportCompositions(t *testing.T) {
 		if trKind != tc.trKind {
 			t.Errorf("%s: transport %T, want %s", name, tc.pl.tr, tc.trKind)
 		}
-		if got := slowTransactions(t, tc.pl); got != tc.wantTxns {
+		if got := slowTransactions(t, tc.pl, a); got != tc.wantTxns {
 			t.Errorf("%s (%s × %s): read-then-write took %d transactions, want %d",
 				name, tc.sts, tc.trKind, got, tc.wantTxns)
 		}
@@ -79,9 +78,9 @@ func TestStateMachineTransportCompositions(t *testing.T) {
 // Under MSI no cache may ever hold a line Exclusive; the unified invariant
 // checker enforces it. Force the state by hand and check it is caught.
 func TestMSICheckerRejectsExclusive(t *testing.T) {
-	pl := NewBusMachine("smp-msi", MSI, busCfg, DefaultBusParams(), 1)
 	as := mem.NewAddressSpace(4096, 1)
 	a := as.AllocPages(4096)
+	pl := NewBusMachine("smp-msi", MSI, busCfg, as, DefaultBusParams(), 1)
 	k := sim.New(pl, sim.Config{NumProcs: 1})
 	if _, err := k.RunErr("seed", func(p *sim.Proc) { p.Read(a); p.Barrier() }); err != nil {
 		t.Fatal(err)

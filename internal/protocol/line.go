@@ -45,14 +45,15 @@ const (
 type lineChunk [chunkLen]LineEntry
 
 // NewLineEngine builds an engine of np member caches with the given
-// hierarchy configuration, wiring L2 evictions back into the line table
-// (an evicted line stops being a sharer; an evicted owner's dirty line
-// conceptually writes back to memory).
-func NewLineEngine(sts StateKind, cfg cache.Config, np int) *LineEngine {
+// hierarchy configuration, each sized for addresses below span bytes
+// (cache.NewSpan), wiring L2 evictions back into the line table (an evicted
+// line stops being a sharer; an evicted owner's dirty line conceptually
+// writes back to memory).
+func NewLineEngine(sts StateKind, cfg cache.Config, span uint64, np int) *LineEngine {
 	e := &LineEngine{Sts: sts, NP: np, lineSz: uint64(cfg.Line)}
 	e.Caches = make([]*cache.Hierarchy, np)
 	for i := 0; i < np; i++ {
-		h := cache.New(cfg)
+		h := cache.NewSpan(cfg, span)
 		m := i
 		h.OnL2Evict = func(la uint64, st cache.State) {
 			if le := e.Lookup(la); le != nil {

@@ -27,7 +27,7 @@ type refLines struct {
 }
 
 func newRefLines(np int) *refLines {
-	r := &refLines{eng: NewLineEngine(MESI, lineTestCfg, np), lines: map[uint64]*LineEntry{}}
+	r := &refLines{eng: NewLineEngine(MESI, lineTestCfg, lineTestCfg.Limit(), np), lines: map[uint64]*LineEntry{}}
 	for i, h := range r.eng.Caches {
 		m := i
 		h.OnL2Evict = func(la uint64, st cache.State) {
@@ -137,7 +137,7 @@ func TestLineTableMatchesMapReference(t *testing.T) {
 	const np = 4
 	line := uint64(lineTestCfg.Line)
 	for seed := int64(1); seed <= 4; seed++ {
-		e, ref := NewLineEngine(MESI, lineTestCfg, np), newRefLines(np)
+		e, ref := NewLineEngine(MESI, lineTestCfg, lineTestCfg.Limit(), np), newRefLines(np)
 		rng := rand.New(rand.NewSource(seed))
 		pickLine := func() uint64 {
 			switch rng.Intn(4) {
@@ -218,7 +218,7 @@ func TestLineTableMatchesMapReference(t *testing.T) {
 // sorting its keys.
 func TestCheckInvariantsReportsLowestLine(t *testing.T) {
 	for _, pair := range [][2]uint64{{5, 9}, {9, 5}, {3, 5 * chunkLen}, {5 * chunkLen, 3}, {1 << 17, 2 * chunkLen}} {
-		e := NewLineEngine(MESI, lineTestCfg, 2)
+		e := NewLineEngine(MESI, lineTestCfg, lineTestCfg.Limit(), 2)
 		for _, la := range pair {
 			e.Entry(la).Sharers = 2 // member 1 listed, but its cache holds nothing
 		}
@@ -237,7 +237,7 @@ func TestAddressBeyondTagRangeFailsRun(t *testing.T) {
 	const bad = uint64(1) << 60
 	as := mem.NewAddressSpace(4096, 1)
 	for _, pl := range []*HW{
-		NewBusMachine("smp", MESI, busCfg, DefaultBusParams(), 1),
+		NewBusMachine("smp", MESI, busCfg, as, DefaultBusParams(), 1),
 		NewDirMachine("dsm", MESI, dirCfg, as, DefaultDirParams(), 1),
 	} {
 		k := sim.New(pl, sim.Config{NumProcs: 1})

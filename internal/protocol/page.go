@@ -84,9 +84,9 @@ type PageEngine struct {
 	nd        int
 	pageShift uint
 
-	// notices[q] is domain q's write-notice log; acquirers walk the
-	// intervals their vector clock advances over and invalidate the pages
-	// flushed in them (the write notices of LRC).
+	// notices[q] is domain q's write-notice log; acquirers read the pages
+	// flushed in the intervals their vector clock advances over and
+	// invalidate them (the write notices of LRC).
 	notices []noticeLog
 
 	// lockVC[id] is the releaser's vector clock at the last release of
@@ -98,19 +98,43 @@ type PageEngine struct {
 	npagesAlloc int
 }
 
-// noticeLog is one domain's write notices, flat and pointer-free: the pages
-// flushed in interval i are pages[ends[i-1]:ends[i]], and ends[0] == 0 closes
-// the empty interval 0, so len(ends) is the domain's interval count plus one.
-// Flush appends in place. Most intervals of lock-heavy runs log no page, so
-// ends is most of the log; uint32 offsets halve it (2^32 notices would be
+// noticeLog is one domain's write notices, flat and pointer-free: pages
+// holds every page flushed, interval after interval, and marks holds one
+// (interval, end) pair per interval that logged a page, ascending in both.
+// The pages of intervals 1..i end at endOf(i), the end of the last mark at
+// or before interval i, so intervals from+1..upTo are one slice of pages.
+// Flush appends in place. Most intervals of lock-heavy runs log no page and
+// leave no mark; uint32 fields keep a mark at 8 bytes (2^32 notices would be
 // 32 GiB of pages).
 type noticeLog struct {
 	pages []uint64
-	ends  []uint32
+	marks []noticeMark
 }
 
-// interval returns the pages flushed in interval i (0 < i < len(ends)).
-func (l *noticeLog) interval(i int) []uint64 { return l.pages[l.ends[i-1]:l.ends[i]] }
+// noticeMark closes an interval that logged pages: its pages end at offset
+// end of the log.
+type noticeMark struct{ interval, end uint32 }
+
+// endOf returns the number of pages logged in intervals 1..i.
+func (l *noticeLog) endOf(i uint32) uint32 {
+	// k counts the marks at or before i: all of them for an acquirer
+	// catching up to the latest interval, the common case, else a binary
+	// search finds the first mark past i.
+	k := len(l.marks)
+	if k > 0 && l.marks[k-1].interval > i {
+		k = sort.Search(k, func(m int) bool { return l.marks[m].interval > i })
+	}
+	if k == 0 {
+		return 0
+	}
+	return l.marks[k-1].end
+}
+
+// since returns the pages flushed in intervals from+1..upTo (from < upTo),
+// in the order they were flushed.
+func (l *noticeLog) since(from, upTo uint32) []uint64 {
+	return l.pages[l.endOf(from):l.endOf(upTo)]
+}
 
 // NewPageEngine builds an engine; per-run state is created by Init.
 func NewPageEngine(cfg PageConfig) *PageEngine {
@@ -142,7 +166,7 @@ func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 			d.NIC = sim.Resource{}
 		}
 		for i := range e.notices {
-			e.notices[i] = noticeLog{pages: e.notices[i].pages[:0], ends: append(e.notices[i].ends[:0], 0)}
+			e.notices[i] = noticeLog{pages: e.notices[i].pages[:0], marks: e.notices[i].marks[:0]}
 		}
 		clear(e.lockVC)
 		reused = true
@@ -156,9 +180,6 @@ func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 			}
 		}
 		e.notices = make([]noticeLog, e.nd)
-		for i := range e.notices {
-			e.notices[i].ends = []uint32{0}
-		}
 		e.lockVC = map[int][]uint32{}
 		e.npagesAlloc = npages
 	}
@@ -263,6 +284,7 @@ func (e *PageEngine) DiffHome(p int, pg uint64, now uint64) (local uint64) {
 func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 	d := e.Doms[dom]
 	log := &e.notices[dom]
+	start := len(log.pages)
 	// Pages whose diff already went home at an acquire-time invalidation
 	// still owe a write notice in this interval; re-dirtied ones are
 	// covered by the dirty-list walk below.
@@ -286,7 +308,6 @@ func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 		}
 	}
 	d.DirtyLst = d.DirtyLst[:0]
-	log.ends = append(log.ends, uint32(len(log.pages)))
 	if d.Interval == math.MaxUint32 {
 		// Intervals advance at every release and barrier arrival whether or
 		// not anything was written, so a long enough run genuinely gets
@@ -294,6 +315,9 @@ func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 		// 0 would compare older than everything it follows), so fail loudly;
 		// the kernel contains the panic as a ProcPanicError.
 		panic(&IntervalOverflowError{Node: dom})
+	}
+	if len(log.pages) > start {
+		log.marks = append(log.marks, noticeMark{d.Interval + 1, uint32(len(log.pages))})
 	}
 	d.Interval++
 	d.VC[dom] = d.Interval
@@ -332,45 +356,39 @@ func (d *PageDomain) addPending(pg uint64) {
 // invalidated and the cycles spent flushing diffs of dirty pages home before
 // dropping them.
 func (e *PageEngine) InvalidateUpTo(dom, q int, upTo uint32, p int, now uint64) (inv int, diffC uint64) {
-	if dom == q {
+	d := e.Doms[dom]
+	if dom == q || upTo <= d.VC[q] {
 		return 0, 0
 	}
-	d := e.Doms[dom]
-	log := &e.notices[q]
-	for i := d.VC[q] + 1; i <= upTo; i++ {
-		for _, pg := range log.interval(int(i)) {
-			// The home keeps its copy up to date by applying diffs;
-			// everyone else invalidates.
-			if e.Cfg.Host.HomeDomain(pg*e.P.PageSize) == dom {
-				continue
+	for _, pg := range e.notices[q].since(d.VC[q], upTo) {
+		// The home keeps its copy up to date by applying diffs; everyone
+		// else invalidates.
+		if e.Cfg.Host.HomeDomain(pg*e.P.PageSize) == dom {
+			continue
+		}
+		if d.Valid[pg] {
+			if d.Dirty[pg] {
+				// The page was written here in the still-open interval. A
+				// multiple-writer protocol must not lose those writes:
+				// compute the diff against the twin and flush it home
+				// before dropping the copy (TreadMarks-style
+				// diff-on-invalidate; word-grained diffs merge at the home,
+				// which is what makes falsely-shared pages safe). The write
+				// notice is still published when the interval closes.
+				// Leaving the entry in DirtyLst instead would flush a diff
+				// for an invalid page — and a re-write after a refetch would
+				// append a duplicate entry, double-counting the diff.
+				diffC += e.DiffHome(p, pg, now+diffC)
+				d.removeDirty(pg)
+				d.addPending(pg)
 			}
-			if d.Valid[pg] {
-				if d.Dirty[pg] {
-					// The page was written here in the still-open interval. A
-					// multiple-writer protocol must not lose those writes:
-					// compute the diff against the twin and flush it home
-					// before dropping the copy (TreadMarks-style
-					// diff-on-invalidate; word-grained diffs merge at the
-					// home, which is what makes falsely-shared pages safe).
-					// The write notice is still published when the interval
-					// closes. Leaving the entry in DirtyLst instead would
-					// flush a diff for an invalid page — and a re-write after
-					// a refetch would append a duplicate entry,
-					// double-counting the diff.
-					diffC += e.DiffHome(p, pg, now+diffC)
-					d.removeDirty(pg)
-					d.addPending(pg)
-				}
-				d.Valid[pg] = false
-				d.Dirty[pg] = false
-				inv++
-				e.k.Emit(trace.Invalidate, p, now, pg, e.P.InvalCost)
-			}
+			d.Valid[pg] = false
+			d.Dirty[pg] = false
+			inv++
+			e.k.Emit(trace.Invalidate, p, now, pg, e.P.InvalCost)
 		}
 	}
-	if upTo > d.VC[q] {
-		d.VC[q] = upTo
-	}
+	d.VC[q] = upTo
 	return inv, diffC
 }
 
@@ -447,12 +465,31 @@ func (e *PageEngine) DepartApply(dom, p int, releaseTime uint64) uint64 {
 	return uint64(inv) * e.P.InvalCost
 }
 
+// check audits the log of a domain that has closed intervals 1..interval.
+func (l *noticeLog) check(interval uint32) error {
+	var prev noticeMark // interval 0 logs nothing and ends at 0
+	for i, m := range l.marks {
+		if m.interval <= prev.interval || m.end <= prev.end {
+			return fmt.Errorf("mark %d (interval %d, end %d) does not ascend past (interval %d, end %d)", i, m.interval, m.end, prev.interval, prev.end)
+		}
+		prev = m
+	}
+	if prev.interval > interval {
+		return fmt.Errorf("marks interval %d, past the last closed interval %d", prev.interval, interval)
+	}
+	if int(prev.end) != len(l.pages) {
+		return fmt.Errorf("marks end at %d but holds %d pages", prev.end, len(l.pages))
+	}
+	return nil
+}
+
 // CheckInvariants audits the HLRC state — the single implementation of the
 // page-protocol invariants the flat and two-level platforms each carried a
 // copy of. The audited invariants:
 //
 //   - a domain's own vector-clock entry tracks its interval counter, and its
-//     write log holds exactly one notice list per closed interval;
+//     write log's marks ascend strictly in interval and in end, name no
+//     interval past the counter, and end exactly at the last logged page;
 //   - no vector clock (per domain or per lock) claims knowledge of an
 //     interval its producer has not reached (vector-clock monotonicity);
 //   - the dirty list is duplicate-free and agrees with the dirty bits, and
@@ -472,8 +509,8 @@ func (e *PageEngine) CheckInvariants() error {
 		if d.VC[dom] != d.Interval {
 			return fmt.Errorf("%s: %s %d's own vector-clock entry is %d but its interval is %d", scope, noun, dom, d.VC[dom], d.Interval)
 		}
-		if got, want := len(e.notices[dom].ends), int(d.Interval)+1; got != want {
-			return fmt.Errorf("%s: %s %d's write log has %d interval entries, want %d", scope, noun, dom, got, want)
+		if err := e.notices[dom].check(d.Interval); err != nil {
+			return fmt.Errorf("%s: %s %d's write log %w", scope, noun, dom, err)
 		}
 		for q, dq := range e.Doms {
 			if d.VC[q] > dq.Interval {

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"debug/elf"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -226,6 +228,60 @@ func TestFingerprintStableAndNonEmpty(t *testing.T) {
 	a, b := Fingerprint(), Fingerprint()
 	if a == "" || a != b {
 		t.Errorf("Fingerprint() = %q then %q, want stable non-empty", a, b)
+	}
+}
+
+// A `go test` binary carries no VCS stamp, so on an ELF host it is
+// fingerprinted by the content ID in its Go build-ID note, not by hashing
+// the file. The hand parse reads the same note debug/elf finds, every
+// truncation of the image yields the note or nothing, and a file without
+// the note yields no content ID.
+func TestTestBinaryGetsBuildIDFingerprint(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skip(err)
+	}
+	ef, err := elf.Open(exe)
+	if err != nil {
+		t.Skipf("%s is not ELF on %s: %v", exe, runtime.GOOS, err)
+	}
+	defer ef.Close()
+	sec := ef.Section(".note.go.buildid")
+	if sec == nil {
+		t.Skipf("%s has no Go build-ID note", exe)
+	}
+	note, err := sec.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The descriptor follows namesz, descsz, type and "Go\x00\x00".
+	full := string(note[16 : 16+ef.ByteOrder.Uint32(note[4:])])
+	if !strings.Contains(full, "/") {
+		t.Fatalf("build ID %q has no components", full)
+	}
+	id := full[strings.LastIndexByte(full, '/')+1:]
+	if got := contentID(exe); got != id {
+		t.Errorf("contentID = %q, want %q (the last component of %q)", got, id, full)
+	}
+	if fp := Fingerprint(); fp != "bid:"+id {
+		t.Errorf("Fingerprint() = %q, want %q", fp, "bid:"+id)
+	}
+	head, err := os.ReadFile(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head = head[:min(len(head), 32<<10)]
+	for n := 0; n <= len(head); n++ {
+		if got := string(goBuildIDNote(head[:n])); got != "" && got != full {
+			t.Fatalf("the first %d bytes give build ID %q, want %q or none", n, got, full)
+		}
+	}
+	plain := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(plain, []byte("not an executable"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if id := contentID(plain); id != "" {
+		t.Errorf("contentID of a non-ELF file = %q, want none", id)
 	}
 }
 

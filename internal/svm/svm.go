@@ -97,15 +97,18 @@ func (s *Platform) Name() string { return "svm" }
 // accesses.
 func (s *Platform) LineSize() int { return CacheConfig.Line }
 
-// Attach implements sim.Platform, resetting all protocol state. A platform
-// reattached to run again (micro-benchmarks, parameter sweeps on one
-// instance) resets its nodes in place — vector clocks, page tables, the
-// cache tag arrays (about 33 KB per node) and their page fill filters are
-// cleared, not reallocated — so a repeated run allocates nothing and starts
-// from the identical cold state a fresh platform would.
+// Attach implements sim.Platform, resetting all protocol state. Page tables
+// and cache tag arrays are sized to the address space's span (at most about
+// 33 KB of tags per node, less when the span reaches fewer sets). A
+// platform reattached to run again (micro-benchmarks, parameter sweeps on
+// one instance) over a span that still fits resets its nodes in place —
+// vector clocks, page tables, the tag arrays and their page fill filters
+// are cleared, not reallocated — so a repeated run allocates nothing and
+// starts from the identical cold state a fresh platform would.
 func (s *Platform) Attach(k *sim.Kernel) {
 	s.k = k
-	npages := int(s.as.NumPages()) + 1
+	span := s.as.Span()
+	npages := int(span >> s.pageShift)
 	if s.eng.Init(k, npages) {
 		for _, h := range s.caches {
 			h.Reset()
@@ -113,7 +116,7 @@ func (s *Platform) Attach(k *sim.Kernel) {
 	} else {
 		s.caches = make([]*cache.Hierarchy, s.np)
 		for i := range s.caches {
-			s.caches[i] = cache.New(CacheConfig)
+			s.caches[i] = cache.NewSpan(CacheConfig, span)
 			s.caches[i].FilterPages(int(s.P.PageSize), npages)
 		}
 	}

@@ -120,7 +120,8 @@ func (s *Platform) DiffApplied(home int, pg uint64) { s.dropPageLines(home, pg) 
 // Attach implements sim.Platform.
 func (s *Platform) Attach(k *sim.Kernel) {
 	s.k = k
-	npages := int(s.as.NumPages()) + 1
+	span := s.as.Span()
+	npages := int(span >> s.pageShift)
 	s.eng.Init(k, npages)
 	s.caches = make([]*cache.Hierarchy, s.np)
 	s.lineEng = make([]*protocol.LineEngine, s.nc)
@@ -130,7 +131,7 @@ func (s *Platform) Attach(k *sim.Kernel) {
 		if rest := s.np - c*clusterSize; rest < members {
 			members = rest
 		}
-		s.lineEng[c] = protocol.NewLineEngine(protocol.MESI, protocol.ChallengeCache, members)
+		s.lineEng[c] = protocol.NewLineEngine(protocol.MESI, protocol.ChallengeCache, span, members)
 		for _, h := range s.lineEng[c].Caches {
 			h.FilterPages(int(s.hlrc.PageSize), npages)
 		}
