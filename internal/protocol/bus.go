@@ -6,51 +6,27 @@ import (
 	"repro/internal/trace"
 )
 
-// UpgradeAccounting selects how a snooping bus prices the invalidation of
-// remote sharers on a write upgrade. The two values are the two accountings
-// the hand-cloned platforms had silently diverged into (the Challenge
-// machine charged n × InvalPer while internal/svmsmp charged a single
-// Bus.InvalPer); the extraction keeps both as an explicit, documented
-// modeling parameter — see the pinned regressions in bus_test.go.
-type UpgradeAccounting int
-
-const (
-	// UpgradePerSharer charges InvalPer per remote sharer invalidated, plus
-	// a MemLat refetch when the requester no longer holds the line itself
-	// (its copy was evicted between the read and the write). This models a
-	// machine-wide bus where each snooping cache acknowledges in turn — the
-	// paper's SGI Challenge accounting.
-	UpgradePerSharer UpgradeAccounting = iota
-	// UpgradeBroadcast charges a single InvalPer regardless of sharer count
-	// and never a refetch: the invalidation is one broadcast on a short
-	// intra-cluster bus whose snoop responses overlap, appropriate for the
-	// few-processor SMP nodes of the two-level hierarchy.
-	UpgradeBroadcast
-)
-
-// BusAccounting selects which counters and trace events a bus transaction
-// produces — the observability differences between the machine-wide smp bus
-// and the per-cluster buses of the two-level platform, made explicit.
-type BusAccounting struct {
-	// ClassifyMisses updates LocalMisses/RemoteMisses per transaction (the
-	// machine-wide bus does; the intra-cluster buses leave miss
-	// classification to the page layer above them).
-	ClassifyMisses bool
-	// EmitTxn emits a trace.BusTxn event per transaction with its total
-	// cost.
-	EmitTxn bool
-	// TraceID is the processor field stamped on BusOccupy events: 0 for the
-	// single machine-wide bus, the cluster id for per-cluster buses.
-	TraceID int
-}
+// MachineBus is the SnoopBus.Cluster value of a bus that spans the whole
+// machine.
+const MachineBus = -1
 
 // SnoopBus prices coherence actions as transactions on one shared snooping
 // bus: every miss or upgrade arbitrates for the bus and occupies it for a
 // line transfer, so queueing delay under load is the contended resource.
+//
+// Cluster says which bus this is, and that one choice fixes its pricing and
+// observability. The machine-wide bus (MachineBus, the paper's SGI
+// Challenge) charges InvalPer per remote sharer on a write upgrade, plus a
+// MemLat refetch when the writer's own copy was evicted, classifies every
+// transaction as a local or remote miss, emits a BusTxn event per
+// transaction and stamps BusOccupy with 0. A cluster bus of the two-level
+// platform is short and its snoop responses overlap: an upgrade is one
+// broadcast InvalPer and never a refetch, miss classification is left to
+// the page layer above it, it emits no BusTxn, and BusOccupy carries the
+// cluster id. bus_test.go pins both upgrade charges.
 type SnoopBus struct {
 	P       BusParams
-	Upgrade UpgradeAccounting
-	Acct    BusAccounting
+	Cluster int
 	Res     sim.Resource
 }
 
@@ -64,71 +40,63 @@ func (b *SnoopBus) Reset() { b.Res.Reset() }
 // transfers and upgrades are communication, charged to DataWait. Bus
 // queueing delay is charged with the transaction.
 func (b *SnoopBus) SlowLine(k *sim.Kernel, e *LineEngine, m, gp int, now, addr uint64, write bool) sim.AccessCost {
+	machine := b.Cluster == MachineBus
 	h := e.Caches[m]
 	la := h.LineOf(addr)
 	le := e.Entry(la)
 	c := k.Counters(gp)
 	c.BusTransactions++
-	var cost sim.AccessCost
 
 	occ := b.P.BusArb + b.P.BusXfer
 	start := b.Res.Acquire(now, occ)
 	wait := start - now + occ
-	k.Emit(trace.BusOccupy, b.Acct.TraceID, start, la, occ)
+	k.Emit(trace.BusOccupy, b.traceID(), start, la, occ)
 
+	var lat uint64
+	remote := false // a cache-to-cache transfer or an upgrade
 	if write {
-		remoteOwner := le.Owner >= 0 && int(le.Owner) != m
-		remoteSharers := le.Sharers&^(1<<uint(m)) != 0
-		var lat uint64
-		comm := false
 		switch {
-		case remoteOwner:
+		case le.Owner >= 0 && int(le.Owner) != m:
 			lat = b.P.C2CLat
 			e.Caches[le.Owner].SetState(addr, cache.Invalid)
-			comm = true
-		case remoteSharers:
+			remote = true
+		case le.Sharers&^(1<<uint(m)) != 0:
 			n := e.InvalidateSharers(le, m, addr)
-			if b.Upgrade == UpgradePerSharer {
+			lat = b.P.InvalPer
+			if machine {
 				lat = uint64(n) * b.P.InvalPer
 				if !e.HasLine(m, addr) {
 					lat += b.P.MemLat
 				}
-			} else {
-				lat = b.P.InvalPer
 			}
-			comm = true
+			remote = true
 		default:
 			lat = b.P.MemLat
 		}
 		e.WriteClaim(m, addr, le)
-		if comm {
-			cost.DataWait += wait + lat
-			if b.Acct.ClassifyMisses {
-				c.RemoteMisses++
-			}
-		} else {
-			cost.CacheStall += wait + lat
-			if b.Acct.ClassifyMisses {
-				c.LocalMisses++
-			}
-		}
 	} else {
 		if le.Owner >= 0 && int(le.Owner) != m {
 			// Owner supplies the line (cache-to-cache) and downgrades.
 			e.DowngradeOwner(le, addr)
-			cost.DataWait += wait + b.P.C2CLat
-			if b.Acct.ClassifyMisses {
-				c.RemoteMisses++
-			}
+			lat = b.P.C2CLat
+			remote = true
 		} else {
-			cost.CacheStall += wait + b.P.MemLat
-			if b.Acct.ClassifyMisses {
-				c.LocalMisses++
-			}
+			lat = b.P.MemLat
 		}
 		e.ReadFill(m, addr, le)
 	}
-	if b.Acct.EmitTxn {
+	var cost sim.AccessCost
+	if remote {
+		cost.DataWait = wait + lat
+	} else {
+		cost.CacheStall = wait + lat
+	}
+	if machine {
+		if remote {
+			c.RemoteMisses++
+		} else {
+			c.LocalMisses++
+		}
 		k.Emit(trace.BusTxn, gp, now, la, cost.Total())
 	}
 	return cost
@@ -138,9 +106,13 @@ func (b *SnoopBus) SlowLine(k *sim.Kernel, e *LineEngine, m, gp int, now, addr u
 // bus transaction, "locks are cheap and are simply locks" (paper §4.2.3).
 func (b *SnoopBus) LockGrant(k *sim.Kernel, now uint64, lock int) uint64 {
 	start := b.Res.Acquire(now, b.P.BusArb)
-	k.Emit(trace.BusOccupy, b.Acct.TraceID, start, uint64(lock), b.P.BusArb)
+	k.Emit(trace.BusOccupy, b.traceID(), start, uint64(lock), b.P.BusArb)
 	return (start - now) + b.P.LockAcquire
 }
+
+// traceID is the processor field stamped on BusOccupy events: 0 for the
+// machine-wide bus, the cluster id for a cluster bus.
+func (b *SnoopBus) traceID() int { return max(b.Cluster, 0) }
 
 // CheckOccupancy implements Transport.
 func (b *SnoopBus) CheckOccupancy(scope string) error {

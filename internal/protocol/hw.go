@@ -48,18 +48,13 @@ type HW struct {
 	barrierLeaf uint64
 }
 
-// NewBusMachine composes a snooping-bus machine: StateKind × SnoopBus with
-// per-sharer upgrade accounting, per-transaction miss classification and
-// BusTxn trace events (the machine-wide bus observability profile). Memory
-// is centralized, so the address space sizes the caches but places nothing.
+// NewBusMachine composes a snooping-bus machine: StateKind × the
+// machine-wide SnoopBus. Memory is centralized, so the address space sizes
+// the caches but places nothing.
 func NewBusMachine(name string, sts StateKind, cfg cache.Config, as *mem.AddressSpace, p BusParams, np int) *HW {
 	return &HW{
 		name: name, sts: sts, cfg: cfg, as: as, np: np,
-		tr: &SnoopBus{
-			P:       p,
-			Upgrade: UpgradePerSharer,
-			Acct:    BusAccounting{ClassifyMisses: true, EmitTxn: true, TraceID: 0},
-		},
+		tr:          &SnoopBus{P: p, Cluster: MachineBus},
 		l2HitCost:   p.L2HitCost,
 		lockRelease: p.LockRelease,
 		barrierHW:   p.BarrierHW,

@@ -35,7 +35,7 @@ type BusParams struct {
 	BusXfer   uint64 // bus occupancy per line (1.2 GB/s)
 	MemLat    uint64 // main memory access latency
 	C2CLat    uint64 // cache-to-cache supply latency
-	InvalPer  uint64 // invalidation cost on upgrades (see UpgradeAccounting)
+	InvalPer  uint64 // invalidation cost on upgrades (see SnoopBus)
 
 	LockAcquire uint64
 	LockRelease uint64

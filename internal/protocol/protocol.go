@@ -25,8 +25,9 @@
 //
 // Extracting the engines is also an audit of the clones they replace: every
 // place the hand-copied platforms disagreed is now either a named policy
-// knob (see UpgradeAccounting and BusAccounting in bus.go, CountApplies in
-// page.go) or would have been a bug fixed once. The invariant checker that
+// choice (SnoopBus.Cluster in bus.go, which prices upgrades and picks the
+// bus's counters and trace events; CountApplies in page.go) or would have
+// been a bug fixed once. The invariant checker that
 // previously existed in four per-platform copies is implemented once per
 // engine (LineEngine.CheckInvariants, PageEngine.CheckInvariants), and the
 // whole extraction is gated by byte-identity: figure output, the

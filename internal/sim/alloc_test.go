@@ -6,20 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-// nullPlatform is the minimal Platform for kernel-only tests.
-type nullPlatform struct{}
-
-func (nullPlatform) Name() string                                          { return "null" }
-func (nullPlatform) Attach(*Kernel)                                        {}
-func (nullPlatform) FastAccess(int, uint64, uint64, bool) (uint64, bool)   { return 0, true }
-func (nullPlatform) SlowAccess(int, uint64, uint64, bool) AccessCost       { return AccessCost{} }
-func (nullPlatform) LockRequest(int, uint64, int) uint64                   { return 0 }
-func (nullPlatform) LockGrant(int, uint64, int, int) uint64                { return 0 }
-func (nullPlatform) LockRelease(int, uint64, int) (uint64, uint64, uint64) { return 0, 0, 0 }
-func (nullPlatform) BarrierArrive(int, uint64) (uint64, uint64)            { return 0, 0 }
-func (nullPlatform) BarrierRelease([]uint64, int) uint64                   { return 0 }
-func (nullPlatform) BarrierDepart(int, uint64) uint64                      { return 0 }
-
 // TestAllocFreeSingleProcRun pins the inline scheduler path at zero
 // allocations per run: with NumProcs=1 the body runs directly on the kernel
 // goroutine (no continuation is created), the Run object and per-proc state
@@ -27,7 +13,7 @@ func (nullPlatform) BarrierDepart(int, uint64) uint64                      { ret
 // allocate. This is the kernel-side half of the kernel_stream benchmark's
 // 0 allocs/op pin in BENCH_kernel.json.
 func TestAllocFreeSingleProcRun(t *testing.T) {
-	k := New(nullPlatform{}, Config{NumProcs: 1})
+	k := New(&NopPlatform{}, Config{NumProcs: 1})
 	lines := func(p *Proc) {
 		for off := uint64(0); off < 1<<12; off += 32 {
 			p.Read(off)
@@ -47,7 +33,7 @@ func TestAllocFreeSingleProcRun(t *testing.T) {
 // only the fixed per-processor continuation setup (iter.Pull) per run —
 // nothing proportional to the work simulated.
 func TestEventLoopRunAllocsBounded(t *testing.T) {
-	k := New(nullPlatform{}, Config{NumProcs: 4})
+	k := New(&NopPlatform{}, Config{NumProcs: 4})
 	body := func(p *Proc) {
 		for off := uint64(0); off < 1<<12; off += 32 {
 			p.Read(off)
@@ -79,7 +65,7 @@ func TestEventLoopRunAllocsBounded(t *testing.T) {
 // allocations: every protocol event site calls Emit unconditionally, so with
 // no sink installed the call must cost one nil check and nothing else.
 func TestAllocFreeEmitNilSink(t *testing.T) {
-	k := New(nullPlatform{}, Config{NumProcs: 1})
+	k := New(&NopPlatform{}, Config{NumProcs: 1})
 	if k.tr != nil {
 		t.Fatal("expected no trace sink outside a run")
 	}

@@ -110,8 +110,7 @@ type lockWaiter struct {
 type barrierState struct {
 	arrivals []uint64 // completed arrival time per proc; 0 = not arrived
 	starts   []uint64 // clock at Barrier() entry per proc, for trace episodes
-	waiting  []*Proc
-	count    int
+	waiting  []*Proc  // arrived processors, in arrival order
 	epoch    uint64
 }
 
@@ -175,6 +174,7 @@ func New(plat Platform, cfg Config) *Kernel {
 	k.ranger, _ = plat.(RangeAccessor)
 	k.bar.arrivals = make([]uint64, cfg.NumProcs)
 	k.bar.starts = make([]uint64, cfg.NumProcs)
+	k.bar.waiting = make([]*Proc, 0, cfg.NumProcs)
 	return k
 }
 
@@ -276,7 +276,6 @@ func (k *Kernel) RunErr(name string, body func(p *Proc)) (*stats.Run, error) {
 		k.locksHeld[i] = 0
 	}
 	clear(k.locks)
-	k.bar.count = 0
 	k.bar.epoch = 0
 	k.bar.waiting = k.bar.waiting[:0]
 	for i := range k.bar.arrivals {
@@ -347,17 +346,9 @@ func (k *Kernel) runInline(body func(p *Proc)) (err error) {
 		}
 	}()
 	// The run's single scheduling pick.
-	if k.sampler != nil && p.clock >= k.nextSample {
-		k.sample(p.clock)
+	if cerr := k.pick(p); cerr != nil {
+		return cerr
 	}
-	if k.cfg.Check {
-		if cerr := k.checkTick(p); cerr != nil {
-			return cerr
-		}
-	}
-	k.applyDebt(p)
-	p.state = stRunning
-	p.sliceStart = p.clock
 	k.horizon = noHorizon
 	body(p)
 	p.state = stDone
@@ -384,21 +375,10 @@ func (k *Kernel) eventLoop(body func(p *Proc)) error {
 			k.unwind()
 			return err
 		}
-		// p's clock is the minimum over ready processors, i.e. the floor of
-		// global virtual time: sample the breakdown when it crosses the
-		// next interval boundary.
-		if k.sampler != nil && p.clock >= k.nextSample {
-			k.sample(p.clock)
+		if err := k.pick(p); err != nil {
+			k.unwind()
+			return err
 		}
-		if k.cfg.Check {
-			if err := k.checkTick(p); err != nil {
-				k.unwind()
-				return err
-			}
-		}
-		k.applyDebt(p)
-		p.state = stRunning
-		p.sliceStart = p.clock
 		var op opKind
 		if p.op == opBatch {
 			op = k.runBatch(p)
@@ -424,6 +404,25 @@ func (k *Kernel) eventLoop(body func(p *Proc)) error {
 	return nil
 }
 
+// pick starts p's scheduling slice. p's clock is the minimum over ready
+// processors, i.e. the floor of global virtual time: sample the breakdown
+// when it crosses the next interval boundary, run the per-pick invariants,
+// and fold p's handler debt into its clock before it runs.
+func (k *Kernel) pick(p *Proc) error {
+	if k.sampler != nil && p.clock >= k.nextSample {
+		k.sample(p.clock)
+	}
+	if k.cfg.Check {
+		if err := k.checkTick(p); err != nil {
+			return err
+		}
+	}
+	k.applyDebt(p)
+	p.state = stRunning
+	p.sliceStart = p.clock
+	return nil
+}
+
 // runBatch advances p's pending access batch on the kernel goroutine. When
 // the batch completes it switches into p's continuation so the body resumes
 // in the same scheduling round, exactly as the old per-goroutine kernel
@@ -444,72 +443,54 @@ func (k *Kernel) runBatch(p *Proc) (op opKind) {
 }
 
 // stepBatch advances p's access batch until it completes (true) or p must
-// yield (false, with p.op set to opBatch). It replays exactly the cost and
-// yield structure of the scalar access path: fast accesses never yield, a
-// protocol access waits at a syncPoint until p is at the virtual-time floor,
-// and a checkpoint after each protocol access bounds the slice by Quantum.
+// yield (false, with p.op set to opBatch). Fast accesses never yield; a
+// protocol access waits until p is no longer behind, and the quantum slice
+// is checked after each one.
 func (k *Kernel) stepBatch(p *Proc) bool {
 	b := &p.batch
-	c := p.stp
-	line := k.lineSize
-	quantum := k.cfg.Quantum
-	plat := k.plat
 	for b.addr < b.end {
 		if !b.pendingSlow {
-			if k.ranger != nil {
-				// Bulk fast path: the fast prefix of a batch has no yield
-				// points, so the platform may process it in one call.
-				n, stall := k.ranger.FastRange(p.id, p.clock, b.addr, b.end, b.write)
-				if n > 0 {
-					if b.write {
-						c.Counters.Writes += uint64(n)
-					} else {
-						c.Counters.Reads += uint64(n)
-					}
-					p.clock += stall
-					c.Cycles[stats.CacheStall] += stall
-					b.addr += uint64(n) * line
-					if b.addr >= b.end {
-						break
-					}
-				}
-				// The line at b.addr needs protocol processing.
-				if b.write {
-					c.Counters.Writes++
-				} else {
-					c.Counters.Reads++
-				}
-				b.pendingSlow = true
-			} else {
-				if b.write {
-					c.Counters.Writes++
-				} else {
-					c.Counters.Reads++
-				}
-				if stall, ok := plat.FastAccess(p.id, p.clock, b.addr, b.write); ok {
-					p.clock += stall
-					c.Cycles[stats.CacheStall] += stall
-					b.addr += line
-					continue
-				}
-				b.pendingSlow = true
+			k.fastRange(p, b)
+			if b.addr >= b.end {
+				break
 			}
+			// The line at b.addr needs protocol processing.
+			b.pendingSlow = true
 		}
-		// syncPoint: protocol events process in virtual-time order.
-		if p.clock > k.horizon {
+		if p.behind() {
 			p.op = opBatch
 			return false
 		}
 		p.slowAccess(b.addr, b.write)
 		b.pendingSlow = false
-		b.addr += line
-		// checkpoint: quantum-bounded yield after protocol work.
-		if p.clock > k.horizon && p.clock-p.sliceStart >= quantum {
+		b.addr += k.lineSize
+		if p.sliceDone() {
 			p.op = opBatch
 			return false
 		}
 	}
 	return true
+}
+
+// fastRange advances b over its fast-path prefix, stopping at the end or at
+// the first line that needs SlowAccess. The prefix has no yield points, so a
+// RangeAccessor platform may process it in one call; any other platform is
+// stepped line by line, the clock advancing by each line's stall.
+func (k *Kernel) fastRange(p *Proc, b *batchState) {
+	if k.ranger != nil {
+		n, stall := k.ranger.FastRange(p.id, p.clock, b.addr, b.end, b.write)
+		p.chargeFast(uint64(n), stall, b.write)
+		b.addr += uint64(n) * k.lineSize
+		return
+	}
+	for b.addr < b.end {
+		stall, ok := k.plat.FastAccess(p.id, p.clock, b.addr, b.write)
+		if !ok {
+			return
+		}
+		p.chargeFast(1, stall, b.write)
+		b.addr += k.lineSize
+	}
 }
 
 // unwind stops every processor continuation after a failed run. Stopping a
@@ -584,17 +565,16 @@ func (k *Kernel) pickReady() *Proc {
 	return best
 }
 
-// noteReady marks a parked processor runnable and lowers the current yield
-// horizon so the running processor yields to it at its next checkpoint.
+// noteReady marks a parked processor runnable and resets the yield horizon
+// to the heap minimum (pickReady's invariant while a processor runs), so the
+// running processor yields to p at its next checkpoint if p is behind it.
 // Without this, a processor that wakes others (last barrier arriver, lock
 // releaser) could keep running unboundedly in host order while the woken
 // processors' virtual clocks fall behind.
 func (k *Kernel) noteReady(p *Proc) {
 	p.state = stReady
 	k.heapPush(p)
-	if p.clock < k.horizon {
-		k.horizon = p.clock
-	}
+	k.horizon = k.ready[0].clock
 }
 
 func (k *Kernel) applyDebt(p *Proc) {
@@ -611,7 +591,7 @@ func (k *Kernel) stateDump() string {
 		p := &k.procs[i]
 		fmt.Fprintf(&b, "proc %d: state=%d clock=%d\n", p.id, p.state, p.clock)
 	}
-	fmt.Fprintf(&b, "barrier: %d arrived\n", k.bar.count)
+	fmt.Fprintf(&b, "barrier: %d arrived\n", len(k.bar.waiting))
 	// Sorted lock order: map iteration would make the dump (and so the
 	// DeadlockError text) differ between otherwise identical runs.
 	ids := make([]int, 0, len(k.locks))

@@ -16,9 +16,10 @@ const (
 	opBatch               // yielded mid-batch; the kernel drains the rest in place
 )
 
-// batchState is a resumable range access: the lines of [addr, end) not yet
-// touched, plus whether the line at addr has already taken its fast-path
-// miss decision and is waiting for protocol processing at a syncPoint.
+// batchState is a resumable access: the lines of [addr, end) not yet
+// touched, plus whether the line at addr has already missed the fast path
+// and is waiting for protocol processing until p is no longer behind. A
+// range access and a scalar miss are both batches.
 type batchState struct {
 	addr        uint64
 	end         uint64
@@ -94,20 +95,30 @@ func (p *Proc) park() {
 	p.switchOut()
 }
 
-// checkpoint yields if this processor has run past the next-ready
-// processor's clock and has used up its quantum slice, keeping global event
+// behind reports whether another ready processor is behind p in virtual
+// time: p's clock is past the horizon. Protocol and synchronization events
+// wait until it is false, so they process at the floor of virtual time.
+func (p *Proc) behind() bool { return p.clock > p.k.horizon }
+
+// sliceDone reports whether p is behind and has used up its quantum slice:
+// the point at which purely local work offers the scheduler a turn.
+func (p *Proc) sliceDone() bool {
+	return p.behind() && p.clock-p.sliceStart >= p.k.cfg.Quantum
+}
+
+// checkpoint yields if p's quantum slice is done, keeping global event
 // processing in near virtual-time order.
 func (p *Proc) checkpoint() {
-	if p.clock > p.k.horizon && p.clock-p.sliceStart >= p.k.cfg.Quantum {
+	if p.sliceDone() {
 		p.yieldNow()
 	}
 }
 
-// syncPoint yields if this processor is ahead of the next-ready processor;
-// called before globally-visible protocol and synchronization events so they
-// process in near virtual-time order regardless of quantum.
+// syncPoint yields while p is behind; called before globally-visible
+// synchronization events so they process in near virtual-time order
+// regardless of quantum.
 func (p *Proc) syncPoint() {
-	for p.clock > p.k.horizon {
+	for p.behind() {
 		p.yieldNow()
 	}
 }
@@ -119,36 +130,49 @@ func (p *Proc) Compute(n uint64) {
 	p.checkpoint()
 }
 
-// access performs one line-sized reference.
+// access performs one line-sized reference. A hit is charged in place; a
+// miss drains as a one-line batch whose fast-path decision is already made,
+// so scalar and range accesses share stepBatch's yield structure.
 func (p *Proc) access(addr uint64, write bool) {
+	if stall, ok := p.k.plat.FastAccess(p.id, p.clock, addr, write); ok {
+		p.chargeFast(1, stall, write)
+		return
+	}
+	p.batch = batchState{addr: addr, end: addr + 1, write: write, pendingSlow: true}
+	p.drain()
+}
+
+// chargeFast counts n line accesses the platform served on its fast path
+// and charges their total stall. With slowAccess it is the only place an
+// access is accounted.
+func (p *Proc) chargeFast(n, stall uint64, write bool) {
+	c := p.stp
+	if write {
+		c.Counters.Writes += n
+	} else {
+		c.Counters.Reads += n
+	}
+	p.clock += stall
+	c.Cycles[stats.CacheStall] += stall
+}
+
+// slowAccess counts and charges one protocol access at p's clock: the
+// platform's SlowAccess cost, split over the cache-stall, data-wait and
+// handler categories.
+func (p *Proc) slowAccess(addr uint64, write bool) {
+	k := p.k
 	c := p.stp
 	if write {
 		c.Counters.Writes++
 	} else {
 		c.Counters.Reads++
 	}
-	if stall, ok := p.k.plat.FastAccess(p.id, p.clock, addr, write); ok {
-		p.clock += stall
-		c.Cycles[stats.CacheStall] += stall
-		return
-	}
-	p.syncPoint()
-	p.slowAccess(addr, write)
-	p.checkpoint()
-}
-
-// slowAccess charges one protocol access at p's clock: the platform's
-// SlowAccess cost, split over the cache-stall, data-wait and handler
-// categories. The scalar path and the kernel's batch drain both use it.
-func (p *Proc) slowAccess(addr uint64, write bool) {
-	k := p.k
 	cost := k.plat.SlowAccess(p.id, p.clock, addr, write)
 	if k.cfg.FreeCSFaults && k.locksHeld[p.id] > 0 {
 		// Paper diagnostic: faults inside critical sections are free.
 		cost = AccessCost{}
 	}
 	p.clock += cost.Total()
-	c := p.stp
 	c.Cycles[stats.CacheStall] += cost.CacheStall
 	c.Cycles[stats.DataWait] += cost.DataWait
 	c.Cycles[stats.Handler] += cost.Handler
@@ -161,21 +185,21 @@ func (p *Proc) Read(addr uint64) { p.access(addr, false) }
 func (p *Proc) Write(addr uint64) { p.access(addr, true) }
 
 // rangeAccess touches every cache line overlapping [addr, addr+n), as a
-// resumable batch: the batch advances in place until it needs to wait for
-// virtual time, then yields to the event loop, which keeps draining it
-// kernel-side across scheduling rounds and only switches back into the body
-// once the batch is finished.
+// resumable batch.
 func (p *Proc) rangeAccess(addr uint64, n int, write bool) {
 	if n <= 0 {
 		return
 	}
-	k := p.k
-	b := &p.batch
-	b.addr = addr &^ (k.lineSize - 1)
-	b.end = addr + uint64(n)
-	b.write = write
-	b.pendingSlow = false
-	for !k.stepBatch(p) {
+	p.batch = batchState{addr: addr &^ (p.k.lineSize - 1), end: addr + uint64(n), write: write}
+	p.drain()
+}
+
+// drain runs p's pending batch: it advances in place until it needs to wait
+// for virtual time, then yields to the event loop, which keeps draining it
+// kernel-side across scheduling rounds and only switches back into the body
+// once the batch is finished.
+func (p *Proc) drain() {
+	for !p.k.stepBatch(p) {
 		// stepBatch set op = opBatch; on resume the kernel has usually
 		// drained the rest already and the re-check returns immediately.
 		p.switchOut()
@@ -286,17 +310,16 @@ func (p *Proc) Barrier() {
 	b := &k.bar
 	b.arrivals[p.id] = arrived
 	b.starts[p.id] = start
-	b.count++
-	if b.count < k.cfg.NumProcs {
-		b.waiting = append(b.waiting, p)
+	b.waiting = append(b.waiting, p)
+	if len(b.waiting) < k.cfg.NumProcs {
 		p.clock = arrived
 		p.park()
 		p.checkpoint()
 		return
 	}
-	// Last arrival: release everyone. Waiting from completed arrival to
-	// departure is charged to Barrier Wait (arrival overhead was charged
-	// above; flush work went to Handler).
+	// Last arrival: release everyone, the waiters in arrival order and then
+	// p. Waiting from completed arrival to departure is charged to Barrier
+	// Wait (arrival overhead was charged above; flush work went to Handler).
 	release := k.plat.BarrierRelease(b.arrivals, k.cfg.BarrierManager)
 	for _, q := range b.waiting {
 		depart := release + k.plat.BarrierDepart(q.id, release)
@@ -305,19 +328,13 @@ func (p *Proc) Barrier() {
 			// would silently underflow the wait charge below.
 			panic(fmt.Sprintf("sim: barrier departure %d before proc %d's arrival %d", depart, q.id, b.arrivals[q.id]))
 		}
-		k.run.Procs[q.id].Cycles[stats.BarrierWait] += depart - b.arrivals[q.id]
+		q.stp.Cycles[stats.BarrierWait] += depart - b.arrivals[q.id]
 		q.clock = depart
 		k.Emit(trace.Barrier, q.id, b.starts[q.id], b.epoch, depart-b.starts[q.id])
-		k.noteReady(q)
+		if q != p {
+			k.noteReady(q)
+		}
 	}
-	depart := release + k.plat.BarrierDepart(p.id, release)
-	if depart < arrived {
-		panic(fmt.Sprintf("sim: barrier departure %d before proc %d's arrival %d", depart, p.id, arrived))
-	}
-	c.Cycles[stats.BarrierWait] += depart - arrived
-	p.clock = depart
-	k.Emit(trace.Barrier, p.id, start, b.epoch, depart-start)
-	b.count = 0
 	b.waiting = b.waiting[:0]
 	b.epoch++
 	for i := range b.arrivals {

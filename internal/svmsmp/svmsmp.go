@@ -135,14 +135,7 @@ func (s *Platform) Attach(k *sim.Kernel) {
 		for _, h := range s.lineEng[c].Caches {
 			h.FilterPages(int(s.hlrc.PageSize), npages)
 		}
-		// Short intra-cluster buses: broadcast upgrade accounting, no
-		// per-transaction miss classification (the page layer above owns
-		// miss accounting), BusOccupy stamped with the cluster id.
-		s.buses[c] = &protocol.SnoopBus{
-			P:       s.bus,
-			Upgrade: protocol.UpgradeBroadcast,
-			Acct:    protocol.BusAccounting{TraceID: c},
-		}
+		s.buses[c] = &protocol.SnoopBus{P: s.bus, Cluster: c}
 		copy(s.caches[c*clusterSize:], s.lineEng[c].Caches)
 	}
 	s.lockCl = map[int]int{}
