@@ -2,7 +2,7 @@
 // host-side speed on the hot paths a figure run lives in, with
 // testing.Benchmark over cache tag-array access, fused hit-access (L1 hits,
 // and L1-miss/L2-hits on the SVM and DASH hierarchies), the SVM fast path,
-// the HLRC page path's PageArrived and Flush, a full kernel access stream,
+// the HLRC page path's PageChanged and Flush, a full kernel access stream,
 // and tracing-off Emit, and emits a machine-readable report of ns/op and
 // allocs/op (BENCH_kernel.json at the repo root is the committed reference
 // for this container class).
@@ -184,8 +184,8 @@ func runMicro() map[string]Micro {
 	})
 
 	// One op = four line fills on one valid page, then that page's
-	// PageArrived: the fetched page replaces the page under the node's
-	// caches, which drop its lines through the page fill filter.
+	// PageChanged, as when a fetched page lands: the node's caches drop the
+	// page's lines through the page fill filter.
 	m["svm_page_arrived"] = microBench(func(b *testing.B) {
 		as := mem.NewAddressSpace(platform.PageSize, 1)
 		a := as.AllocPages(1 << 16)
@@ -202,7 +202,7 @@ func runMicro() map[string]Micro {
 			for off := uint64(0); off < 4*1024; off += 1024 {
 				pl.FastAccess(0, 0, base+off, false)
 			}
-			pl.PageArrived(0, base/platform.PageSize)
+			pl.PageChanged(0, base/platform.PageSize)
 		}
 	})
 
@@ -220,7 +220,7 @@ func runMicro() map[string]Micro {
 		if _, err := k.RunErr("attach", func(*sim.Proc) {}); err != nil {
 			b.Fatal(err)
 		}
-		eng := protocol.NewPageEngine(protocol.PageConfig{Params: pl.P, Domains: 2, Host: pl})
+		eng := protocol.NewPageEngine(protocol.PageConfig{Params: pl.P, AS: as, Cluster: 1, PageChanged: pl.PageChanged})
 		npages := int(as.Span() / platform.PageSize)
 		eng.Init(k, npages)
 		pages := uint64(1<<16) / platform.PageSize
@@ -233,9 +233,9 @@ func runMicro() map[string]Micro {
 				b.StartTimer()
 			}
 			for j := uint64(0); j < 4; j++ {
-				eng.Trap(0, 0, 0, a+(uint64(4*i)+j)%pages*platform.PageSize)
+				eng.Trap(0, 0, a+(uint64(4*i)+j)%pages*platform.PageSize)
 			}
-			eng.Flush(0, 0, 0)
+			eng.Flush(0, 0)
 		}
 	})
 

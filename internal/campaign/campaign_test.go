@@ -250,6 +250,15 @@ func TestTableRendering(t *testing.T) {
 	if table := s.Table(entries); !strings.Contains(table, "-") {
 		t.Errorf("missing baseline not rendered as -:\n%s", table)
 	}
+	// Each block names its exact scale: two scales that agree to two
+	// significant digits still head two distinct blocks.
+	s.Scales = []float64{0.125, 0.12}
+	table = s.Table(entries)
+	for _, h := range []string{"lu/4da speedup vs uniprocessor original (scale 0.125)\n", "lu/4da speedup vs uniprocessor original (scale 0.12)\n"} {
+		if strings.Count(table, h) != 1 {
+			t.Errorf("table has %d blocks headed %q, want 1:\n%s", strings.Count(table, h), h, table)
+		}
+	}
 }
 
 // TestTableSpecOrderAndFailedBaseline: rows follow the spec's processor

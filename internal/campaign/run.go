@@ -271,7 +271,7 @@ func (s *Spec) Table(entries map[string]Entry) string {
 	for _, am := range s.Apps {
 		for _, v := range am.Versions {
 			for _, sc := range s.Scales {
-				fmt.Fprintf(&b, "%s/%s speedup vs uniprocessor original (scale %.2g)\n", am.App, v, sc)
+				fmt.Fprintf(&b, "%s/%s speedup vs uniprocessor original (scale %g)\n", am.App, v, sc)
 				fmt.Fprintf(&b, "%6s", "P")
 				for _, pl := range s.Platforms {
 					fmt.Fprintf(&b, " %8s", pl)

@@ -15,7 +15,7 @@ import (
 // TestEngineMatchesPreRefactorGoldens is the protocol-engine differential
 // gate. It re-simulates the committed goldens campaign
 // (campaigns/goldens.json: every figure cell on svm, smp and dsm at P=8,
-// plus each app's original version on svmsmp at P=3 and P=8, scale 0.25)
+// plus each app's original version on svmsmp at P=3, 6 and 8, scale 0.25)
 // with the runtime invariant checker on, and requires every cell's status,
 // document fingerprint, end time and result fingerprint to equal the
 // committed journal's. The end time pins
@@ -48,7 +48,8 @@ func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
 	}
 	// The spec must keep covering what the gate is for: every figure cell,
 	// and every app's original version on the two-level svmsmp platform at
-	// a cluster-spanning and a single-cluster processor count.
+	// a single-cluster processor count, at two clusters the last of which
+	// is short, and at two full clusters.
 	inManifest := make(map[string]bool, len(cells))
 	for _, c := range cells {
 		inManifest[c.Key] = true
@@ -64,6 +65,7 @@ func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
 	}
 	for _, app := range core.Apps() {
 		need(app, core.OrigVersion(app), "svmsmp", 3)
+		need(app, core.OrigVersion(app), "svmsmp", 6)
 		need(app, core.OrigVersion(app), "svmsmp", sweepProcs)
 	}
 

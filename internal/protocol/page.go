@@ -5,47 +5,31 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// PageHost is how a PageEngine's owner maps protocol roles onto the machine.
-// The engine runs the home-based lazy release consistency (HLRC) state
-// machine over abstract coherence DOMAINS; the host decides what a domain is
-// (a node on the flat SVM platform, an SMP cluster on the two-level one) and
-// what happens beneath the page table when page contents change.
-type PageHost interface {
-	// HomeDomain returns the domain that is home to addr's page.
-	HomeDomain(addr uint64) int
-	// HandlerProc returns the global processor that runs dom's protocol
-	// handlers (the node itself, or a cluster's first processor) — the
-	// target for handler-cycle charges and per-processor counters of
-	// home-side work.
-	HandlerProc(dom int) int
-	// MemberRange returns the half-open global-processor range [lo, hi) of
-	// dom, for accounting that must aggregate over a domain's processors
-	// (the twin/diff balance invariant).
-	MemberRange(dom int) (lo, hi int)
-	// PageArrived is called after a fetched page lands at dom: its contents
-	// changed under the domain's caches, which must drop the page's lines.
-	PageArrived(dom int, pg uint64)
-	// DiffApplied is called after a diff is applied at home's copy: same
-	// cache consequence, at the home domain.
-	DiffApplied(home int, pg uint64)
-}
-
-// PageConfig assembles a PageEngine.
+// PageConfig assembles a PageEngine. The engine runs the home-based lazy
+// release consistency (HLRC) state machine over coherence DOMAINS of Cluster
+// consecutive processors each: a node on the flat SVM platform (Cluster 1),
+// an SMP cluster on the two-level one. Processor p belongs to domain
+// p/Cluster; a domain's protocol handlers run on its first processor; the
+// last domain is short when Cluster does not divide the processor count.
 type PageConfig struct {
-	Params  HLRCParams
-	Domains int
-	Host    PageHost
+	Params HLRCParams
+	// AS places the pages: a page's home domain is the domain of its home
+	// processor (AS.Home). The address space has one node per processor.
+	AS      *mem.AddressSpace
+	Cluster int
+	// PageChanged is called after page pg's contents changed at domain dom —
+	// a fetched page landed there, or a diff was applied at its home — so
+	// the domain's caches must drop the page's lines.
+	PageChanged func(dom int, pg uint64)
 	// CountApplies updates the home handler processor's DiffsApplied
 	// counter per diff (the flat SVM platform does; the two-level platform
 	// leaves home-side diff counting out of its per-processor stats).
 	CountApplies bool
-	// Scope and Noun shape invariant-violation messages: "svm"/"node" on
-	// the flat platform, "svmsmp"/"cluster" on the two-level one.
-	Scope, Noun string
 }
 
 // PageDomain is one coherence domain's HLRC state: the vector clock and
@@ -67,9 +51,17 @@ type PageDomain struct {
 	NIC     sim.Resource
 }
 
+// Local reports whether an access to page pg is purely local to the domain:
+// the page is valid and, for a write, already twinned in the open interval.
+// Anything else faults or write-traps. The platforms' fast paths call it on
+// every simulated reference.
+func (d *PageDomain) Local(pg uint64, write bool) bool {
+	return d.Valid[pg] && (!write || d.Dirty[pg])
+}
+
 // PageEngine is the page-grained write/consistency policy: home-based lazy
 // release consistency with twins, diffs, write notices and vector clocks,
-// implemented once and parameterized by the domain mapping (PageHost). The
+// implemented once and parameterized by a cluster size (PageConfig). The
 // flat SVM platform instantiates it with one domain per node; the two-level
 // platform with one domain per SMP cluster, stacking a {MESI × SnoopBus}
 // line engine underneath.
@@ -81,7 +73,8 @@ type PageEngine struct {
 
 	P         HLRCParams
 	k         *sim.Kernel
-	nd        int
+	np, nd    int    // processors and domains, set by Init
+	noun      string // "node" or "cluster", for messages
 	pageShift uint
 
 	// notices[q] is domain q's write-notice log; acquirers read the pages
@@ -138,13 +131,34 @@ func (l *noticeLog) since(from, upTo uint32) []uint64 {
 
 // NewPageEngine builds an engine; per-run state is created by Init.
 func NewPageEngine(cfg PageConfig) *PageEngine {
+	noun := "cluster"
+	if cfg.Cluster == 1 {
+		noun = "node"
+	}
 	return &PageEngine{
-		Cfg: cfg, P: cfg.Params, nd: cfg.Domains,
+		Cfg: cfg, P: cfg.Params, noun: noun,
 		pageShift: PageShift(cfg.Params.PageSize),
 	}
 }
 
-// Init resets all protocol state for a run over npages pages. An engine
+// domainOf returns processor p's domain.
+func (e *PageEngine) domainOf(p int) int { return p / e.Cfg.Cluster }
+
+// home returns the domain that is home to addr's page.
+func (e *PageEngine) home(addr uint64) int { return e.domainOf(e.Cfg.AS.Home(addr)) }
+
+// handler returns the processor that runs dom's protocol handlers, the
+// target of handler-cycle charges and counters of home-side work.
+func (e *PageEngine) handler(dom int) int { return dom * e.Cfg.Cluster }
+
+// members returns dom's half-open processor range [lo, hi).
+func (e *PageEngine) members(dom int) (lo, hi int) {
+	lo = dom * e.Cfg.Cluster
+	return lo, min(lo+e.Cfg.Cluster, e.np)
+}
+
+// Init resets all protocol state for a run over npages pages, on as many
+// processors as the kernel runs. An engine
 // re-initialized with a fitting shape resets its domains in place — vector
 // clocks and page tables are cleared, not reallocated — so a repeated run
 // allocates nothing and starts from the identical cold state a fresh engine
@@ -155,6 +169,8 @@ func NewPageEngine(cfg PageConfig) *PageEngine {
 // no entry, so touching it panics inside the run.
 func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 	e.k = k
+	e.np = k.Config().NumProcs
+	e.nd = (e.np + e.Cfg.Cluster - 1) / e.Cfg.Cluster
 	if len(e.Doms) == e.nd && npages <= e.npagesAlloc {
 		for _, d := range e.Doms {
 			clear(d.VC)
@@ -184,35 +200,37 @@ func (e *PageEngine) Init(k *sim.Kernel, npages int) (reused bool) {
 		e.npagesAlloc = npages
 	}
 	for pg := 0; pg < npages; pg++ {
-		e.Doms[e.Cfg.Host.HomeDomain(uint64(pg)*e.P.PageSize)].Valid[pg] = true
+		e.Doms[e.home(uint64(pg)*e.P.PageSize)].Valid[pg] = true
 	}
 	return reused
 }
 
-// Prevalidate gives dom a valid (clean) copy of every page overlapping
-// [addr, addr+nbytes), modelling data placed during untimed setup.
-func (e *PageEngine) Prevalidate(addr uint64, nbytes int, dom int) {
+// Prevalidate gives processor p's domain a valid (clean) copy of every page
+// overlapping [addr, addr+nbytes), modelling data placed during untimed
+// setup.
+func (e *PageEngine) Prevalidate(addr uint64, nbytes int, p int) {
 	first := addr >> e.pageShift
 	last := (addr + uint64(nbytes) - 1) >> e.pageShift
-	d := e.Doms[dom]
+	d := e.Doms[e.domainOf(p)]
 	for pg := first; pg <= last; pg++ {
 		d.Valid[pg] = true
 	}
 }
 
-// Fault handles a page fault by processor p in domain dom: fetch the whole
-// page from the home. dom is never the home: homes start with valid copies
-// of every page of the address space and never invalidate their own.
+// Fault handles a page fault by processor p: fetch the whole page from the
+// home to p's domain. That domain is never the home: homes start with valid
+// copies of every page of the address space and never invalidate their own.
 // Returns the cycles the faulting processor waits (DataWait).
-func (e *PageEngine) Fault(p, dom int, now uint64, addr uint64) (wait uint64) {
+func (e *PageEngine) Fault(p int, now uint64, addr uint64) (wait uint64) {
+	dom := e.domainOf(p)
 	d := e.Doms[dom]
 	pg := addr >> e.pageShift
 	c := e.k.Counters(p)
 	c.PageFaults++
 	e.k.Emit(trace.PageFault, p, now, pg, 0)
-	home := e.Cfg.Host.HomeDomain(addr)
+	home := e.home(addr)
 	c.PageFetches++
-	hp := e.Cfg.Host.HandlerProc(home)
+	hp := e.handler(home)
 	e.k.Counters(hp).PagesServed++
 	reqArrive := now + e.P.FaultOverhead + e.P.MsgSend + e.P.NetLatency
 	service := e.P.MsgRecv + e.P.HomeService + e.P.PageXfer
@@ -226,25 +244,26 @@ func (e *PageEngine) Fault(p, dom int, now uint64, addr uint64) (wait uint64) {
 	e.k.Emit(trace.NICOccupy, home, start, pg, service)
 	d.Valid[pg] = true
 	d.Dirty[pg] = false
-	// The page contents changed under the domain's caches.
-	e.Cfg.Host.PageArrived(dom, pg)
+	e.Cfg.PageChanged(dom, pg)
 	return wait
 }
 
 // Trap handles the first write to a page in the current interval: a write
-// trap, plus a twin for later diffing when dom is not the page's home.
-// Returns the handler cycles charged to the writing processor. With a single
-// domain there is no coherence to maintain, so pages are never
-// write-protected (the paper's sequential baseline is plain execution).
-func (e *PageEngine) Trap(p, dom int, now uint64, addr uint64) (handler uint64) {
+// trap by processor p, plus a twin for later diffing when p's domain is not
+// the page's home. Returns the handler cycles charged to the writing
+// processor. With a single domain there is no coherence to maintain, so
+// pages are never write-protected (the paper's sequential baseline is plain
+// execution).
+func (e *PageEngine) Trap(p int, now uint64, addr uint64) (handler uint64) {
 	if e.nd <= 1 {
 		return 0
 	}
+	dom := e.domainOf(p)
 	d := e.Doms[dom]
 	pg := addr >> e.pageShift
 	handler = e.P.WriteTrap
 	e.k.Emit(trace.WriteTrap, p, now, pg, e.P.WriteTrap)
-	if e.Cfg.Host.HomeDomain(addr) != dom {
+	if e.home(addr) != dom {
 		handler += e.P.TwinCost
 		e.k.Counters(p).TwinsMade++
 		e.k.Emit(trace.TwinCreate, p, now, pg, e.P.TwinCost)
@@ -260,11 +279,11 @@ func (e *PageEngine) Trap(p, dom int, now uint64, addr uint64) (handler uint64) 
 // p; the home's receive/apply work is charged asynchronously to its handler
 // processor.
 func (e *PageEngine) DiffHome(p int, pg uint64, now uint64) (local uint64) {
-	home := e.Cfg.Host.HomeDomain(pg * e.P.PageSize)
+	home := e.home(pg * e.P.PageSize)
 	e.k.Counters(p).DiffsCreated++
 	local = e.P.DiffCreate + e.P.MsgSend
 	e.k.Emit(trace.DiffCreate, p, now+local, pg, e.P.DiffCreate)
-	hp := e.Cfg.Host.HandlerProc(home)
+	hp := e.handler(home)
 	if e.Cfg.CountApplies {
 		e.k.Counters(hp).DiffsApplied++
 	}
@@ -273,15 +292,16 @@ func (e *PageEngine) DiffHome(p int, pg uint64, now uint64) (local uint64) {
 	e.k.ChargeHandler(hp, service)
 	e.k.Emit(trace.DiffApply, hp, start, pg, service)
 	e.k.Emit(trace.NICOccupy, home, start, pg, service)
-	e.Cfg.Host.DiffApplied(home, pg)
+	e.Cfg.PageChanged(home, pg)
 	return local
 }
 
-// Flush computes diffs for all pages dom dirtied in the current interval,
-// sends them to their homes, logs write notices, and opens a new interval
-// (p is the flushing processor, for handler charges and trace events). It
-// returns the handler cycles spent by the flushing processor.
-func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
+// Flush computes diffs for all pages processor p's domain dirtied in the
+// current interval, sends them to their homes, logs write notices, and opens
+// a new interval (p takes the handler charges and trace events). It returns
+// the handler cycles spent by the flushing processor.
+func (e *PageEngine) Flush(p int, now uint64) (handler uint64) {
+	dom := e.domainOf(p)
 	d := e.Doms[dom]
 	log := &e.notices[dom]
 	start := len(log.pages)
@@ -302,7 +322,7 @@ func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 		log.pages = append(log.pages, pg)
 		handler += e.P.NoticeCost
 		e.k.Emit(trace.WriteNotice, p, now+handler, pg, e.P.NoticeCost)
-		if e.Cfg.Host.HomeDomain(pg*e.P.PageSize) != dom {
+		if e.home(pg*e.P.PageSize) != dom {
 			// Diff against the twin, ship to home, home applies.
 			handler += e.DiffHome(p, pg, now+handler)
 		}
@@ -314,7 +334,7 @@ func (e *PageEngine) Flush(dom, p int, now uint64) (handler uint64) {
 		// here. Wrapping would silently reorder the vector clocks (interval
 		// 0 would compare older than everything it follows), so fail loudly;
 		// the kernel contains the panic as a ProcPanicError.
-		panic(&IntervalOverflowError{Node: dom})
+		panic(&IntervalOverflowError{Noun: e.noun, Domain: dom})
 	}
 	if len(log.pages) > start {
 		log.marks = append(log.marks, noticeMark{d.Interval + 1, uint32(len(log.pages))})
@@ -363,7 +383,7 @@ func (e *PageEngine) InvalidateUpTo(dom, q int, upTo uint32, p int, now uint64) 
 	for _, pg := range e.notices[q].since(d.VC[q], upTo) {
 		// The home keeps its copy up to date by applying diffs; everyone
 		// else invalidates.
-		if e.Cfg.Host.HomeDomain(pg*e.P.PageSize) == dom {
+		if e.home(pg*e.P.PageSize) == dom {
 			continue
 		}
 		if d.Valid[pg] {
@@ -393,15 +413,17 @@ func (e *PageEngine) InvalidateUpTo(dom, q int, upTo uint32, p int, now uint64) 
 }
 
 // AcquireApply applies the write notices carried by lock's last release
-// vector clock to acquiring domain dom (lazy invalidation), charging diff
-// work asynchronously to processor p's handler time — it must not serialize
-// lock handoffs. Returns the invalidation cycles to add to the acquire cost;
-// zero (and no state change) when the lock has never been released.
-func (e *PageEngine) AcquireApply(lock, dom, p int, now uint64) uint64 {
+// vector clock to acquiring processor p's domain (lazy invalidation),
+// charging diff work asynchronously to p's handler time — it must not
+// serialize lock handoffs. Returns the invalidation cycles to add to the
+// acquire cost; zero (and no state change) when the lock has never been
+// released.
+func (e *PageEngine) AcquireApply(lock, p int, now uint64) uint64 {
 	rvc, ok := e.lockVC[lock]
 	if !ok {
 		return 0
 	}
+	dom := e.domainOf(p)
 	inv := 0
 	var diff uint64
 	for q := 0; q < e.nd; q++ {
@@ -414,42 +436,42 @@ func (e *PageEngine) AcquireApply(lock, dom, p int, now uint64) uint64 {
 	return uint64(inv) * e.P.InvalCost
 }
 
-// SaveLockVC records dom's vector clock as lock's release clock. The
-// backing array is reused across releases: AcquireApply consumes the values
-// synchronously before the next release of the same lock can overwrite
-// them, and the map holds last-release-wins semantics.
-func (e *PageEngine) SaveLockVC(lock, dom int) {
+// SaveLockVC records processor p's domain's vector clock as lock's release
+// clock. The backing array is reused across releases: AcquireApply consumes
+// the values synchronously before the next release of the same lock can
+// overwrite them, and the map holds last-release-wins semantics.
+func (e *PageEngine) SaveLockVC(lock, p int) {
 	rvc := e.lockVC[lock]
 	if rvc == nil {
 		rvc = make([]uint32, e.nd)
 		e.lockVC[lock] = rvc
 	}
-	copy(rvc, e.Doms[dom].VC)
+	copy(rvc, e.Doms[e.domainOf(p)].VC)
 }
 
 // ReleaseWork computes a barrier's global release time: the manager serially
-// processes n arrival messages (merging write notices), then broadcasts the
-// release. n is the number of arrival messages the manager handles — one
-// per processor on the flat platform, one per cluster on the two-level one.
-func (e *PageEngine) ReleaseWork(arrivals []uint64, manager, n int) uint64 {
+// processes one arrival message per domain (merging write notices), then
+// broadcasts the release.
+func (e *PageEngine) ReleaseWork(arrivals []uint64, manager int) uint64 {
 	var maxArr uint64
 	for _, a := range arrivals {
 		if a > maxArr {
 			maxArr = a
 		}
 	}
-	mgrWork := uint64(n) * (e.P.MsgRecv/4 + e.P.BarrierPerProc)
+	mgrWork := uint64(e.nd) * (e.P.MsgRecv/4 + e.P.BarrierPerProc)
 	e.k.ChargeHandler(manager, mgrWork)
 	return maxArr + mgrWork + e.P.BarrierBcast + e.P.NetLatency
 }
 
-// DepartApply performs post-barrier consistency for domain dom: on
-// departure every domain has merged every other domain's vector clock, so
-// stale copies are invalidated. Diff work is charged asynchronously to
-// processor p (arrival flushed the domain's dirty pages, so it is zero in
-// practice; accounted anyway for symmetry with AcquireApply). Returns the
+// DepartApply performs post-barrier consistency for processor p's domain:
+// on departure every domain has merged every other domain's vector clock,
+// so stale copies are invalidated. Diff work is charged asynchronously to p
+// (arrival flushed the domain's dirty pages, so it is zero in practice;
+// accounted anyway for symmetry with AcquireApply). Returns the
 // invalidation cycles.
-func (e *PageEngine) DepartApply(dom, p int, releaseTime uint64) uint64 {
+func (e *PageEngine) DepartApply(p int, releaseTime uint64) uint64 {
+	dom := e.domainOf(p)
 	inv := 0
 	var diff uint64
 	for q := 0; q < e.nd; q++ {
@@ -485,7 +507,8 @@ func (l *noticeLog) check(interval uint32) error {
 
 // CheckInvariants audits the HLRC state — the single implementation of the
 // page-protocol invariants the flat and two-level platforms each carried a
-// copy of. The audited invariants:
+// copy of. Messages name the domain ("node 3", "cluster 1"); each platform
+// prefixes its own name. The audited invariants:
 //
 //   - a domain's own vector-clock entry tracks its interval counter, and its
 //     write log's marks ascend strictly in interval and in end, name no
@@ -498,66 +521,66 @@ func (l *noticeLog) check(interval uint32) error {
 //     flush or at an acquire-time invalidation) or is still pending in the
 //     open interval (non-home dirty pages) — twins are never dropped without
 //     their writes reaching the home. The balance is aggregated over the
-//     domain's processors (MemberRange): on the two-level platform the write
+//     domain's processors: on the two-level platform the write
 //     trap lands on the accessing processor while the flush lands on
 //     whichever cluster mate releases;
 //   - the diffed-but-unnotified list is duplicate-free;
 //   - NIC occupancy never exceeds its busy-until clock.
 func (e *PageEngine) CheckInvariants() error {
-	scope, noun := e.Cfg.Scope, e.Cfg.Noun
+	noun := e.noun
 	for dom, d := range e.Doms {
 		if d.VC[dom] != d.Interval {
-			return fmt.Errorf("%s: %s %d's own vector-clock entry is %d but its interval is %d", scope, noun, dom, d.VC[dom], d.Interval)
+			return fmt.Errorf("%s %d's own vector-clock entry is %d but its interval is %d", noun, dom, d.VC[dom], d.Interval)
 		}
 		if err := e.notices[dom].check(d.Interval); err != nil {
-			return fmt.Errorf("%s: %s %d's write log %w", scope, noun, dom, err)
+			return fmt.Errorf("%s %d's write log %w", noun, dom, err)
 		}
 		for q, dq := range e.Doms {
 			if d.VC[q] > dq.Interval {
-				return fmt.Errorf("%s: %s %d knows interval %d of %s %d, which has only reached %d", scope, noun, dom, d.VC[q], noun, q, dq.Interval)
+				return fmt.Errorf("%s %d knows interval %d of %s %d, which has only reached %d", noun, dom, d.VC[q], noun, q, dq.Interval)
 			}
 		}
 		seen := make(map[uint64]bool, len(d.DirtyLst))
 		var pendingTwins uint64
 		for _, pg := range d.DirtyLst {
 			if seen[pg] {
-				return fmt.Errorf("%s: %s %d's dirty list holds page %d twice", scope, noun, dom, pg)
+				return fmt.Errorf("%s %d's dirty list holds page %d twice", noun, dom, pg)
 			}
 			seen[pg] = true
 			if !d.Dirty[pg] {
-				return fmt.Errorf("%s: %s %d's dirty list holds page %d but its dirty bit is clear", scope, noun, dom, pg)
+				return fmt.Errorf("%s %d's dirty list holds page %d but its dirty bit is clear", noun, dom, pg)
 			}
 			if !d.Valid[pg] {
-				return fmt.Errorf("%s: %s %d has page %d dirty but not valid", scope, noun, dom, pg)
+				return fmt.Errorf("%s %d has page %d dirty but not valid", noun, dom, pg)
 			}
-			if e.Cfg.Host.HomeDomain(pg*e.P.PageSize) != dom {
+			if e.home(pg*e.P.PageSize) != dom {
 				pendingTwins++
 			}
 		}
 		for pg, dirty := range d.Dirty {
 			if dirty && !seen[uint64(pg)] {
-				return fmt.Errorf("%s: %s %d has page %d marked dirty but missing from the dirty list", scope, noun, dom, pg)
+				return fmt.Errorf("%s %d has page %d marked dirty but missing from the dirty list", noun, dom, pg)
 			}
 		}
 		seenPend := make(map[uint64]bool, len(d.Pending))
 		for _, pg := range d.Pending {
 			if seenPend[pg] {
-				return fmt.Errorf("%s: %s %d's pending-notice list holds page %d twice", scope, noun, dom, pg)
+				return fmt.Errorf("%s %d's pending-notice list holds page %d twice", noun, dom, pg)
 			}
 			seenPend[pg] = true
 		}
 		var made, diffed uint64
-		lo, hi := e.Cfg.Host.MemberRange(dom)
+		lo, hi := e.members(dom)
 		for q := lo; q < hi; q++ {
 			c := e.k.Counters(q)
 			made += c.TwinsMade
 			diffed += c.DiffsCreated
 		}
 		if made != diffed+pendingTwins {
-			return fmt.Errorf("%s: %s %d twin/diff balance broken: %d twins made != %d diffs + %d pending",
-				scope, noun, dom, made, diffed, pendingTwins)
+			return fmt.Errorf("%s %d twin/diff balance broken: %d twins made != %d diffs + %d pending",
+				noun, dom, made, diffed, pendingTwins)
 		}
-		if err := d.NIC.CheckOccupancy(fmt.Sprintf("%s: %s %d NIC", scope, noun, dom)); err != nil {
+		if err := d.NIC.CheckOccupancy(fmt.Sprintf("%s %d NIC", noun, dom)); err != nil {
 			return err
 		}
 	}
@@ -570,7 +593,7 @@ func (e *PageEngine) CheckInvariants() error {
 	for _, id := range ids {
 		for q, iv := range e.lockVC[id] {
 			if iv > e.Doms[q].Interval {
-				return fmt.Errorf("%s: lock %d's vector clock knows interval %d of %s %d, which has only reached %d", scope, id, iv, noun, q, e.Doms[q].Interval)
+				return fmt.Errorf("lock %d's vector clock knows interval %d of %s %d, which has only reached %d", id, iv, noun, q, e.Doms[q].Interval)
 			}
 		}
 	}

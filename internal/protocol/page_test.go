@@ -8,25 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
-// homeOneHost homes every page at domain 1; each domain is one processor
-// and page contents changing under the caches is a no-op.
-type homeOneHost struct{}
-
-func (homeOneHost) HomeDomain(uint64) int           { return 1 }
-func (homeOneHost) HandlerProc(dom int) int         { return dom }
-func (homeOneHost) MemberRange(dom int) (int, int)  { return dom, dom + 1 }
-func (homeOneHost) PageArrived(dom int, pg uint64)  {}
-func (homeOneHost) DiffApplied(home int, pg uint64) {}
-
-// newTestPageEngine builds an engine over np domains on a kernel that has
-// run once, so the per-run counters the engine charges exist.
+// newTestPageEngine builds an engine over np one-processor domains on a
+// kernel that has run once, so the per-run counters the engine charges
+// exist. Every page is homed at node 1; page contents changing under the
+// caches is a no-op.
 func newTestPageEngine(t *testing.T, np, npages int) (*PageEngine, *sim.Kernel) {
 	t.Helper()
-	k := sim.New(NewBusMachine("smp", MESI, busCfg, mem.NewAddressSpace(4096, np), DefaultBusParams(), np), sim.Config{NumProcs: np})
+	as := mem.NewAddressSpace(4096, np)
+	as.Alloc(npages * 4096)
+	as.SetHome(0, npages*4096, 1)
+	k := sim.New(NewBusMachine("smp", MESI, busCfg, as, DefaultBusParams(), np), sim.Config{NumProcs: np})
 	if _, err := k.RunErr("attach", func(*sim.Proc) {}); err != nil {
 		t.Fatal(err)
 	}
-	e := NewPageEngine(PageConfig{Params: DefaultHLRCParams(), Domains: np, Host: homeOneHost{}, Scope: "test", Noun: "domain"})
+	e := NewPageEngine(PageConfig{Params: DefaultHLRCParams(), AS: as, Cluster: 1, PageChanged: func(int, uint64) {}})
 	e.Init(k, npages)
 	return e, k
 }
@@ -35,9 +30,9 @@ func newTestPageEngine(t *testing.T, np, npages int) (*PageEngine, *sim.Kernel) 
 func flushIntervals(e *PageEngine, n int) {
 	ps := e.P.PageSize
 	for i := 0; i < n; i++ {
-		e.Trap(0, 0, 0, uint64(2*i%64)*ps)
-		e.Trap(0, 0, 0, uint64((2*i+1)%64)*ps)
-		e.Flush(0, 0, 0)
+		e.Trap(0, 0, uint64(2*i%64)*ps)
+		e.Trap(0, 0, uint64((2*i+1)%64)*ps)
+		e.Flush(0, 0)
 	}
 }
 
@@ -68,13 +63,13 @@ func TestFlushIntervalsAllocFree(t *testing.T) {
 		want   string
 	}{
 		{"last mark lost", func(m []noticeMark) []noticeMark { return m[:n-1] },
-			"domain 0's write log marks end at 19998 but holds 20000 pages"},
+			"node 0's write log marks end at 19998 but holds 20000 pages"},
 		{"interval repeated", func(m []noticeMark) []noticeMark { m[7].interval = m[6].interval; return m },
-			"domain 0's write log mark 7 (interval 7, end 16) does not ascend past (interval 7, end 14)"},
+			"node 0's write log mark 7 (interval 7, end 16) does not ascend past (interval 7, end 14)"},
 		{"empty interval marked", func(m []noticeMark) []noticeMark { m[7].end = m[6].end; return m },
-			"domain 0's write log mark 7 (interval 8, end 14) does not ascend past (interval 7, end 14)"},
+			"node 0's write log mark 7 (interval 8, end 14) does not ascend past (interval 7, end 14)"},
 		{"interval past the counter", func(m []noticeMark) []noticeMark { m[n-1].interval = n + 1; return m },
-			"domain 0's write log marks interval 10001, past the last closed interval 10000"},
+			"node 0's write log marks interval 10001, past the last closed interval 10000"},
 	} {
 		log.marks = c.breaks(append(log.marks[:0], good...))
 		if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -91,9 +86,9 @@ func TestInvalidateUpToReadsIntervals(t *testing.T) {
 	ps := e.P.PageSize
 	flush := func(pages ...uint64) {
 		for _, pg := range pages {
-			e.Trap(0, 0, 0, pg*ps)
+			e.Trap(0, 0, pg*ps)
 		}
-		e.Flush(0, 0, 0)
+		e.Flush(0, 0)
 	}
 	empty := func(n int) {
 		for i := 0; i < n; i++ {

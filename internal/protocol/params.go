@@ -171,7 +171,7 @@ func DefaultHLRCParams() HLRCParams {
 // shifts.
 func PageShift(n uint64) uint {
 	if n == 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("svm: page size %d is not a power of two", n))
+		panic(fmt.Sprintf("protocol: page size %d is not a power of two", n))
 	}
 	for sh := uint(0); ; sh++ {
 		if 1<<sh == n {
@@ -185,13 +185,13 @@ func PageShift(n uint64) uint {
 // whether or not anything was written, so a long enough run genuinely reaches
 // the limit; wrapping would make interval 0 compare older than the 2^32-1
 // intervals it follows and corrupt every vector-clock comparison, so the
-// protocol panics instead and the kernel contains it as a ProcPanicError.
-// Node names the coherence domain: an SVM node, or a cluster on the
-// two-level platform.
+// protocol panics instead and the kernel contains it as a ProcPanicError,
+// which names the platform's processor.
 type IntervalOverflowError struct {
-	Node int
+	Noun   string // the domain kind: "node" on svm, "cluster" on svmsmp
+	Domain int
 }
 
 func (e *IntervalOverflowError) Error() string {
-	return fmt.Sprintf("svm: interval counter of node %d would overflow uint32 (run too long for 32-bit vector clocks)", e.Node)
+	return fmt.Sprintf("interval counter of %s %d would overflow uint32 (run too long for 32-bit vector clocks)", e.Noun, e.Domain)
 }

@@ -13,15 +13,21 @@
 //
 // The compositions behind the paper's platforms:
 //
-//	smp    = HW{MESI × SnoopBus}                          (line grain)
-//	dsm    = HW{MESI × Directory}                         (line grain)
-//	svm    = PageEngine (HLRC)                            (page grain)
-//	svmsmp = PageEngine per cluster + {MESI × SnoopBus}   (two-level)
+//	smp    = HW{MESI × SnoopBus}                                  (line grain)
+//	dsm    = HW{MESI × Directory}                                 (line grain)
+//	svm    = PageEngine (HLRC, Cluster 1)                         (page grain)
+//	svmsmp = PageEngine (HLRC, Cluster 4) + {MESI × SnoopBus}
+//	         per cluster                                          (two-level)
 //
 // and new rows are configuration, not packages: platform.Make("smp-msi")
 // and platform.Make("dsm-msi") build the MSI variants from the same two
 // engines, and further machines ({MOESI, limited-directory, CXL-PCC} rows
 // of the roadmap) are meant to land as new policy values here.
+//
+// The page engine owns its domain map: a cluster size fixes which
+// processors share a domain, the domain's handler processor and each page's
+// home domain, so svm and svmsmp hand it only that size and one
+// page-changed callback that drops their cached lines.
 //
 // Extracting the engines is also an audit of the clones they replace: every
 // place the hand-copied platforms disagreed is now either a named policy

@@ -87,8 +87,11 @@ func TestIntervalOverflowFailsLoudly(t *testing.T) {
 	if !ok {
 		t.Fatalf("panic value = %#v, want *protocol.IntervalOverflowError", pe.Value)
 	}
-	if ioe.Node != 0 {
-		t.Errorf("overflow reported for node %d, want 0", ioe.Node)
+	if ioe.Noun != "node" || ioe.Domain != 0 || pe.Proc != 0 {
+		t.Errorf("overflow reported for %s %d on processor %d, want node 0 on processor 0", ioe.Noun, ioe.Domain, pe.Proc)
+	}
+	if !strings.Contains(err.Error(), "interval counter of node 0 would overflow") {
+		t.Errorf("err = %v, want it to name node 0", err)
 	}
 }
 

@@ -12,8 +12,8 @@
 // related acquire fetches the whole page from the home.
 //
 // The protocol engine itself lives in internal/protocol (PageEngine); this
-// package composes it with one coherence domain per node and the paper's
-// node cache hierarchy.
+// package composes it, at a cluster size of one (one coherence domain per
+// node), with the paper's node cache hierarchy.
 package svm
 
 import (
@@ -33,8 +33,8 @@ var CacheConfig = cache.Config{
 // Platform is the HLRC shared-virtual-memory machine: a protocol.PageEngine
 // with one coherence domain per node, composed with each node's private
 // (coherence-irrelevant) cache hierarchy. The HLRC state machine itself lives
-// in internal/protocol; this package wires it to flat node-grained homes and
-// keeps the existing API for harness specs, figure cells and memo keys.
+// in internal/protocol; this package runs it at node grain and drops a
+// node's cached lines of a page whose contents change.
 type Platform struct {
 	P  protocol.HLRCParams
 	as *mem.AddressSpace
@@ -61,33 +61,16 @@ func New(as *mem.AddressSpace, p protocol.HLRCParams, np int) *Platform {
 		levelCost: [3]uint64{cache.L1Hit: 0, cache.L2Hit: p.L2HitCost, cache.Miss: p.MemCost},
 	}
 	s.eng = protocol.NewPageEngine(protocol.PageConfig{
-		Params: p, Domains: np, Host: s,
-		CountApplies: true,
-		Scope:        "svm", Noun: "node",
+		Params: p, AS: as, Cluster: 1,
+		PageChanged: s.PageChanged, CountApplies: true,
 	})
 	return s
 }
 
-// HomeDomain implements protocol.PageHost: flat platform, one domain per
-// node, homes straight from the address space's page placement.
-func (s *Platform) HomeDomain(addr uint64) int { return s.as.Home(addr) }
-
-// HandlerProc implements protocol.PageHost: a node runs its own handlers.
-func (s *Platform) HandlerProc(dom int) int { return dom }
-
-// MemberRange implements protocol.PageHost: a domain is exactly one node.
-func (s *Platform) MemberRange(dom int) (int, int) { return dom, dom + 1 }
-
-// PageArrived implements protocol.PageHost: the fetched page's contents
-// changed under the node's caches.
-func (s *Platform) PageArrived(dom int, pg uint64) {
-	s.caches[dom].InvalidateRange(pg*s.P.PageSize, int(s.P.PageSize))
-}
-
-// DiffApplied implements protocol.PageHost: the home copy changed under the
-// home's caches.
-func (s *Platform) DiffApplied(home int, pg uint64) {
-	s.caches[home].InvalidateRange(pg*s.P.PageSize, int(s.P.PageSize))
+// PageChanged drops page pg's lines from node's caches: a fetched page
+// landed there, or a diff was applied to the node's home copy.
+func (s *Platform) PageChanged(node int, pg uint64) {
+	s.caches[node].InvalidateRange(pg*s.P.PageSize, int(s.P.PageSize))
 }
 
 // Name implements sim.Platform.
@@ -131,13 +114,8 @@ func (s *Platform) Prevalidate(addr uint64, nbytes int, nd int) {
 // FastAccess implements sim.Platform: hits on valid pages (and writes on
 // already-dirty pages) are purely local.
 func (s *Platform) FastAccess(p int, now uint64, addr uint64, write bool) (uint64, bool) {
-	d := s.eng.Doms[p]
-	pg := addr >> s.pageShift
-	if !d.Valid[pg] {
-		return 0, false
-	}
-	if write && !d.Dirty[pg] {
-		return 0, false // needs a write trap + twin
+	if !s.eng.Doms[p].Local(addr>>s.pageShift, write) {
+		return 0, false // a fault, or a write trap + twin
 	}
 	lvl, _ := s.caches[p].Access(addr, write, cache.Exclusive)
 	return s.levelCost[lvl], true
@@ -158,10 +136,7 @@ func (s *Platform) FastRange(p int, now uint64, addr, end uint64, write bool) (i
 	var stall uint64
 	for addr < end {
 		pg := addr >> s.pageShift
-		if !d.Valid[pg] {
-			break
-		}
-		if write && !d.Dirty[pg] {
+		if !d.Local(pg, write) {
 			break
 		}
 		stop := (pg + 1) << s.pageShift
@@ -186,10 +161,10 @@ func (s *Platform) SlowAccess(p int, now uint64, addr uint64, write bool) sim.Ac
 	pg := addr >> s.pageShift
 	var cost sim.AccessCost
 	if !d.Valid[pg] {
-		cost.DataWait += s.eng.Fault(p, p, now, addr)
+		cost.DataWait += s.eng.Fault(p, now, addr)
 	}
 	if write && !d.Dirty[pg] {
-		cost.Handler += s.eng.Trap(p, p, now, addr)
+		cost.Handler += s.eng.Trap(p, now, addr)
 	}
 	lvl, _ := s.caches[p].Access(addr, write, cache.Exclusive)
 	cost.CacheStall += s.levelCost[lvl]
@@ -213,13 +188,13 @@ func (s *Platform) LockGrant(p int, now uint64, lock int, prevHolder int) uint64
 	if prevHolder >= 0 && prevHolder != p {
 		cost += s.P.MsgSend + s.P.NetLatency + s.P.MsgRecv // manager->holder hop
 	}
-	return cost + s.eng.AcquireApply(lock, p, p, now)
+	return cost + s.eng.AcquireApply(lock, p, now)
 }
 
 // LockRelease implements sim.Platform: HLRC propagates diffs to homes at
 // release; the release itself is local (lazy protocol).
 func (s *Platform) LockRelease(p int, now uint64, lock int) (syncC, handler, freeDelay uint64) {
-	handler = s.eng.Flush(p, p, now)
+	handler = s.eng.Flush(p, now)
 	s.eng.SaveLockVC(lock, p)
 	return 100, handler, 0
 }
@@ -227,7 +202,7 @@ func (s *Platform) LockRelease(p int, now uint64, lock int) (syncC, handler, fre
 // BarrierArrive implements sim.Platform: arrival flushes diffs to homes and
 // sends the arrival message with write notices to the barrier manager.
 func (s *Platform) BarrierArrive(p int, now uint64) (syncC, handler uint64) {
-	handler = s.eng.Flush(p, p, now)
+	handler = s.eng.Flush(p, now)
 	return s.P.MsgSend + s.P.NetLatency, handler
 }
 
@@ -235,18 +210,17 @@ func (s *Platform) BarrierArrive(p int, now uint64) (syncC, handler uint64) {
 // arrival message per processor (merging write notices), then broadcasts the
 // release.
 func (s *Platform) BarrierRelease(arrivals []uint64, manager int) uint64 {
-	return s.eng.ReleaseWork(arrivals, manager, len(arrivals))
+	return s.eng.ReleaseWork(arrivals, manager)
 }
 
 // BarrierDepart implements sim.Platform: on departure every node has merged
 // every other node's vector clock; stale copies are invalidated.
 func (s *Platform) BarrierDepart(p int, releaseTime uint64) uint64 {
-	return s.P.MsgRecv + s.eng.DepartApply(p, p, releaseTime)
+	return s.P.MsgRecv + s.eng.DepartApply(p, releaseTime)
 }
 
 var (
 	_ sim.Platform      = (*Platform)(nil)
 	_ sim.Prevalidator  = (*Platform)(nil)
 	_ sim.RangeAccessor = (*Platform)(nil)
-	_ protocol.PageHost = (*Platform)(nil)
 )

@@ -1,12 +1,44 @@
 package svmsmp
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
+
+// The interval-overflow panic names the cluster whose counter would wrap,
+// not a node: here cluster 1 (processors 4..7) is at the edge, and whichever
+// of its members flushes first panics.
+func TestIntervalOverflowFailsLoudly(t *testing.T) {
+	pl := New(mem.NewAddressSpace(4096, 8), 8)
+	k := sim.New(pl, sim.Config{NumProcs: 8, BarrierManager: sim.AutoBarrierManager})
+	_, err := k.RunErr("wrap", func(p *sim.Proc) {
+		if p.ID() == 4 {
+			pl.eng.Doms[1].Interval = math.MaxUint32
+			pl.eng.Doms[1].VC[1] = math.MaxUint32
+			p.Lock(1)
+			p.Unlock(1)
+		}
+		p.Barrier()
+	})
+	var pe *sim.ProcPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want contained ProcPanicError", err)
+	}
+	ioe, ok := pe.Value.(*protocol.IntervalOverflowError)
+	if !ok || ioe.Noun != "cluster" || ioe.Domain != 1 || pe.Proc/clusterSize != 1 {
+		t.Fatalf("panic = %#v on processor %d, want cluster 1's overflow on one of its members", pe.Value, pe.Proc)
+	}
+	if !strings.Contains(err.Error(), "interval counter of cluster 1 would overflow") {
+		t.Errorf("err = %v, want it to name cluster 1", err)
+	}
+}
 
 // Regression: an intra-cluster write UPGRADE (write to a line the writer
 // already holds Shared) must leave the writer's own cache in Modified. The

@@ -12,11 +12,11 @@
 // mate — are all answerable with this model; see the TwoLevelBeatsFlatSVM
 // row of the paper-claims table (repro_claims_test.go).
 //
-// Both protocol layers live in internal/protocol: one PageEngine whose
-// coherence domains are the clusters, stacked on a {MESI × SnoopBus}
-// LineEngine per cluster with broadcast upgrade accounting. This package is
-// the composition: it maps processors to clusters and wires the page layer's
-// "contents changed" callbacks down into the line layer.
+// Both protocol layers live in internal/protocol: one PageEngine at a
+// cluster size of four, whose coherence domains are the clusters, stacked on
+// a {MESI × SnoopBus} LineEngine per cluster with broadcast upgrade
+// accounting. This package is the composition: it wires the page layer's
+// page-changed callback down into the line layer.
 package svmsmp
 
 import (
@@ -34,11 +34,11 @@ const clusterSize = 4
 
 // Platform is the two-level machine model.
 type Platform struct {
-	hlrc   protocol.HLRCParams // inter-cluster SVM costs
-	bus    protocol.BusParams  // intra-cluster Challenge-class costs
-	as     *mem.AddressSpace
-	k      *sim.Kernel
-	np, nc int
+	hlrc protocol.HLRCParams // inter-cluster SVM costs
+	bus  protocol.BusParams  // intra-cluster Challenge-class costs
+	as   *mem.AddressSpace
+	k    *sim.Kernel
+	np   int
 	// pageShift is log2(hlrc.PageSize); page-number extraction is on the
 	// access fast path (see internal/svm).
 	pageShift uint
@@ -58,14 +58,12 @@ type Platform struct {
 // with SVM costs across clusters and Challenge-class costs inside them.
 func New(as *mem.AddressSpace, np int) *Platform {
 	hlrc := protocol.DefaultHLRCParams()
-	nc := (np + clusterSize - 1) / clusterSize
 	s := &Platform{
 		hlrc: hlrc, bus: protocol.DefaultBusParams(),
-		as: as, np: np, nc: nc, pageShift: protocol.PageShift(hlrc.PageSize),
+		as: as, np: np, pageShift: protocol.PageShift(hlrc.PageSize),
 	}
 	s.eng = protocol.NewPageEngine(protocol.PageConfig{
-		Params: hlrc, Domains: nc, Host: s,
-		Scope: "svmsmp", Noun: "cluster",
+		Params: hlrc, AS: as, Cluster: clusterSize, PageChanged: s.dropPageLines,
 	})
 	return s
 }
@@ -77,26 +75,6 @@ func (s *Platform) Name() string { return "svmsmp" }
 func (s *Platform) LineSize() int { return protocol.ChallengeCache.Line }
 
 func (s *Platform) clusterOf(p int) int { return p / clusterSize }
-
-// HomeDomain implements protocol.PageHost: a page's home cluster is the
-// cluster of its home processor.
-func (s *Platform) HomeDomain(addr uint64) int {
-	return s.clusterOf(s.as.Home(addr) % s.np)
-}
-
-// HandlerProc implements protocol.PageHost: protocol handlers run on a
-// cluster's first processor.
-func (s *Platform) HandlerProc(dom int) int { return dom * clusterSize }
-
-// MemberRange implements protocol.PageHost.
-func (s *Platform) MemberRange(dom int) (int, int) {
-	lo := dom * clusterSize
-	hi := lo + clusterSize
-	if hi > s.np {
-		hi = s.np
-	}
-	return lo, hi
-}
 
 // dropPageLines invalidates a page's lines in every member cache of cluster
 // cid and drops the page's entries from the cluster's line table: the page
@@ -111,26 +89,18 @@ func (s *Platform) dropPageLines(cid int, pg uint64) {
 	s.lineEng[cid].DropLines(base/lineSz, (base+s.hlrc.PageSize-1)/lineSz+1)
 }
 
-// PageArrived implements protocol.PageHost.
-func (s *Platform) PageArrived(dom int, pg uint64) { s.dropPageLines(dom, pg) }
-
-// DiffApplied implements protocol.PageHost.
-func (s *Platform) DiffApplied(home int, pg uint64) { s.dropPageLines(home, pg) }
-
 // Attach implements sim.Platform.
 func (s *Platform) Attach(k *sim.Kernel) {
 	s.k = k
 	span := s.as.Span()
 	npages := int(span >> s.pageShift)
 	s.eng.Init(k, npages)
+	nc := len(s.eng.Doms)
 	s.caches = make([]*cache.Hierarchy, s.np)
-	s.lineEng = make([]*protocol.LineEngine, s.nc)
-	s.buses = make([]*protocol.SnoopBus, s.nc)
-	for c := 0; c < s.nc; c++ {
-		members := clusterSize
-		if rest := s.np - c*clusterSize; rest < members {
-			members = rest
-		}
+	s.lineEng = make([]*protocol.LineEngine, nc)
+	s.buses = make([]*protocol.SnoopBus, nc)
+	for c := range nc {
+		members := min(clusterSize, s.np-c*clusterSize)
 		s.lineEng[c] = protocol.NewLineEngine(protocol.MESI, protocol.ChallengeCache, span, members)
 		for _, h := range s.lineEng[c].Caches {
 			h.FilterPages(int(s.hlrc.PageSize), npages)
@@ -143,18 +113,13 @@ func (s *Platform) Attach(k *sim.Kernel) {
 
 // Prevalidate implements sim.Prevalidator at cluster granularity.
 func (s *Platform) Prevalidate(addr uint64, nbytes int, nd int) {
-	s.eng.Prevalidate(addr, nbytes, s.clusterOf(nd))
+	s.eng.Prevalidate(addr, nbytes, nd)
 }
 
 // FastAccess implements sim.Platform: the page must be valid at the cluster
 // (and cluster-dirty for writes), then intra-cluster MESI applies.
 func (s *Platform) FastAccess(p int, now uint64, addr uint64, write bool) (uint64, bool) {
-	d := s.eng.Doms[s.clusterOf(p)]
-	pg := addr >> s.pageShift
-	if !d.Valid[pg] {
-		return 0, false
-	}
-	if write && !d.Dirty[pg] {
+	if !s.eng.Doms[s.clusterOf(p)].Local(addr>>s.pageShift, write) {
 		return 0, false
 	}
 	lvl, _, ok := s.caches[p].HitAccess(addr, write)
@@ -177,10 +142,10 @@ func (s *Platform) SlowAccess(p int, now uint64, addr uint64, write bool) sim.Ac
 	pg := addr >> s.pageShift
 	var cost sim.AccessCost
 	if !d.Valid[pg] {
-		cost.DataWait += s.eng.Fault(p, cid, now, addr)
+		cost.DataWait += s.eng.Fault(p, now, addr)
 	}
 	if write && !d.Dirty[pg] {
-		cost.Handler += s.eng.Trap(p, cid, now, addr)
+		cost.Handler += s.eng.Trap(p, now, addr)
 	}
 	bc := s.buses[cid].SlowLine(s.k, s.lineEng[cid], p%clusterSize, p, now, addr, write)
 	cost.CacheStall += bc.CacheStall
@@ -213,35 +178,34 @@ func (s *Platform) LockGrant(p int, now uint64, lock int, prevHolder int) uint64
 			cost += s.hlrc.MsgSend + s.hlrc.NetLatency + s.hlrc.MsgRecv
 		}
 	}
-	cost += s.eng.AcquireApply(lock, cid, p, now)
+	cost += s.eng.AcquireApply(lock, p, now)
 	s.lockCl[lock] = cid
 	return cost
 }
 
 // LockRelease implements sim.Platform.
 func (s *Platform) LockRelease(p int, now uint64, lock int) (uint64, uint64, uint64) {
-	cid := s.clusterOf(p)
-	handler := s.eng.Flush(cid, p, now)
-	s.eng.SaveLockVC(lock, cid)
+	handler := s.eng.Flush(p, now)
+	s.eng.SaveLockVC(lock, p)
 	return s.bus.LockRelease, handler, 0
 }
 
 // BarrierArrive implements sim.Platform: gather on the cluster bus, then one
 // message per cluster to the manager.
 func (s *Platform) BarrierArrive(p int, now uint64) (uint64, uint64) {
-	handler := s.eng.Flush(s.clusterOf(p), p, now)
+	handler := s.eng.Flush(p, now)
 	return s.bus.BarrierLeaf + s.hlrc.MsgSend/clusterSize + s.hlrc.NetLatency/2, handler
 }
 
 // BarrierRelease implements sim.Platform: the manager handles one arrival
 // per CLUSTER, not per processor.
 func (s *Platform) BarrierRelease(arrivals []uint64, manager int) uint64 {
-	return s.eng.ReleaseWork(arrivals, manager, s.nc)
+	return s.eng.ReleaseWork(arrivals, manager)
 }
 
 // BarrierDepart implements sim.Platform.
 func (s *Platform) BarrierDepart(p int, releaseTime uint64) uint64 {
-	return s.bus.BarrierLeaf/3 + s.eng.DepartApply(s.clusterOf(p), p, releaseTime)
+	return s.bus.BarrierLeaf/3 + s.eng.DepartApply(p, releaseTime)
 }
 
 // CheckInvariants implements sim.InvariantChecked: the page engine's HLRC
@@ -251,7 +215,7 @@ func (s *Platform) BarrierDepart(p int, releaseTime uint64) uint64 {
 // each cluster's bus occupancy and line-table/cache agreement.
 func (s *Platform) CheckInvariants() error {
 	if err := s.eng.CheckInvariants(); err != nil {
-		return err
+		return fmt.Errorf("svmsmp: %w", err)
 	}
 	for cid := range s.lineEng {
 		if err := s.buses[cid].CheckOccupancy(fmt.Sprintf("svmsmp: cluster %d", cid)); err != nil {
@@ -268,5 +232,4 @@ var (
 	_ sim.Platform         = (*Platform)(nil)
 	_ sim.Prevalidator     = (*Platform)(nil)
 	_ sim.InvariantChecked = (*Platform)(nil)
-	_ protocol.PageHost    = (*Platform)(nil)
 )

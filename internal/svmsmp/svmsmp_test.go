@@ -120,10 +120,12 @@ func TestWriteNoticesCrossClusters(t *testing.T) {
 	}
 }
 
+// Six processors make two clusters, the second of two processors.
 func TestClusterCountRounding(t *testing.T) {
-	as := mem.NewAddressSpace(4096, 6)
-	p := New(as, 6)
-	if p.nc != 2 {
-		t.Errorf("6 procs -> %d clusters, want 2", p.nc)
+	p := New(mem.NewAddressSpace(4096, 6), 6)
+	sim.New(p, sim.Config{NumProcs: 6}).Run("attach", func(*sim.Proc) {})
+	if len(p.eng.Doms) != 2 || len(p.lineEng) != 2 || len(p.lineEng[1].Caches) != 2 {
+		t.Errorf("6 procs -> %d page domains, %d line engines, the last with %d caches; want 2, 2, 2",
+			len(p.eng.Doms), len(p.lineEng), len(p.lineEng[1].Caches))
 	}
 }
